@@ -154,7 +154,10 @@ class Prop51Weights(WeightSystem):
     def log_weight(self, v) -> float:
         n, m = v
         if n >= 2:
-            return 0.5 * (math.log(self.p(m, n - 1)) - math.log(self.p(m, n - 2)))
+            # p(m, x) inlined with a(m) and b(m) read once; same expression order
+            a, b, x1, x2 = self.a(m), self.b(m), n - 1, n - 2
+            return 0.5 * (math.log(1.0 + a * x1 + b * x1 * x1)
+                          - math.log(1.0 + a * x2 + b * x2 * x2))
         if m >= 1:
             if n == 0:
                 return 0.5 * (math.log(m) - math.log(m + 1.0))
@@ -302,7 +305,8 @@ def shift_norm_sq(ws: WeightSystem, kernel: TreeKernel, u, n: int = 1,
 
 class CauchyDualWeights(WeightSystem):
     """The dual system: each weight divided by the one-step squared norm at
-    its parent.  Norms are memoized per parent vertex."""
+    its parent.  Finished log weights are memoized per vertex, which is
+    sound because weight systems and kernels are pure."""
 
     def __init__(self, primal: WeightSystem, kernel: TreeKernel, eps: float = 1e-12) -> None:
         self.primal = primal
@@ -311,25 +315,26 @@ class CauchyDualWeights(WeightSystem):
         self.dual_depth = primal.dual_depth + 1
         self.name = primal.name
         self.params = {"dual_of": primal.name, "dual_depth": self.dual_depth, **primal.params}
-        self._norm_cache: dict = {}
+        self._log_cache: dict = {}
 
     def _parent_norm_sq(self, v) -> float:
         u = self.kernel.parent(v)
-        hit = self._norm_cache.get(u)
-        if hit is None:
-            hit = shift_norm_sq(self.primal, self.kernel, u, 1)
-            if hit < self.eps:
-                raise DegenerateNormError(
-                    f"one-step norm at {u!r} fell below {self.eps}; dual undefined"
-                )
-            self._norm_cache[u] = hit
-        return hit
+        norm = shift_norm_sq(self.primal, self.kernel, u, 1)
+        if norm < self.eps:
+            raise DegenerateNormError(
+                f"one-step norm at {u!r} fell below {self.eps}; dual undefined"
+            )
+        return norm
 
     def weight(self, v) -> float:
         return self.primal.weight(v) / self._parent_norm_sq(v)
 
     def log_weight(self, v) -> float:
-        return self.primal.log_weight(v) - math.log(self._parent_norm_sq(v))
+        hit = self._log_cache.get(v)
+        if hit is None:
+            hit = self.primal.log_weight(v) - math.log(self._parent_norm_sq(v))
+            self._log_cache[v] = hit
+        return hit
 
 
 def cauchy_dual(ws: WeightSystem, kernel: TreeKernel, eps: float = 1e-12) -> CauchyDualWeights:

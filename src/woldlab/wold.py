@@ -140,7 +140,7 @@ def wold_verdict(ws: WeightSystem, kernel: TreeKernel, window: Window,
     evidence: dict = {"alpha_primal": primal.to_json(kernel)}
     witnesses: list = []
     note = ""
-    dual_verdict = None
+    dual_ws = dual_verdict = None
 
     if primal.kind == "inconclusive":
         outcome, method = "Inconclusive", "heuristic"
@@ -173,7 +173,7 @@ def wold_verdict(ws: WeightSystem, kernel: TreeKernel, window: Window,
         evidence.update(extra)
 
     checks, downgrade, clash = _spot_checks(ws, kernel, verts, base, primal,
-                                            dual_verdict, cfg, seed)
+                                            dual_ws, dual_verdict, cfg, seed)
     evidence["spot_checks"] = checks
     if downgrade and outcome != "Inconclusive":
         outcome, method = "Inconclusive", "heuristic"
@@ -235,11 +235,10 @@ def _case_ii_branch(ws, kernel, window, verts, primal, cfg, tol, witnesses):
     return "Inconclusive", "heuristic", "balancedness undecided", extra
 
 
-def _spot_checks(ws, kernel, verts, base, primal, dual_verdict, cfg, seed):
+def _spot_checks(ws, kernel, verts, base, primal, dual_ws, dual_verdict, cfg, seed):
     rng = random.Random(seed)
     pool = [v for v in verts if v != base]
     picks = rng.sample(pool, min(8, len(pool)))
-    dual_ws = cauchy_dual(ws, kernel) if dual_verdict is not None else None
     checks = []
     downgrade, clash = False, None
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 
@@ -197,6 +198,29 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0 and out == ""
     obj = json.loads(target.read_text())
     assert obj["verdict"] == "NoWold"
+
+
+# Digests of stdout recorded before dual log weights and series terms were
+# memoized; the memos may change how often work is done, never a byte.
+PINNED_STDOUT = {
+    "alpha-dual-0,0": (("alpha", "--tree", "tqb", "--weights", "ex52", "--vertex=0,0",
+                        "--dual", "--no-plugins", "--N", "60"),
+                       "0f97e1ea8a3ca1165f22417403cffa07b24f5a89c8792e65e364da774ba8b222"),
+    "alpha-dual-1,-3": (("alpha", "--tree", "tqb", "--weights", "ex52", "--vertex=1,-3",
+                         "--dual", "--no-plugins", "--N", "60"),
+                        "3da1e49b05f35e666420e9a3f8ab7438f0a94e32b749021d5a2abfadca3ffb15"),
+    "wold-no-plugins": (("wold", "--tree", "tqb", "--weights", "ex52", "--vertex=0,0",
+                         "--no-plugins", "--N", "60"),
+                        "877b108dd6c52c6b56ec3e5d29b00a886729c14a78cbe9994a98812c5c79face"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_STDOUT))
+def test_stdout_bytes_are_pinned(capsys, case):
+    argv, digest = PINNED_STDOUT[case]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

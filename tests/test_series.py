@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from woldlab.errors import DivergentSeriesError, UndecidedSeriesError
 from woldlab.operator import SparseVector, apply_power, inner
-from woldlab.series import (SeriesConfig, SeriesVerdict, alpha_partial,
-                            alpha_terms, alpha_verdict, g_vector,
+from woldlab.series import (SeriesConfig, SeriesVerdict, _term_value,
+                            alpha_partial, alpha_terms, alpha_verdict, g_vector,
                             generation_invariance_check, generation_stream,
                             hyperrange_recurrence_check,
                             range_membership_check)
@@ -91,6 +96,84 @@ def test_partials_cross_a_thousand_at_fifteen():
     assert len(part.to_rows()) == 21
     with pytest.raises(ValueError):
         alpha_partial(EX52, TQB, (0, 0), -1)
+
+
+# ---------------------------------------------------------------------------
+# the term memo
+
+
+MEMO_VERTICES = [(0, 0), (1, -3), (0, -2), (2, 1)]
+MEMO_DEPTH = 30
+
+
+def fresh_system(kind):
+    primal = ex52_weights()
+    return primal if kind == "primal" else cauchy_dual(primal, TQB)
+
+
+def stream_terms(kind, v, upto):
+    """Terms straight from a fresh stream on fresh objects: no memo involved."""
+    return [_term_value(members)
+            for _, members in islice(generation_stream(fresh_system(kind), TQB, v), upto)]
+
+
+REFERENCE_TERMS = {(kind, v): stream_terms(kind, v, MEMO_DEPTH)
+                   for kind in ("primal", "dual") for v in MEMO_VERTICES}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["primal", "dual"]),
+       v=st.sampled_from(MEMO_VERTICES),
+       count=st.integers(2, 3),
+       schedule=st.lists(st.integers(0, 2), min_size=1, max_size=3 * MEMO_DEPTH))
+def test_interleaved_term_iterators_share_the_memo_exactly(kind, v, count, schedule):
+    ws = fresh_system(kind)
+    want = REFERENCE_TERMS[(kind, v)]
+    iters = [alpha_terms(ws, TQB, v) for _ in range(count)]
+    seen = [0] * count
+    for pick in schedule:
+        i = pick % count
+        if seen[i] == MEMO_DEPTH:
+            continue
+        n, t = next(iters[i])
+        assert n == seen[i]
+        assert t == want[n]     # bit-identical, not approximately equal
+        seen[i] += 1
+
+
+def test_term_memo_keeps_no_reference_cycle():
+    gc.disable()
+    try:
+        primal = ex52_weights()
+        dual = cauchy_dual(primal, TQB)
+        alpha_verdict(dual, TQB, (0, 0))
+        alpha_verdict(dual, TQB, (1, -3), SeriesConfig(n_max=60, use_plugins=False))
+        refs = weakref.ref(primal), weakref.ref(dual)
+        del primal, dual
+        assert refs[0]() is None and refs[1]() is None
+    finally:
+        gc.enable()
+
+
+class CountingTqb(TqbKernel):
+    def __init__(self):
+        self.children_calls = 0
+
+    def children(self, v):
+        self.children_calls += 1
+        return super().children(v)
+
+
+def test_partial_then_verdict_enumerates_each_generation_once():
+    N = 40
+    once = CountingTqb()
+    list(islice(generation_stream(cauchy_dual(ex52_weights(), once), once, (0, 0)), N + 2))
+    k = CountingTqb()
+    dual = cauchy_dual(ex52_weights(), k)
+    table = alpha_partial(dual, k, (0, 0), N)
+    verdict = alpha_verdict(dual, k, (0, 0), SeriesConfig(n_max=N, use_plugins=False))
+    assert k.children_calls == once.children_calls
+    assert verdict.n_used == N and len(table.terms) == N + 1
 
 
 # ---------------------------------------------------------------------------

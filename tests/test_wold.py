@@ -6,12 +6,13 @@ import random
 
 import pytest
 
+import woldlab.wold
 from woldlab.errors import DegenerateNormError, PreconditionError
 from woldlab.series import SeriesConfig, SeriesVerdict, alpha_verdict
 from woldlab.tree_core import (TkInfKernel, TqbKernel, Window, ZPathKernel,
                                load_adjacency, window_vertices)
 from woldlab.weights import (ConstantWeights, FunctionWeights,
-                             TkinfIsometricWeights, ex52_weights)
+                             TkinfIsometricWeights, cauchy_dual, ex52_weights)
 from woldlab.wold import (case_ii_weight_relation, decomposition_report,
                           wold_verdict)
 
@@ -203,3 +204,21 @@ def test_decomposition_report_zpath():
 def test_decomposition_report_needs_case_two():
     with pytest.raises(PreconditionError, match="NoWold"):
         decomposition_report(EX52, TQB, Window((0, 0), 2, 2))
+
+
+# ---------------------------------------------------------------------------
+# shared work
+
+
+def test_wold_verdict_builds_one_dual(monkeypatch):
+    built = []
+
+    def counting_dual(ws, kernel, *args):
+        built.append(ws)
+        return cauchy_dual(ws, kernel, *args)
+
+    monkeypatch.setattr(woldlab.wold, "cauchy_dual", counting_dual)
+    verdict = wold_verdict(EX52, TQB, Window((0, 0), 2, 2))
+    assert "alpha_dual" in verdict.evidence
+    assert any("dual_kind" in row for row in verdict.evidence["spot_checks"])
+    assert len(built) == 1
