@@ -6,16 +6,16 @@ from .errors import (DegenerateNormError, DivergentSeriesError,
                      ResourceCapError, UndecidedSeriesError, UnknownVertexError,
                      WoldlabError)
 from .tree_core import (AdjacencyKernel, BilateralPath, Budget, TkInfKernel,
-                        TqbKernel, TreeKernel, Window, ZPathKernel,
-                        bilateral_path, child_n, enum_A, enum_A_definitional,
-                        load_adjacency, make_kernel, par_n, same_generation,
+                        TqbKernel, TreeKernel, Window, ZPathKernel, child_n,
+                        descend, enum_A, enum_A_definitional, load_adjacency,
+                        make_kernel, par_n, same_generation, shell,
                         window_depth_classes, window_vertices)
 from .weights import (CauchyDualWeights, ConstantWeights, CsvWeights,
                       FunctionWeights, PolyRule, Prop51Weights,
                       TkinfIsometricWeights, WeightSystem, boundedness_estimate,
                       cauchy_dual, ex52_weights, is_balanced,
                       is_norm_increasing, load_weight_csv, make_weights,
-                      moment, moment_log, shift_norm_sq)
+                      moment_log, shift_norm_sq)
 from .operator import (SparseVector, apply_adjoint, apply_power, apply_shift,
                        classify, defect_diagonal, inner,
                        ker_adjoint_local_basis, wandering_orthogonality_check)

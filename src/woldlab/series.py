@@ -15,12 +15,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 from .errors import DivergentSeriesError, UndecidedSeriesError
-from .numerics import NeumaierSum, quadratic_tail_integral
+from .numerics import (NeumaierSum, bracket_decreasing_tail,
+                       quadratic_tail_integral)
 from .operator import SparseVector, apply_power, apply_shift
 from .tree_core import (Budget, TqbKernel, TreeKernel, BilateralPath, child_n,
-                        par_n, same_generation)
+                        par_n, same_generation, shell)
 from .weights import (ConstantWeights, Prop51Weights, WeightSystem, family_root,
                       moment_log, shift_norm_sq)
 
@@ -48,9 +50,9 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v, start: int = 0):
     """Yield (n, [(u, rel_log)]) for n = start, start + 1, ...
 
     rel_log is log of the moment ratio lambda^(n)(u) / lambda^(n)(v) for
-    u in A(v, n).  Each generation enumerates within its own resource budget;
-    per-generation cost grows with n because fresh branches must be walked
-    down from the ancestor line.  A stream that starts past generation 0
+    u in A(v, n).  Each generation is one `shell` call within its own resource
+    budget; per-generation cost grows with n because fresh branches must be
+    walked down from the ancestor line.  A stream that starts past generation 0
     skips the earlier shells and only redoes the up-walk that accumulates
     the base moment, in the same order, so its terms are bit-identical.
     """
@@ -66,18 +68,10 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v, start: int = 0):
     while True:
         budget = Budget()
         base_log += ws.log_weight(top)
-        anchor = kernel.parent(top)
-        fresh = [(c, ws.log_weight(c)) for c in kernel.children(anchor) if c != top]
-        budget.charge(len(fresh) + 1)
-        for _ in range(n - 1):
-            nxt = []
-            for u, acc in fresh:
-                for c in kernel.children(u):
-                    nxt.append((c, acc + ws.log_weight(c)))
-            budget.charge(len(nxt))
-            fresh = nxt
-        yield n, [(u, acc - base_log) for u, acc in fresh]
-        top = anchor
+        budget.charge()
+        members = shell(kernel, top, n, budget, ws.log_weight)
+        yield n, [(u, acc - base_log) for u, acc in members]
+        top = kernel.parent(top)
         n += 1
 
 
@@ -131,16 +125,19 @@ class AlphaPartial:
         return [(n, self.terms[n], self.partials[n]) for n in range(self.N + 1)]
 
 
+def _first_terms(ws: WeightSystem, kernel: TreeKernel, v, upto: int) -> list:
+    """t_0, ..., t_upto; generation upto + 1 is never walked."""
+    return [t for _, t in islice(alpha_terms(ws, kernel, v), upto + 1)]
+
+
 def alpha_partial(ws: WeightSystem, kernel: TreeKernel, v, N: int) -> AlphaPartial:
     if N < 0:
         raise ValueError("N must be nonnegative")
     acc = NeumaierSum()
-    terms, partials = [], []
-    for n, t in alpha_terms(ws, kernel, v):
-        if n > N:
-            break
+    terms = _first_terms(ws, kernel, v, N)
+    partials = []
+    for t in terms:
         acc.add(t)
-        terms.append(t)
         partials.append(acc.value)
     return AlphaPartial(v, N, terms, partials, acc.error_bound)
 
@@ -212,9 +209,7 @@ def alpha_verdict(ws: WeightSystem, kernel: TreeKernel, v,
 
 def _finite_generation_verdict(ws, kernel, v, span) -> SeriesVerdict:
     acc = NeumaierSum()
-    for n, t in alpha_terms(ws, kernel, v):
-        if n > span:
-            break
+    for t in _first_terms(ws, kernel, v, span):
         acc.add(t)
     evidence = {"rule": "finite-generation", "span": span}
     return SeriesVerdict.converged(v, acc.value, acc.error_bound, "analytic",
@@ -289,15 +284,6 @@ def _heuristic_verdict(ws, kernel, v, cfg: SeriesConfig) -> SeriesVerdict:
 # analytic plugins: exact term laws, verified against the stream before use
 
 
-def _sampled_terms(ws, kernel, v, upto):
-    out = []
-    for n, t in alpha_terms(ws, kernel, v):
-        if n > upto:
-            break
-        out.append(t)
-    return out
-
-
 def _plugin_prop51(ws, kernel, v, cfg: SeriesConfig):
     """Term laws for the polynomial family on the quasi-Brownian tree.
 
@@ -315,7 +301,7 @@ def _plugin_prop51(ws, kernel, v, cfg: SeriesConfig):
 
     if depth == 0:
         upto = max(40, n0 + 24)
-        terms = _sampled_terms(ws, kernel, v, upto)
+        terms = _first_terms(ws, kernel, v, upto)
         fit_lo = max(n0 + 1, upto - 16)
         ks = []
         for l in range(fit_lo, upto + 1):
@@ -333,7 +319,7 @@ def _plugin_prop51(ws, kernel, v, cfg: SeriesConfig):
 
     # Dual layer: fit the tail law on stream terms, then extrapolate.
     pre = max(60, n0 + 24)
-    terms = _sampled_terms(ws, kernel, v, pre)
+    terms = _first_terms(ws, kernel, v, pre)
     fit_lo = max(n0 + 1, pre - 16)
     ks = []
     for l in range(fit_lo, pre + 1):
@@ -361,8 +347,8 @@ def _plugin_prop51(ws, kernel, v, cfg: SeriesConfig):
         mu = m0 + l - n0
         acc.add(k_fit / root.p(mu, l - 1))
 
-    upper = k_fit * quadratic_tail_integral(a_tail, b_tail, float(n_terms - 1))
-    lower = k_fit * quadratic_tail_integral(a_tail, b_tail, float(n_terms))
+    lower, upper = bracket_decreasing_tail(
+        lambda x: k_fit * quadratic_tail_integral(a_tail, b_tail, x), n_terms - 1)
     value = acc.value + 0.5 * (upper + lower)
     tail_bound = 0.5 * (upper - lower) + acc.error_bound + rel_resid * value
     evidence = {"rule": "polynomial-tail", "K": k_fit, "fit_residual": rel_resid,
@@ -384,7 +370,7 @@ def _plugin_constant(ws, kernel, v, cfg: SeriesConfig):
         return None
     n0, _ = v
     upto = max(30, n0 + 12)
-    terms = _sampled_terms(ws, kernel, v, upto)
+    terms = _first_terms(ws, kernel, v, upto)
     tail = terms[n0 + 1:]
 
     if depth == 0:
@@ -474,9 +460,7 @@ def g_vector(ws: WeightSystem, kernel: TreeKernel, path: BilateralPath, m: int,
     entries: dict = {}
     gen_support = []
     partial = NeumaierSum()
-    for n, members in generation_stream(ws, kernel, v):
-        if n > N:
-            break
+    for _, members in islice(generation_stream(ws, kernel, v), N + 1):
         gen_support.append(tuple(u for u, _ in members))
         for u, rel_log in members:
             c = math.exp(rel_log)

@@ -386,19 +386,47 @@ def make_kernel(spec: str) -> TreeKernel:
 # iterated maps and generation shells
 
 
+def _no_weight(v) -> float:
+    return 0.0
+
+
+def descend(kernel: TreeKernel, frontier, depth: int, budget: Budget,
+            log_weight=_no_weight):
+    """Expand a frontier of (vertex, log) pairs `depth` levels down.
+
+    Each level is charged to `budget`.  A child's entry is its parent's log
+    plus `log_weight(child)`; unweighted callers get a zero weight, which
+    keeps the loop free of per-vertex branches.  Iterated children, shells,
+    windows, shift-power norms and the series term stream all descend here.
+    """
+    for _ in range(depth):
+        nxt = []
+        for u, acc in frontier:
+            for c in kernel.children(u):
+                nxt.append((c, acc + log_weight(c)))
+        budget.charge(len(nxt))
+        frontier = nxt
+    return frontier
+
+
+def shell(kernel: TreeKernel, top, n: int, budget: Budget, log_weight=_no_weight):
+    """The shell A(v, n), n >= 1, as (u, log) pairs, from top = par^(n-1)(v).
+
+    A(v, 1) = Chi(par(v)) minus v, and A(v, n) = Chi(A(par(v), n-1)); the
+    unrolled form drops the one child of par(top) leading back down to v and
+    expands the rest n-1 levels.  Logs accumulate from the shell's first
+    level, as in `descend`.
+    """
+    first = [(c, log_weight(c)) for c in kernel.children(kernel.parent(top)) if c != top]
+    budget.charge(len(first))
+    return descend(kernel, first, n - 1, budget, log_weight)
+
+
 def child_n(kernel: TreeKernel, v, n: int, budget: Budget | None = None):
     """Chi^n(v) as an ordered tuple; n = 0 gives (v,)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    budget = budget or Budget()
-    frontier = (v,)
-    for _ in range(n):
-        nxt = []
-        for u in frontier:
-            nxt.extend(kernel.children(u))
-        budget.charge(len(nxt))
-        frontier = tuple(nxt)
-    return frontier
+    return tuple(u for u, _ in descend(kernel, [(v, 0.0)], n, budget or Budget()))
 
 
 def par_n(kernel: TreeKernel, v, n: int):
@@ -411,42 +439,34 @@ def par_n(kernel: TreeKernel, v, n: int):
 
 
 def enum_A(kernel: TreeKernel, v, n: int, budget: Budget | None = None):
-    """The shell A(v, n), via the child-of-previous-shell recursion.
-
-    A(v, 1) = Chi(par(v)) minus v, and A(v, n) = Chi(A(par(v), n-1)); the
-    unrolled form walks n steps up, drops the one branch leading back down
-    to v, and expands the rest n-1 steps.
-    """
+    """The shell A(v, n) as an ordered tuple, via `shell`."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return (v,)
-    budget = budget or Budget()
-    top = v
-    for _ in range(n - 1):
-        top = kernel.parent(top)
-    anchor = kernel.parent(top)
-    frontier = [c for c in kernel.children(anchor) if c != top]
-    budget.charge(len(frontier))
-    for _ in range(n - 1):
-        nxt = []
-        for u in frontier:
-            nxt.extend(kernel.children(u))
-        budget.charge(len(nxt))
-        frontier = nxt
-    return tuple(frontier)
+    top = par_n(kernel, v, n - 1)
+    return tuple(u for u, _ in shell(kernel, top, n, budget or Budget()))
 
 
 def enum_A_definitional(kernel: TreeKernel, v, n: int, budget: Budget | None = None):
     """A(v, n) straight from the definition: Chi^n(par^n(v)) minus Chi^(n-1)(par^(n-1)(v)).
 
-    Kept as an independent oracle for the recursive route above.
+    Kept as an independent oracle for `shell`: the iterated child sets are
+    expanded depth first by recursion, not through `descend`.
     """
     if n == 0:
         return (v,)
     budget = budget or Budget()
-    big = child_n(kernel, par_n(kernel, v, n), n, budget)
-    small = set(child_n(kernel, par_n(kernel, v, n - 1), n - 1, budget))
+
+    def chi(u, k):
+        if k == 0:
+            return [u]
+        kids = kernel.children(u)
+        budget.charge(len(kids))
+        return [x for c in kids for x in chi(c, k - 1)]
+
+    big = chi(par_n(kernel, v, n), n)
+    small = set(chi(par_n(kernel, v, n - 1), n - 1))
     return tuple(u for u in big if u not in small)
 
 
@@ -491,23 +511,6 @@ class Window:
             raise ValueError("window depths must be nonnegative")
 
 
-def window_vertices(kernel: TreeKernel, w: Window, budget: Budget | None = None):
-    """Deterministic enumeration of the window: BFS from the top anchor."""
-    budget = budget or Budget()
-    top = par_n(kernel, w.base, w.depth_up)
-    out = [top]
-    budget.charge()
-    level = [top]
-    for _ in range(w.depth_up + w.depth_down):
-        nxt = []
-        for u in level:
-            nxt.extend(kernel.children(u))
-        budget.charge(len(nxt))
-        out.extend(nxt)
-        level = nxt
-    return out
-
-
 def window_depth_classes(kernel: TreeKernel, w: Window, budget: Budget | None = None):
     """Window vertices grouped by depth below the top anchor.
 
@@ -515,18 +518,16 @@ def window_depth_classes(kernel: TreeKernel, w: Window, budget: Budget | None = 
     these classes refine generations exactly.
     """
     budget = budget or Budget()
-    top = par_n(kernel, w.base, w.depth_up)
-    classes = [[top]]
+    levels = [[(par_n(kernel, w.base, w.depth_up), 0.0)]]
     budget.charge()
-    level = [top]
     for _ in range(w.depth_up + w.depth_down):
-        nxt = []
-        for u in level:
-            nxt.extend(kernel.children(u))
-        budget.charge(len(nxt))
-        classes.append(nxt)
-        level = nxt
-    return classes
+        levels.append(descend(kernel, levels[-1], 1, budget))
+    return [[u for u, _ in level] for level in levels]
+
+
+def window_vertices(kernel: TreeKernel, w: Window, budget: Budget | None = None):
+    """Deterministic enumeration of the window: its depth classes, top first."""
+    return [u for cls in window_depth_classes(kernel, w, budget) for u in cls]
 
 
 class BilateralPath:
@@ -558,10 +559,3 @@ class BilateralPath:
         if m_lo > m_hi:
             raise ValueError("m_lo must not exceed m_hi")
         return [self[m] for m in range(m_lo, m_hi + 1)]
-
-
-def bilateral_path(kernel: TreeKernel, v0, m_lo: int, m_hi: int) -> list:
-    """The canonical path segment (v_m) for m_lo <= m <= m_hi."""
-    if not m_lo <= 0 <= m_hi:
-        raise ValueError("path range must contain 0")
-    return BilateralPath(kernel, v0).range(m_lo, m_hi)

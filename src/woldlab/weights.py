@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateNormError, MissingWeightError
-from .tree_core import (Budget, TkInfKernel, TreeKernel, Window, same_generation,
-                        window_depth_classes, window_vertices)
+from .tree_core import (Budget, TkInfKernel, TreeKernel, Window, descend,
+                        same_generation, window_depth_classes, window_vertices)
 
 
 class WeightSystem:
@@ -164,21 +164,6 @@ class Prop51Weights(WeightSystem):
             return -0.5 * math.log(m)
         return 0.0
 
-    def sample_certificate(self, ms) -> dict:
-        """Window-sampled stand-ins for the family's global hypotheses.
-
-        Suprema/infima over all of Z are not decidable from samples; callers
-        must treat these numbers as window-certified only.
-        """
-        avals = [self.a(m) for m in ms]
-        bvals = [self.b(m) for m in ms]
-        return {
-            "sup_a_sampled": max(avals),
-            "sup_b_sampled": max(bvals),
-            "inf_b_sampled": min(bvals),
-            "sampled_ms": [min(ms), max(ms)],
-        }
-
 
 def ex52_weights() -> Prop51Weights:
     """The all-ones polynomial instance: p_m(x) = 1 + x + x^2 for every m."""
@@ -247,19 +232,6 @@ def load_weight_csv(text: str, kernel: TreeKernel, source: str = "<memory>") -> 
 # moments and norms
 
 
-@dataclass(frozen=True)
-class MomentValue:
-    """log of the n-step ancestor weight product ending at u."""
-
-    u: object
-    n: int
-    log_value: float
-
-    @property
-    def value(self) -> float:
-        return math.exp(self.log_value)
-
-
 def moment_log(ws: WeightSystem, kernel: TreeKernel, u, n: int) -> float:
     """log lambda^(n)(u) = sum of log weights along u, par(u), ..., par^(n-1)(u)."""
     if n < 0:
@@ -270,10 +242,6 @@ def moment_log(ws: WeightSystem, kernel: TreeKernel, u, n: int) -> float:
         total += ws.log_weight(x)
         x = kernel.parent(x)
     return total
-
-
-def moment(ws: WeightSystem, kernel: TreeKernel, u, n: int) -> MomentValue:
-    return MomentValue(u, n, moment_log(ws, kernel, u, n))
 
 
 def shift_norm_sq(ws: WeightSystem, kernel: TreeKernel, u, n: int = 1,
@@ -287,16 +255,8 @@ def shift_norm_sq(ws: WeightSystem, kernel: TreeKernel, u, n: int = 1,
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1.0
-    budget = budget or Budget()
-    frontier = [(u, 0.0)]
-    for _ in range(n):
-        nxt = []
-        for x, acc in frontier:
-            for c in kernel.children(x):
-                nxt.append((c, acc + ws.log_weight(c)))
-        budget.charge(len(nxt))
-        frontier = nxt
-    return math.fsum(math.exp(2.0 * acc) for _, acc in frontier)
+    leaves = descend(kernel, [(u, 0.0)], n, budget or Budget(), ws.log_weight)
+    return math.fsum(math.exp(2.0 * acc) for _, acc in leaves)
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,8 @@ def test_out_writes_file(tmp_path, capsys):
 
 
 # Digests of stdout recorded before dual log weights and series terms were
-# memoized; the memos may change how often work is done, never a byte.
+# memoized, and (from "repro-ex52" on) before every enumeration moved onto the
+# one frontier walker; such changes may alter how work is done, never a byte.
 PINNED_STDOUT = {
     "alpha-dual-0,0": (("alpha", "--tree", "tqb", "--weights", "ex52", "--vertex=0,0",
                         "--dual", "--no-plugins", "--N", "60"),
@@ -212,6 +213,21 @@ PINNED_STDOUT = {
     "wold-no-plugins": (("wold", "--tree", "tqb", "--weights", "ex52", "--vertex=0,0",
                          "--no-plugins", "--N", "60"),
                         "877b108dd6c52c6b56ec3e5d29b00a886729c14a78cbe9994a98812c5c79face"),
+    "repro-ex52": (("repro", "ex52"),
+                   "791ada16ee5c89aeec439aaeb9f10b9411cae2ce45efcf3e88af4f83a0d4259a"),
+    "alpha-dual-plugin-0,0": (("alpha", "--dual", "--vertex=0,0"),
+                              "6eca51d0372311eacab3be0dd875dc3d88d84b93cb5346ffda3975d499328f3c"),
+    "tree-show-tkinf3": (("tree", "show", "--tree", "tkinf:3", "--vertex=0,0",
+                          "--window", "2,3", "--format", "json"),
+                         "b64e2006a0e313b1ede1a78d858c4e5d02f1194dc8653681c6670b997e7c1ee7"),
+    "defect-tkinf3": (("defect", "--m", "5", "--tree", "tkinf:3", "--weights",
+                       "tkinf-isometric", "--window", "2,2", "--format", "json"),
+                      "0d173d00edff712511f575b9f205091671a968481bb8e28a8e5a4526ff130333"),
+    "gvec-tkinf2": (("gvec", "--tree", "tkinf:2", "--weights", "tkinf-isometric",
+                     "--vertex=0,0", "--m", "1", "--N", "12"),
+                    "522f1c25af1d7543a544bb71b707338f0a002259e11286f1922f0bdac3c5cf66"),
+    "dual-csv": (("dual", "--window", "2,2", "--format", "csv"),
+                 "72386e4cf8fd2a3e327c883885b02db36f32b4e600a36c4cbb058b91a3d94ab1"),
 }
 
 

@@ -19,7 +19,7 @@ from woldlab.series import (SeriesConfig, SeriesVerdict, _term_value,
                             hyperrange_recurrence_check,
                             range_membership_check)
 from woldlab.tree_core import (BilateralPath, TkInfKernel, TqbKernel,
-                               ZPathKernel, enum_A)
+                               ZPathKernel, enum_A_definitional)
 from woldlab.weights import (ConstantWeights, FunctionWeights,
                              TkinfIsometricWeights, cauchy_dual, ex52_weights,
                              moment_log)
@@ -56,15 +56,22 @@ def dual_spine_bracket(scale: float, shift: float, n0: int = 100_000):
 # the term stream
 
 
+STREAM_CASES = [
+    (TQB, EX52, [(0, 0), (0, 4), (2, 5)]),
+    (TkInfKernel(3), TkinfIsometricWeights(3), [(0, 0), (2, 1), (-3, 0)]),
+    (ZPathKernel(), ConstantWeights(2.0), [0, -5]),
+]
+
+
 def test_stream_matches_shells_and_moments():
-    for v in [(0, 0), (0, 4), (2, 5)]:
-        for n, members in generation_stream(EX52, TQB, v):
-            if n > 6:
-                break
-            assert {u for u, _ in members} == set(enum_A(TQB, v, n))
-            for u, rel in members:
-                expect = moment_log(EX52, TQB, u, n) - moment_log(EX52, TQB, v, n)
-                assert rel == pytest.approx(expect, abs=1e-12)
+    # the production stream against the definitional oracle, member by member
+    for kernel, ws, vertices in STREAM_CASES:
+        for v in vertices:
+            for n, members in islice(generation_stream(ws, kernel, v), 7):
+                assert tuple(u for u, _ in members) == enum_A_definitional(kernel, v, n)
+                for u, rel in members:
+                    expect = moment_log(ws, kernel, u, n) - moment_log(ws, kernel, v, n)
+                    assert rel == pytest.approx(expect, abs=1e-12)
 
 
 def test_ex52_primal_terms_follow_the_quadratic():
@@ -167,7 +174,9 @@ class CountingTqb(TqbKernel):
 def test_partial_then_verdict_enumerates_each_generation_once():
     N = 40
     once = CountingTqb()
-    list(islice(generation_stream(cauchy_dual(ex52_weights(), once), once, (0, 0)), N + 2))
+    # generations 0..N and not one more: walking N + 1 as well costs 1,763
+    list(islice(generation_stream(cauchy_dual(ex52_weights(), once), once, (0, 0)), N + 1))
+    assert once.children_calls == 1680
     k = CountingTqb()
     dual = cauchy_dual(ex52_weights(), k)
     table = alpha_partial(dual, k, (0, 0), N)

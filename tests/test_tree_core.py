@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 from woldlab.errors import (MalformedTreeError, ResourceCapError,
                             UnknownVertexError)
 from woldlab.tree_core import (Budget, TkInfKernel, TqbKernel, Window,
-                               ZPathKernel, BilateralPath, bilateral_path,
-                               child_n, enum_A, enum_A_definitional,
+                               ZPathKernel, BilateralPath, child_n, enum_A,
+                               enum_A_definitional,
                                load_adjacency, make_kernel, par_n,
                                same_generation, vertex_cap,
                                window_depth_classes, window_vertices)
+from woldlab.series import generation_stream
+from woldlab.weights import cauchy_dual, ex52_weights, shift_norm_sq
 
 ZP = ZPathKernel()
 TQB = TqbKernel()
@@ -234,21 +237,42 @@ def test_bilateral_path_choosers():
 
 
 def test_bilateral_path_range():
-    seg = bilateral_path(ZP, 0, -2, 2)
+    seg = BilateralPath(ZP, 0).range(-2, 2)
     assert seg == [-2, -1, 0, 1, 2]
     with pytest.raises(ValueError):
-        bilateral_path(ZP, 0, 1, 3)
+        BilateralPath(ZP, 0).range(3, 1)
 
 
 # ---------------------------------------------------------------------------
 # resource caps
 
 
-def test_budget_trips(monkeypatch):
-    monkeypatch.setenv("WOLDLAB_MAX_VERTICES", "10")
-    assert vertex_cap() == 10
+def dual_stream_upto(n):
+    for _ in islice(generation_stream(cauchy_dual(ex52_weights(), TQB), TQB, (0, 0)), n + 1):
+        pass
+
+
+# name: (cap, enumeration of size n, the largest n within the cap).  Every
+# enumeration call gets its own budget: a stream generation, a norm, a window.
+CAP_TRIPS = {
+    # levels of 2, 3, ..., n + 1 vertices below a spine vertex
+    "child_n": (10, lambda n: child_n(TQB, (0, 0), n), 3),
+    "shift_norm_sq": (10, lambda n: shift_norm_sq(ex52_weights(), TQB, (0, 0), n), 3),
+    # the top anchor plus levels of 2, 3, ..., n + 1 vertices
+    "window_vertices": (10, lambda n: window_vertices(TQB, Window((0, 0), 1, n - 1)), 3),
+    # generation n charges n + 1: one shell vertex per level, plus the up-walk step
+    "generation_stream": (60, dual_stream_upto, 59),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAP_TRIPS))
+def test_budget_trips(monkeypatch, name):
+    cap, run, last_ok = CAP_TRIPS[name]
+    monkeypatch.setenv("WOLDLAB_MAX_VERTICES", str(cap))
+    assert vertex_cap() == cap
+    run(last_ok)
     with pytest.raises(ResourceCapError):
-        child_n(TQB, (0, 0), 6)
+        run(last_ok + 1)
 
 
 def test_budget_env_validation(monkeypatch):

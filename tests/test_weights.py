@@ -12,11 +12,11 @@ from woldlab.errors import (DegenerateNormError, MissingWeightError,
                             UnknownVertexError)
 from woldlab.tree_core import TkInfKernel, TqbKernel, Window, ZPathKernel, par_n
 from woldlab.weights import (CauchyDualWeights, ConstantWeights, PolyRule,
-                             Prop51Weights, TkinfIsometricWeights,
+                             TkinfIsometricWeights,
                              boundedness_estimate, cauchy_dual, ex52_weights,
                              family_root, is_balanced, is_norm_increasing,
-                             load_weight_csv, make_weights, moment,
-                             moment_log, shift_norm_sq)
+                             load_weight_csv, make_weights, moment_log,
+                             shift_norm_sq)
 
 TQB = TqbKernel()
 ZP = ZPathKernel()
@@ -73,14 +73,6 @@ def test_weight_log_weight_agree():
             EX52.log_weight(v), abs=1e-14)
 
 
-def test_sample_certificate_reports_window_extremes():
-    ws = Prop51Weights(PolyRule(1.0, {0: 4.0}), PolyRule(2.0, {1: 0.5}))
-    cert = ws.sample_certificate(range(-2, 3))
-    assert cert["sup_a_sampled"] == 4.0
-    assert cert["sup_b_sampled"] == 2.0
-    assert cert["inf_b_sampled"] == 0.5
-
-
 def test_one_step_norms_on_spine():
     # spine children are (0, m-1) and (1, m)
     for m in range(2, 12):
@@ -114,7 +106,7 @@ def test_moment_value_matches_product():
     for _ in range(3):
         prod *= EX52.weight(x)
         x = TQB.parent(x)
-    assert moment(EX52, TQB, v, 3).value == pytest.approx(prod, rel=1e-14)
+    assert math.exp(moment_log(EX52, TQB, v, 3)) == pytest.approx(prod, rel=1e-14)
     with pytest.raises(ValueError):
         moment_log(EX52, TQB, v, -1)
 
