@@ -46,30 +46,31 @@ class SeriesConfig:
 # term stream and partial sums
 
 
-def generation_stream(ws: WeightSystem, kernel: TreeKernel, v, start: int = 0):
-    """Yield (n, [(u, rel_log)]) for n = start, start + 1, ...
+def generation_stream(ws: WeightSystem, kernel: TreeKernel, v):
+    """Yield (n, [(u, rel_log)]) for n = 0, 1, 2, ...
 
     rel_log is log of the moment ratio lambda^(n)(u) / lambda^(n)(v) for
-    u in A(v, n).  Each generation is one `shell` call within its own resource
-    budget; per-generation cost grows with n because fresh branches must be
-    walked down from the ancestor line.  A stream that starts past generation 0
-    skips the earlier shells and only redoes the up-walk that accumulates
-    the base moment, in the same order, so its terms are bit-identical.
+    u in A(v, n).  A(v, n) and its (u, log moment) pairs depend on v only
+    through top = par^(n-1)(v), so each shell is memoized on the weight
+    system per (kernel, top, n) and shared by every same-generation vertex;
+    only a miss walks the shell, within its own resource budget.  The memo
+    holds lists of pairs only (a stored generator would tie the weight
+    system into a reference cycle).  Per-generation cost of a miss grows
+    with n because fresh branches must be walked down from the ancestor line.
     """
-    if start == 0:
-        yield 0, [(v, 0.0)]
-        start = 1
+    yield 0, [(v, 0.0)]
+    shells = vars(ws).setdefault("_shells", {})
     top = v          # par^(n-1)(v) while producing generation n
     base_log = 0.0   # log moment of v at order n, updated incrementally
-    for _ in range(start - 1):
-        base_log += ws.log_weight(top)
-        top = kernel.parent(top)
-    n = start
+    n = 1
     while True:
-        budget = Budget()
         base_log += ws.log_weight(top)
-        budget.charge()
-        members = shell(kernel, top, n, budget, ws.log_weight)
+        key = (kernel, top, n)
+        members = shells.get(key)
+        if members is None:
+            budget = Budget()
+            budget.charge()
+            members = shells[key] = shell(kernel, top, n, budget, ws.log_weight)
         yield n, [(u, acc - base_log) for u, acc in members]
         top = kernel.parent(top)
         n += 1
@@ -84,27 +85,9 @@ def _term_value(members) -> float:
 
 
 def alpha_terms(ws: WeightSystem, kernel: TreeKernel, v):
-    """Yield (n, t_n) with t_n the n-th generation's squared-ratio sum.
-
-    Terms are memoized on the weight system per (kernel, v), so every
-    iterator over the same series shares one walk.  The memo holds floats
-    only (a stored generator would tie the weight system into a reference
-    cycle); an iterator that runs past it extends it from its own stream,
-    restarted at the first missing generation whenever another iterator
-    has moved the memo on.
-    """
-    terms = vars(ws).setdefault("_alpha_terms", {}).setdefault((kernel, v), [])
-    stream, stream_at = None, -1   # stream_at: the generation `stream` yields next
-    n = 0
-    while True:
-        if n == len(terms):
-            if stream_at != n:
-                stream = generation_stream(ws, kernel, v, n)
-            _, members = next(stream)
-            terms.append(_term_value(members))
-            stream_at = n + 1
-        yield n, terms[n]
-        n += 1
+    """Yield (n, t_n) with t_n the n-th generation's squared-ratio sum."""
+    for n, members in generation_stream(ws, kernel, v):
+        yield n, _term_value(members)
 
 
 @dataclass

@@ -33,8 +33,8 @@ class WeightSystem:
 
     def log_weight(self, v) -> float:
         w = self.weight(v)
-        if w <= 0.0 or math.isnan(w):
-            raise ValueError(f"weight at {v!r} must be positive, got {w!r}")
+        if not 0.0 < w < math.inf:
+            raise ValueError(f"weight at {v!r} must be positive and finite, got {w!r}")
         return math.log(w)
 
 
@@ -66,8 +66,8 @@ class FunctionWeights(WeightSystem):
 
     def weight(self, v) -> float:
         w = float(self._fn(v))
-        if w <= 0.0 or math.isnan(w):
-            raise ValueError(f"weight at {v!r} must be positive, got {w!r}")
+        if not 0.0 < w < math.inf:
+            raise ValueError(f"weight at {v!r} must be positive and finite, got {w!r}")
         return w
 
 
@@ -81,8 +81,8 @@ class PolyRule:
     def __init__(self, default: float, table: dict[int, float] | None = None) -> None:
         self.default = float(default)
         self.table = {int(k): float(v) for k, v in (table or {}).items()}
-        if self.default <= 0.0 or any(v <= 0.0 for v in self.table.values()):
-            raise ValueError("polynomial coefficients must be positive")
+        if not all(0.0 < c < math.inf for c in (self.default, *self.table.values())):
+            raise ValueError("polynomial coefficients must be positive and finite")
 
     def __call__(self, m: int) -> float:
         return self.table.get(m, self.default)
@@ -220,8 +220,8 @@ def load_weight_csv(text: str, kernel: TreeKernel, source: str = "<memory>") -> 
             raise ValueError(f"weight row needs two fields, got {row!r}")
         v = kernel.parse_vertex(row[0].strip())
         w = float(row[1])
-        if w <= 0.0:
-            raise ValueError(f"weight for {row[0]!r} must be positive")
+        if not 0.0 < w < math.inf:
+            raise ValueError(f"weight for {row[0]!r} must be positive and finite")
         mapping[v] = w
     if not mapping:
         raise ValueError("weight file is empty")
@@ -266,7 +266,8 @@ def shift_norm_sq(ws: WeightSystem, kernel: TreeKernel, u, n: int = 1,
 class CauchyDualWeights(WeightSystem):
     """The dual system: each weight divided by the one-step squared norm at
     its parent.  Finished log weights are memoized per vertex, which is
-    sound because weight systems and kernels are pure."""
+    sound because weight systems and kernels are pure; a miss fills the
+    whole sibling set from the one parent norm it computes."""
 
     def __init__(self, primal: WeightSystem, kernel: TreeKernel, eps: float = 1e-12) -> None:
         self.primal = primal
@@ -277,14 +278,16 @@ class CauchyDualWeights(WeightSystem):
         self.params = {"dual_of": primal.name, "dual_depth": self.dual_depth, **primal.params}
         self._log_cache: dict = {}
 
-    def _parent_norm_sq(self, v) -> float:
-        u = self.kernel.parent(v)
-        norm = shift_norm_sq(self.primal, self.kernel, u, 1)
+    def _checked(self, u, norm: float) -> float:
         if norm < self.eps:
             raise DegenerateNormError(
                 f"one-step norm at {u!r} fell below {self.eps}; dual undefined"
             )
         return norm
+
+    def _parent_norm_sq(self, v) -> float:
+        u = self.kernel.parent(v)
+        return self._checked(u, shift_norm_sq(self.primal, self.kernel, u, 1))
 
     def weight(self, v) -> float:
         return self.primal.weight(v) / self._parent_norm_sq(v)
@@ -292,8 +295,18 @@ class CauchyDualWeights(WeightSystem):
     def log_weight(self, v) -> float:
         hit = self._log_cache.get(v)
         if hit is None:
-            hit = self.primal.log_weight(v) - math.log(self._parent_norm_sq(v))
-            self._log_cache[v] = hit
+            # the same floats as shift_norm_sq at par(v): one primal log
+            # weight per sibling, v's own first, summed with math.fsum
+            own = self.primal.log_weight(v)
+            u = self.kernel.parent(v)
+            kids = self.kernel.children(u)
+            logs = [own if c == v else self.primal.log_weight(c) for c in kids]
+            norm = self._checked(u, math.fsum([math.exp(2.0 * lw) for lw in logs]))
+            log_norm = math.log(norm)
+            cache = self._log_cache
+            for c, lw in zip(kids, logs):
+                cache[c] = lw - log_norm
+            hit = own - log_norm
         return hit
 
 

@@ -274,3 +274,14 @@ def test_bad_inputs_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("cmd", ["wold", "defect"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_csv_weight_exits_two(capsys, tmp_path, cmd, value):
+    path = tmp_path / "weights.csv"
+    path.write_text(f"vertex,weight\n-1,1.0\n0,{value}\n1,1.0\n", encoding="utf-8")
+    code, out, err = run(capsys, cmd, "--tree", "zpath", "--weights", f"csv:{path}",
+                         "--vertex=0")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "finite" in err

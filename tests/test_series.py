@@ -106,10 +106,12 @@ def test_partials_cross_a_thousand_at_fifteen():
 
 
 # ---------------------------------------------------------------------------
-# the term memo
+# the shell memo
 
 
-MEMO_VERTICES = [(0, 0), (1, -3), (0, -2), (2, 1)]
+# same-generation groups on tqb: (n, m) and (n', m') share par^k for every
+# k >= max(n, n') exactly when m - n = m' - n'
+MEMO_GROUPS = [[(0, 0), (1, 1), (2, 2)], [(0, -4), (1, -3), (2, -2)]]
 MEMO_DEPTH = 30
 
 
@@ -119,32 +121,34 @@ def fresh_system(kind):
 
 
 def stream_terms(kind, v, upto):
-    """Terms straight from a fresh stream on fresh objects: no memo involved."""
+    """Terms straight from a fresh stream on fresh objects: nothing shared."""
     return [_term_value(members)
             for _, members in islice(generation_stream(fresh_system(kind), TQB, v), upto)]
 
 
 REFERENCE_TERMS = {(kind, v): stream_terms(kind, v, MEMO_DEPTH)
-                   for kind in ("primal", "dual") for v in MEMO_VERTICES}
+                   for kind in ("primal", "dual") for group in MEMO_GROUPS for v in group}
 
 
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["primal", "dual"]),
-       v=st.sampled_from(MEMO_VERTICES),
-       count=st.integers(2, 3),
+       group=st.sampled_from(MEMO_GROUPS),
+       data=st.data(),
        schedule=st.lists(st.integers(0, 2), min_size=1, max_size=3 * MEMO_DEPTH))
-def test_interleaved_term_iterators_share_the_memo_exactly(kind, v, count, schedule):
+def test_interleaved_term_iterators_share_the_memo_exactly(kind, group, data, schedule):
+    # iterators over same-generation bases interleave on one weight system,
+    # so each reads shells the others walked
+    bases = data.draw(st.lists(st.sampled_from(group), min_size=2, max_size=3))
     ws = fresh_system(kind)
-    want = REFERENCE_TERMS[(kind, v)]
-    iters = [alpha_terms(ws, TQB, v) for _ in range(count)]
-    seen = [0] * count
+    iters = [alpha_terms(ws, TQB, v) for v in bases]
+    seen = [0] * len(bases)
     for pick in schedule:
-        i = pick % count
+        i = pick % len(bases)
         if seen[i] == MEMO_DEPTH:
             continue
         n, t = next(iters[i])
         assert n == seen[i]
-        assert t == want[n]     # bit-identical, not approximately equal
+        assert t == REFERENCE_TERMS[(kind, bases[i])][n]   # bit-identical
         seen[i] += 1
 
 
@@ -153,8 +157,11 @@ def test_term_memo_keeps_no_reference_cycle():
     try:
         primal = ex52_weights()
         dual = cauchy_dual(primal, TQB)
+        cfg = SeriesConfig(n_max=60, use_plugins=False)
         alpha_verdict(dual, TQB, (0, 0))
-        alpha_verdict(dual, TQB, (1, -3), SeriesConfig(n_max=60, use_plugins=False))
+        alpha_verdict(dual, TQB, (1, 1), cfg)
+        alpha_verdict(primal, TQB, (1, 1), cfg)
+        assert vars(primal)["_shells"] and vars(dual)["_shells"]
         refs = weakref.ref(primal), weakref.ref(dual)
         del primal, dual
         assert refs[0]() is None and refs[1]() is None
@@ -174,15 +181,33 @@ class CountingTqb(TqbKernel):
 def test_partial_then_verdict_enumerates_each_generation_once():
     N = 40
     once = CountingTqb()
-    # generations 0..N and not one more: walking N + 1 as well costs 1,763
+    # generations 0..N and not one more; a dual miss lists its siblings once
     list(islice(generation_stream(cauchy_dual(ex52_weights(), once), once, (0, 0)), N + 1))
-    assert once.children_calls == 1680
+    assert once.children_calls == 1640
     k = CountingTqb()
     dual = cauchy_dual(ex52_weights(), k)
     table = alpha_partial(dual, k, (0, 0), N)
     verdict = alpha_verdict(dual, k, (0, 0), SeriesConfig(n_max=N, use_plugins=False))
     assert k.children_calls == once.children_calls
     assert verdict.n_used == N and len(table.terms) == N + 1
+
+
+def test_same_generation_verdict_walks_only_its_own_shells():
+    N = 40
+    cfg = SeriesConfig(n_max=N, use_plugins=False)
+    k = CountingTqb()
+    dual = cauchy_dual(ex52_weights(), k)
+    alpha_verdict(dual, k, (0, 0), cfg)
+    shells, calls = vars(dual)["_shells"], k.children_calls
+    walked = len(shells)
+    # par^2 (2, 2) = par^2 (0, 0): only A((2, 2), 1) and A((2, 2), 2) are new
+    second = alpha_verdict(dual, k, (2, 2), cfg)
+    assert len(shells) - walked == 2
+    assert k.children_calls - calls == 3
+    fresh = cauchy_dual(ex52_weights(), TQB)
+    assert second == alpha_verdict(fresh, TQB, (2, 2), cfg)
+    assert (list(islice(alpha_terms(dual, k, (2, 2)), N + 1))
+            == list(islice(alpha_terms(fresh, TQB, (2, 2)), N + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,15 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from woldlab.errors import (DegenerateNormError, MissingWeightError,
                             UnknownVertexError)
 from woldlab.tree_core import TkInfKernel, TqbKernel, Window, ZPathKernel, par_n
-from woldlab.weights import (CauchyDualWeights, ConstantWeights, PolyRule,
-                             TkinfIsometricWeights,
+from woldlab.weights import (CauchyDualWeights, ConstantWeights,
+                             FunctionWeights, PolyRule, TkinfIsometricWeights,
+                             WeightSystem,
                              boundedness_estimate, cauchy_dual, ex52_weights,
                              family_root, is_balanced, is_norm_increasing,
                              load_weight_csv, make_weights, moment_log,
@@ -36,6 +37,11 @@ def test_polyrule_basics():
         PolyRule(0.0)
     with pytest.raises(ValueError):
         PolyRule(1.0, {2: -1.0})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PolyRule(bad)
+        with pytest.raises(ValueError):
+            PolyRule(1.0, {2: bad})
 
 
 def test_polyrule_spec_roundtrip():
@@ -149,6 +155,55 @@ def test_dual_degenerate_norm():
         dual.weight(0)
 
 
+def test_sibling_filled_miss_raises_on_a_degenerate_norm():
+    dual = cauchy_dual(ConstantWeights(1e-13), TQB)
+    for v in [(1, 0), (0, -1)]:     # the two children of (0, 0)
+        with pytest.raises(DegenerateNormError):
+            dual.log_weight(v)
+    assert not dual._log_cache
+
+
+def test_dual_miss_fills_the_siblings():
+    dual = cauchy_dual(EX52, TQB)
+    dual.log_weight((1, 5))
+    assert set(dual._log_cache) == {(1, 5), (0, 4)}    # the children of (0, 5)
+    assert dual.log_weight((0, 4)) == cauchy_dual(EX52, TQB).log_weight((0, 4))
+
+
+def _tkinf_vertex():
+    spine = st.builds(lambda m: (m, 0), st.integers(-5, 0))
+    return st.one_of(spine, st.tuples(st.integers(1, 5), st.integers(1, 3)))
+
+
+# primal weights differ between siblings, so a value filled under the wrong
+# sibling shows
+DUAL_CASES = {
+    "tqb": (TQB, ex52_weights, st.tuples(st.integers(0, 4), st.integers(-5, 5))),
+    "tkinf:3": (TkInfKernel(3),
+                lambda: FunctionWeights(lambda v: 1.0 + 0.1 * v[1] + 0.01 * v[0] ** 2),
+                _tkinf_vertex()),
+    "zpath": (ZP, lambda: FunctionWeights(lambda v: 1.0 + 0.5 * math.sin(v)),
+              st.integers(-5, 5)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(DUAL_CASES)), layers=st.integers(1, 2), data=st.data())
+def test_dual_log_weights_match_the_parent_norm_bit_for_bit(case, layers, data):
+    kernel, make, vertices = DUAL_CASES[case]
+    picks = data.draw(st.lists(vertices, min_size=1, max_size=8))
+    # every pick's siblings too, so that filled values are read back
+    order = data.draw(st.permutations(
+        [c for v in picks for c in kernel.children(kernel.parent(v))]))
+    dual = make()
+    for _ in range(layers):
+        primal, dual = dual, cauchy_dual(dual, kernel)
+    for v in order:
+        got = dual.log_weight(v)
+        norm = shift_norm_sq(primal, kernel, kernel.parent(v), 1)
+        assert got == primal.log_weight(v) - math.log(norm)
+
+
 def test_family_root_tracks_depth():
     assert family_root(EX52) == (EX52, 0)
     d = cauchy_dual(EX52, TQB)
@@ -175,8 +230,9 @@ def test_csv_weights_roundtrip():
 
 
 def test_csv_weights_rejects():
-    with pytest.raises(ValueError):
-        load_weight_csv('"0,0",-1.0\n', TQB)
+    for bad in ("-1.0", "0", "nan", "inf"):
+        with pytest.raises(ValueError):
+            load_weight_csv(f'"0,0",{bad}\n', TQB)
     with pytest.raises(ValueError):
         load_weight_csv("vertex,weight\n", TQB)
     with pytest.raises(ValueError):
@@ -241,3 +297,20 @@ def test_make_weights_rejects():
         make_weights("constant:-1", ZP)
     with pytest.raises(ValueError):
         make_weights("mystery", ZP)
+
+
+# ---------------------------------------------------------------------------
+# weight entry points accept only 0 < w < inf
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_entry_points_reject_nonpositive_and_nonfinite_weights(bad):
+    with pytest.raises(ValueError):
+        FunctionWeights(lambda v: bad).weight(0)
+
+    class Raw(WeightSystem):
+        def weight(self, v):
+            return bad
+
+    with pytest.raises(ValueError):
+        Raw().log_weight(0)
