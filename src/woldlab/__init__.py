@@ -8,8 +8,8 @@ from .errors import (DegenerateNormError, DivergentSeriesError,
 from .tree_core import (AdjacencyKernel, BilateralPath, Budget, TkInfKernel,
                         TqbKernel, TreeKernel, Window, ZPathKernel, child_n,
                         descend, enum_A, enum_A_definitional, load_adjacency,
-                        make_kernel, par_n, same_generation, shell,
-                        window_depth_classes, window_vertices)
+                        make_kernel, operation, par_n, same_generation,
+                        shell, window_depth_classes, window_vertices)
 from .weights import (CauchyDualWeights, ConstantWeights, CsvWeights,
                       FunctionWeights, PolyRule, Prop51Weights,
                       TkinfIsometricWeights, WeightSystem, boundedness_estimate,

@@ -20,8 +20,8 @@ from .errors import UnknownVertexError, WoldlabError
 from .numerics import quadratic_tail_integral
 from .operator import classify, defect_diagonal
 from .series import SeriesConfig, alpha_partial, alpha_verdict, g_vector
-from .tree_core import (BilateralPath, TqbKernel, Window, load_adjacency,
-                        make_kernel, window_depth_classes, window_vertices)
+from .tree_core import (BilateralPath, TqbKernel, Window, load_adjacency, make_kernel,
+                        operation, window_depth_classes, window_vertices)
 from .weights import (FunctionWeights, Prop51Weights, PolyRule, cauchy_dual,
                       ex52_weights, is_balanced, is_norm_increasing,
                       make_weights, shift_norm_sq)
@@ -473,11 +473,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except WoldlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+        with operation():
+            return args.func(args)
+    except (WoldlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .tree_core import Budget, TreeKernel, Window, window_vertices
+from .tree_core import Budget, TreeKernel, Window, operation, window_vertices
 from .weights import WeightSystem, is_balanced, shift_norm_sq
 
 PRUNE = 1e-15
@@ -77,10 +77,9 @@ def inner(f: SparseVector, g: SparseVector) -> float:
     return math.fsum(x * g.get(v) for v, x in f.items())
 
 
-def apply_shift(ws: WeightSystem, kernel: TreeKernel, f: SparseVector,
-                budget: Budget | None = None) -> SparseVector:
+def apply_shift(ws: WeightSystem, kernel: TreeKernel, f: SparseVector) -> SparseVector:
     """(S f)(v) = lambda_v * f(par(v)); support moves one level down."""
-    budget = budget or Budget()
+    budget = Budget.current()
     out: dict = {}
     for u, x in f.items():
         kids = kernel.children(u)
@@ -99,14 +98,13 @@ def apply_adjoint(ws: WeightSystem, kernel: TreeKernel, f: SparseVector) -> Spar
     return SparseVector(out)
 
 
-def apply_power(ws: WeightSystem, kernel: TreeKernel, f: SparseVector, n: int,
-                budget: Budget | None = None) -> SparseVector:
+@operation()
+def apply_power(ws: WeightSystem, kernel: TreeKernel, f: SparseVector, n: int) -> SparseVector:
     """S^n f by iterated application; closed forms stay independent checks."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    budget = budget or Budget()
     for _ in range(n):
-        f = apply_shift(ws, kernel, f, budget)
+        f = apply_shift(ws, kernel, f)
     return f
 
 
@@ -116,8 +114,8 @@ def apply_power(ws: WeightSystem, kernel: TreeKernel, f: SparseVector, n: int,
 MAX_DEFECT_ORDER = 60
 
 
-def defect_diagonal(ws: WeightSystem, kernel: TreeKernel, v, m: int,
-                    budget: Budget | None = None) -> float:
+@operation()
+def defect_diagonal(ws: WeightSystem, kernel: TreeKernel, v, m: int) -> float:
     """d_m(v): the alternating binomial combination of ||S^k e_v||^2.
 
     The m-th defect operator is diagonal on the vertex basis, so this scalar
@@ -128,11 +126,10 @@ def defect_diagonal(ws: WeightSystem, kernel: TreeKernel, v, m: int,
         raise ValueError("defect order m must be >= 1")
     if m > MAX_DEFECT_ORDER:
         raise ValueError(f"defect order {m} exceeds the exact-binomial limit {MAX_DEFECT_ORDER}")
-    budget = budget or Budget()
     terms = []
     for k in range(m + 1):
         sign = -1.0 if k % 2 else 1.0
-        terms.append(sign * math.comb(m, k) * shift_norm_sq(ws, kernel, v, k, budget))
+        terms.append(sign * math.comb(m, k) * shift_norm_sq(ws, kernel, v, k))
     return math.fsum(terms)
 
 
@@ -159,6 +156,7 @@ class DefectReport:
         }
 
 
+@operation()
 def classify(ws: WeightSystem, kernel: TreeKernel, window: Window, m: int,
              tol: float = 1e-10) -> DefectReport:
     """Sign-classify the m-th defect on a window.
@@ -168,11 +166,10 @@ def classify(ws: WeightSystem, kernel: TreeKernel, window: Window, m: int,
     diagonal, the per-vertex test is exact, not just necessary.
     """
     report = DefectReport(m=m, tol=tol)
-    budget = Budget()
     concave_sign = -1.0 if m % 2 else 1.0
     expansion = concave = isometry = True
     for v in window_vertices(kernel, window):
-        d = defect_diagonal(ws, kernel, v, m, budget)
+        d = defect_diagonal(ws, kernel, v, m)
         report.entries[v] = d
         if d > tol:
             expansion = False
@@ -194,8 +191,6 @@ def classify(ws: WeightSystem, kernel: TreeKernel, window: Window, m: int,
         report.label = f"{m}-expansion"
     elif concave:
         report.label = f"{m}-concave"
-    else:
-        report.label = "neither"
     return report
 
 
@@ -255,6 +250,7 @@ class WanderingReport:
         }
 
 
+@operation()
 def wandering_orthogonality_check(ws: WeightSystem, kernel: TreeKernel, window: Window,
                                   n_max: int = 4, tol: float = 1e-10) -> WanderingReport:
     """Gram checks for shifted local adjoint-kernel vectors.
@@ -270,14 +266,12 @@ def wandering_orthogonality_check(ws: WeightSystem, kernel: TreeKernel, window: 
                                n_max, tol, witness=bal.witness,
                                note=f"weights not balanced on window ({bal.verdict})")
     verts = window_vertices(kernel, window)
-    budget = Budget()
     family: list[tuple[int, SparseVector]] = []
     for v in verts:
-        for f in ker_adjoint_local_basis(ws, kernel, v):
-            vec = f
-            for j in range(n_max + 1):
-                if j > 0:
-                    vec = apply_shift(ws, kernel, vec, budget)
+        for vec in ker_adjoint_local_basis(ws, kernel, v):
+            family.append((0, vec))
+            for j in range(1, n_max + 1):
+                vec = apply_shift(ws, kernel, vec)
                 family.append((j, vec))
     max_pair = 0.0
     witness = None
@@ -287,7 +281,7 @@ def wandering_orthogonality_check(ws: WeightSystem, kernel: TreeKernel, window: 
             if val > max_pair:
                 max_pair, witness = val, (a, b)
     max_comp = 0.0
-    shifted = [apply_power(ws, kernel, SparseVector.basis(u), n_max, budget) for u in verts]
+    shifted = [apply_power(ws, kernel, SparseVector.basis(u), n_max) for u in verts]
     for j, vec in family:
         if j >= n_max:
             continue

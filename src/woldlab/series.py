@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import islice
 
 from .errors import DivergentSeriesError, UndecidedSeriesError
@@ -22,7 +22,7 @@ from .numerics import (NeumaierSum, bracket_decreasing_tail,
                        quadratic_tail_integral)
 from .operator import SparseVector, apply_power, apply_shift
 from .tree_core import (Budget, TqbKernel, TreeKernel, BilateralPath, child_n,
-                        par_n, same_generation, shell)
+                        operation, par_n, same_generation, shell)
 from .weights import (ConstantWeights, Prop51Weights, WeightSystem, family_root,
                       moment_log, shift_norm_sq)
 
@@ -38,9 +38,6 @@ class SeriesConfig:
     use_plugins: bool = True
     premise_tol: float = 1e-9    # closed-form agreement required of plugins
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 # ---------------------------------------------------------------------------
 # term stream and partial sums
@@ -53,7 +50,7 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v):
     u in A(v, n).  A(v, n) and its (u, log moment) pairs depend on v only
     through top = par^(n-1)(v), so each shell is memoized on the weight
     system per (kernel, top, n) and shared by every same-generation vertex;
-    only a miss walks the shell, within its own resource budget.  The memo
+    only a miss walks the shell, charging the operation's budget.  The memo
     holds lists of pairs only (a stored generator would tie the weight
     system into a reference cycle).  Per-generation cost of a miss grows
     with n because fresh branches must be walked down from the ancestor line.
@@ -65,14 +62,15 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v):
     n = 1
     while True:
         base_log += ws.log_weight(top)
+        up = kernel.parent(top)
         key = (kernel, top, n)
         members = shells.get(key)
         if members is None:
-            budget = Budget()
+            budget = Budget.current()
             budget.charge()
-            members = shells[key] = shell(kernel, top, n, budget, ws.log_weight)
+            members = shells[key] = shell(kernel, top, up, n, budget, ws.log_weight)
         yield n, [(u, acc - base_log) for u, acc in members]
-        top = kernel.parent(top)
+        top = up
         n += 1
 
 
@@ -113,6 +111,7 @@ def _first_terms(ws: WeightSystem, kernel: TreeKernel, v, upto: int) -> list:
     return [t for _, t in islice(alpha_terms(ws, kernel, v), upto + 1)]
 
 
+@operation()
 def alpha_partial(ws: WeightSystem, kernel: TreeKernel, v, N: int) -> AlphaPartial:
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -170,6 +169,7 @@ class SeriesVerdict:
         }
 
 
+@operation()
 def alpha_verdict(ws: WeightSystem, kernel: TreeKernel, v,
                   config: SeriesConfig | None = None) -> SeriesVerdict:
     """Three-valued convergence decision for the series at v.
@@ -267,6 +267,23 @@ def _heuristic_verdict(ws, kernel, v, cfg: SeriesConfig) -> SeriesVerdict:
 # analytic plugins: exact term laws, verified against the stream before use
 
 
+def _fit_k(root: Prop51Weights, v, terms: list, upto: int, dual: bool, premise_tol: float):
+    """(k_fit, rel_resid) of t_l / p_mu(l-1), or t_l * p_mu(l-1) on the dual, over the
+    last 17 sampled generations; None if non-finite, nonpositive or over premise_tol."""
+    n0, m0 = v
+    ks = []
+    for l in range(max(n0 + 1, upto - 16), upto + 1):
+        p = root.p(m0 + l - n0, l - 1)
+        ks.append(terms[l] * p if dual else terms[l] / p)
+    k_fit = math.fsum(ks) / len(ks)
+    if k_fit <= 0.0 or not math.isfinite(k_fit):
+        return None
+    rel_resid = max(abs(k - k_fit) for k in ks) / k_fit
+    if rel_resid > premise_tol:
+        return None
+    return k_fit, rel_resid
+
+
 def _plugin_prop51(ws, kernel, v, cfg: SeriesConfig):
     """Term laws for the polynomial family on the quasi-Brownian tree.
 
@@ -281,54 +298,28 @@ def _plugin_prop51(ws, kernel, v, cfg: SeriesConfig):
     if not isinstance(root, Prop51Weights) or depth > 1:
         return None
     n0, m0 = v
-
+    upto = max(60 if depth else 40, n0 + 24)
+    terms = _first_terms(ws, kernel, v, upto)
+    fit = _fit_k(root, v, terms, upto, depth == 1, cfg.premise_tol)
+    if fit is None:
+        return None
+    k_fit, rel_resid = fit
     if depth == 0:
-        upto = max(40, n0 + 24)
-        terms = _first_terms(ws, kernel, v, upto)
-        fit_lo = max(n0 + 1, upto - 16)
-        ks = []
-        for l in range(fit_lo, upto + 1):
-            mu = m0 + l - n0
-            ks.append(terms[l] / root.p(mu, l - 1))
-        k_fit = math.fsum(ks) / len(ks)
-        if k_fit <= 0.0 or not math.isfinite(k_fit):
-            return None
-        rel_resid = max(abs(k - k_fit) for k in ks) / k_fit
-        if rel_resid > cfg.premise_tol:
-            return None
         evidence = {"rule": "quadratic-minorant", "K": k_fit,
                     "fit_residual": rel_resid, "sampled_upto": upto}
         return SeriesVerdict.diverged(v, "analytic", evidence, upto)
 
-    # Dual layer: fit the tail law on stream terms, then extrapolate.
-    pre = max(60, n0 + 24)
-    terms = _first_terms(ws, kernel, v, pre)
-    fit_lo = max(n0 + 1, pre - 16)
-    ks = []
-    for l in range(fit_lo, pre + 1):
-        mu = m0 + l - n0
-        ks.append(terms[l] * root.p(mu, l - 1))
-    k_fit = math.fsum(ks) / len(ks)
-    if k_fit <= 0.0 or not math.isfinite(k_fit):
-        return None
-    rel_resid = max(abs(k - k_fit) for k in ks) / k_fit
-    if rel_resid > cfg.premise_tol:
-        return None
-
+    # Dual layer: extrapolate the fitted tail law.
     a_tail, b_tail = root.a.default, root.b.default
-    settles = [s for s in (root.a.settled_after(), root.b.settled_after())
+    settled = [s + n0 - m0 + 10 for s in (root.a.settled_after(), root.b.settled_after())
                if s is not None]
-    settle = max(settles) if settles else None
-    n_terms = max(cfg.analytic_terms, pre + 10)
-    if settle is not None:
-        n_terms = max(n_terms, settle + n0 - m0 + 10)
+    n_terms = max(cfg.analytic_terms, upto + 10, *settled)
 
     acc = NeumaierSum()
     for t in terms:
         acc.add(t)
-    for l in range(pre + 1, n_terms + 1):
-        mu = m0 + l - n0
-        acc.add(k_fit / root.p(mu, l - 1))
+    for l in range(upto + 1, n_terms + 1):
+        acc.add(k_fit / root.p(m0 + l - n0, l - 1))
 
     lower, upper = bracket_decreasing_tail(
         lambda x: k_fit * quadratic_tail_integral(a_tail, b_tail, x), n_terms - 1)
@@ -426,6 +417,7 @@ class HyperRangeVector:
         return len(self.vector) == 0
 
 
+@operation()
 def g_vector(ws: WeightSystem, kernel: TreeKernel, path: BilateralPath, m: int,
              N: int, config: SeriesConfig | None = None) -> HyperRangeVector:
     """Truncated coefficients of g_m along the path, with a tail-mass bound.
@@ -504,6 +496,7 @@ class RangeMembershipReport:
     roundtrip_residual: float | None
 
 
+@operation()
 def range_membership_check(ws: WeightSystem, kernel: TreeKernel, f: SparseVector,
                            n: int, tol: float = 1e-10) -> RangeMembershipReport:
     """Decide whether f lies in the range of the n-th shift power.
@@ -516,19 +509,12 @@ def range_membership_check(ws: WeightSystem, kernel: TreeKernel, f: SparseVector
         raise ValueError("n must be nonnegative")
     if n == 0 or len(f) == 0:
         return RangeMembershipReport("member", n, 0.0, None, f, 0.0)
-    budget = Budget()
-    anchors = []
-    seen = set()
-    for u in f.support():
-        a = par_n(kernel, u, n)
-        if a not in seen:
-            seen.add(a)
-            anchors.append(a)
+    anchors = dict.fromkeys(par_n(kernel, u, n) for u in f.support())   # in first-seen order
     worst = 0.0
     witness = None
     pre: dict = {}
     for a in anchors:
-        shell = child_n(kernel, a, n, budget)
+        shell = child_n(kernel, a, n)
         ratios = [(u, f.get(u) / math.exp(moment_log(ws, kernel, u, n))) for u in shell]
         vals = [r for _, r in ratios]
         lo, hi = min(vals), max(vals)

@@ -9,11 +9,14 @@ and vertices are produced on demand.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .errors import MalformedTreeError, ResourceCapError, UnknownVertexError
 
 DEFAULT_VERTEX_CAP = 10**6
+_operation_budget = ContextVar("woldlab_operation_budget", default=None)
 
 
 def vertex_cap() -> int:
@@ -42,9 +45,25 @@ class Budget:
     def charge(self, k: int = 1) -> None:
         self.used += k
         if self.used > self.cap:
-            raise ResourceCapError(
-                f"enumeration touched more than {self.cap} vertices"
-            )
+            raise ResourceCapError(f"enumeration touched more than {self.cap} vertices")
+
+    @classmethod
+    def current(cls) -> Budget:
+        """The enclosing operation's budget; a walk outside any operation gets its own."""
+        return _operation_budget.get() or cls()
+
+
+@contextmanager
+def operation():
+    """Scope of one logical operation, also usable as a decorator.  The
+    outermost scope builds one `Budget`, reading the cap once; every walk
+    inside charges it, and nested scopes join it."""
+    token = None if _operation_budget.get() else _operation_budget.set(Budget())
+    try:
+        yield _operation_budget.get()
+    finally:
+        if token is not None:
+            _operation_budget.reset(token)
 
 
 class TreeKernel:
@@ -409,24 +428,24 @@ def descend(kernel: TreeKernel, frontier, depth: int, budget: Budget,
     return frontier
 
 
-def shell(kernel: TreeKernel, top, n: int, budget: Budget, log_weight=_no_weight):
+def shell(kernel: TreeKernel, top, up, n: int, budget: Budget, log_weight=_no_weight):
     """The shell A(v, n), n >= 1, as (u, log) pairs, from top = par^(n-1)(v).
 
     A(v, 1) = Chi(par(v)) minus v, and A(v, n) = Chi(A(par(v), n-1)); the
-    unrolled form drops the one child of par(top) leading back down to v and
+    unrolled form drops the one child of up = par(top) leading back to v and
     expands the rest n-1 levels.  Logs accumulate from the shell's first
     level, as in `descend`.
     """
-    first = [(c, log_weight(c)) for c in kernel.children(kernel.parent(top)) if c != top]
+    first = [(c, log_weight(c)) for c in kernel.children(up) if c != top]
     budget.charge(len(first))
     return descend(kernel, first, n - 1, budget, log_weight)
 
 
-def child_n(kernel: TreeKernel, v, n: int, budget: Budget | None = None):
+def child_n(kernel: TreeKernel, v, n: int):
     """Chi^n(v) as an ordered tuple; n = 0 gives (v,)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(u for u, _ in descend(kernel, [(v, 0.0)], n, budget or Budget()))
+    return tuple(u for u, _ in descend(kernel, [(v, 0.0)], n, Budget.current()))
 
 
 def par_n(kernel: TreeKernel, v, n: int):
@@ -438,17 +457,17 @@ def par_n(kernel: TreeKernel, v, n: int):
     return v
 
 
-def enum_A(kernel: TreeKernel, v, n: int, budget: Budget | None = None):
+def enum_A(kernel: TreeKernel, v, n: int):
     """The shell A(v, n) as an ordered tuple, via `shell`."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return (v,)
     top = par_n(kernel, v, n - 1)
-    return tuple(u for u, _ in shell(kernel, top, n, budget or Budget()))
+    return tuple(u for u, _ in shell(kernel, top, kernel.parent(top), n, Budget.current()))
 
 
-def enum_A_definitional(kernel: TreeKernel, v, n: int, budget: Budget | None = None):
+def enum_A_definitional(kernel: TreeKernel, v, n: int):
     """A(v, n) straight from the definition: Chi^n(par^n(v)) minus Chi^(n-1)(par^(n-1)(v)).
 
     Kept as an independent oracle for `shell`: the iterated child sets are
@@ -456,7 +475,7 @@ def enum_A_definitional(kernel: TreeKernel, v, n: int, budget: Budget | None = N
     """
     if n == 0:
         return (v,)
-    budget = budget or Budget()
+    budget = Budget.current()
 
     def chi(u, k):
         if k == 0:
@@ -511,13 +530,13 @@ class Window:
             raise ValueError("window depths must be nonnegative")
 
 
-def window_depth_classes(kernel: TreeKernel, w: Window, budget: Budget | None = None):
+def window_depth_classes(kernel: TreeKernel, w: Window):
     """Window vertices grouped by depth below the top anchor.
 
     Inside a window all members of one generation sit at equal depth, so
     these classes refine generations exactly.
     """
-    budget = budget or Budget()
+    budget = Budget.current()
     levels = [[(par_n(kernel, w.base, w.depth_up), 0.0)]]
     budget.charge()
     for _ in range(w.depth_up + w.depth_down):
@@ -525,9 +544,9 @@ def window_depth_classes(kernel: TreeKernel, w: Window, budget: Budget | None = 
     return [[u for u, _ in level] for level in levels]
 
 
-def window_vertices(kernel: TreeKernel, w: Window, budget: Budget | None = None):
+def window_vertices(kernel: TreeKernel, w: Window):
     """Deterministic enumeration of the window: its depth classes, top first."""
-    return [u for cls in window_depth_classes(kernel, w, budget) for u in cls]
+    return [u for cls in window_depth_classes(kernel, w) for u in cls]
 
 
 class BilateralPath:

@@ -244,8 +244,7 @@ def moment_log(ws: WeightSystem, kernel: TreeKernel, u, n: int) -> float:
     return total
 
 
-def shift_norm_sq(ws: WeightSystem, kernel: TreeKernel, u, n: int = 1,
-                  budget: Budget | None = None) -> float:
+def shift_norm_sq(ws: WeightSystem, kernel: TreeKernel, u, n: int = 1) -> float:
     """Squared norm of the n-th shift power applied to the basis vector at u.
 
     Equals the sum over Chi^n(u) of the squared n-step moments; accumulated
@@ -255,7 +254,7 @@ def shift_norm_sq(ws: WeightSystem, kernel: TreeKernel, u, n: int = 1,
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1.0
-    leaves = descend(kernel, [(u, 0.0)], n, budget or Budget(), ws.log_weight)
+    leaves = descend(kernel, [(u, 0.0)], n, Budget.current(), ws.log_weight)
     return math.fsum(math.exp(2.0 * acc) for _, acc in leaves)
 
 
@@ -300,6 +299,7 @@ class CauchyDualWeights(WeightSystem):
             own = self.primal.log_weight(v)
             u = self.kernel.parent(v)
             kids = self.kernel.children(u)
+            Budget.current().charge(len(kids))
             logs = [own if c == v else self.primal.log_weight(c) for c in kids]
             norm = self._checked(u, math.fsum([math.exp(2.0 * lw) for lw in logs]))
             log_norm = math.log(norm)

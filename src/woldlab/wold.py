@@ -19,7 +19,7 @@ from .operator import (apply_adjoint, apply_shift, inner,
                        ker_adjoint_local_basis)
 from .series import (SeriesConfig, SeriesVerdict, alpha_verdict, g_vector,
                      hyperrange_recurrence_check)
-from .tree_core import BilateralPath, TreeKernel, Window, window_vertices
+from .tree_core import BilateralPath, TreeKernel, Window, operation, window_vertices
 from .weights import (WeightSystem, boundedness_estimate, cauchy_dual,
                       is_balanced, shift_norm_sq)
 
@@ -116,6 +116,7 @@ class WoldVerdict:
         }
 
 
+@operation()
 def wold_verdict(ws: WeightSystem, kernel: TreeKernel, window: Window,
                  config: SeriesConfig | None = None, seed: int = 0,
                  tol: float = 1e-9) -> WoldVerdict:
@@ -290,6 +291,7 @@ class DecompositionReport:
         }
 
 
+@operation()
 def decomposition_report(ws: WeightSystem, kernel: TreeKernel, window: Window,
                          n_max: int = 4, tol: float = 1e-10,
                          config: SeriesConfig | None = None) -> DecompositionReport:

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from woldlab import tree_core
 from woldlab.cli import main
 from woldlab.operator import SparseVector
 from woldlab.tree_core import TkInfKernel
@@ -237,6 +238,25 @@ def test_stdout_bytes_are_pinned(capsys, case):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# one vertex budget per command
+
+
+def test_cap_bounds_a_whole_command(capsys, monkeypatch):
+    monkeypatch.setenv("WOLDLAB_MAX_VERTICES", "1000")
+    code, out, err = run(capsys, "alpha", "--dual", "--no-plugins", "--N", "600")
+    assert code == 2 and out == ""
+    assert "enumeration touched more than 1000 vertices" in err
+
+
+def test_command_reads_the_cap_once(capsys, monkeypatch):
+    reads = []
+    real = tree_core.vertex_cap
+    monkeypatch.setattr(tree_core, "vertex_cap", lambda: reads.append(1) or real())
+    code, _, _ = run(capsys, "wold", "--no-plugins", "--N", "60")
+    assert code == 0 and len(reads) == 1
 
 
 # ---------------------------------------------------------------------------

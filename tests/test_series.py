@@ -18,7 +18,7 @@ from woldlab.series import (SeriesConfig, SeriesVerdict, _term_value,
                             generation_invariance_check, generation_stream,
                             hyperrange_recurrence_check,
                             range_membership_check)
-from woldlab.tree_core import (BilateralPath, TkInfKernel, TqbKernel,
+from woldlab.tree_core import (BilateralPath, Budget, TkInfKernel, TqbKernel,
                                ZPathKernel, enum_A_definitional)
 from woldlab.weights import (ConstantWeights, FunctionWeights,
                              TkinfIsometricWeights, cauchy_dual, ex52_weights,
@@ -172,10 +172,35 @@ def test_term_memo_keeps_no_reference_cycle():
 class CountingTqb(TqbKernel):
     def __init__(self):
         self.children_calls = 0
+        self.parent_calls = 0
 
     def children(self, v):
         self.children_calls += 1
         return super().children(v)
+
+    def parent(self, v):
+        self.parent_calls += 1
+        return super().parent(v)
+
+
+def test_stream_takes_one_parent_step_per_generation():
+    k = CountingTqb()
+    list(islice(generation_stream(ex52_weights(), k, (0, 0)), 41))
+    assert k.parent_calls == 40
+
+
+def test_memo_hits_are_free_and_dual_misses_charge_their_siblings(monkeypatch):
+    charged = []
+    real = Budget.charge
+    monkeypatch.setattr(Budget, "charge",
+                        lambda self, k=1: (charged.append(k), real(self, k)))
+    dual = cauchy_dual(ex52_weights(), TQB)
+    dual.log_weight((1, 5))
+    assert charged == [2]       # the children of (0, 5)
+    verdict = alpha_verdict(dual, TQB, (0, 0))
+    charged.clear()
+    assert alpha_verdict(dual, TQB, (0, 0)) == verdict
+    assert charged == []
 
 
 def test_partial_then_verdict_enumerates_each_generation_once():

@@ -14,7 +14,7 @@ from woldlab.errors import (MalformedTreeError, ResourceCapError,
 from woldlab.tree_core import (Budget, TkInfKernel, TqbKernel, Window,
                                ZPathKernel, BilateralPath, child_n, enum_A,
                                enum_A_definitional,
-                               load_adjacency, make_kernel, par_n,
+                               load_adjacency, make_kernel, operation, par_n,
                                same_generation, vertex_cap,
                                window_depth_classes, window_vertices)
 from woldlab.series import generation_stream
@@ -252,8 +252,9 @@ def dual_stream_upto(n):
         pass
 
 
-# name: (cap, enumeration of size n, the largest n within the cap).  Every
-# enumeration call gets its own budget: a stream generation, a norm, a window.
+# name: (cap, enumeration of size n, the largest n within the cap).  Outside
+# an operation every walk gets its own budget: a stream generation, a norm,
+# a window.
 CAP_TRIPS = {
     # levels of 2, 3, ..., n + 1 vertices below a spine vertex
     "child_n": (10, lambda n: child_n(TQB, (0, 0), n), 3),
@@ -273,6 +274,23 @@ def test_budget_trips(monkeypatch, name):
     run(last_ok)
     with pytest.raises(ResourceCapError):
         run(last_ok + 1)
+
+
+def test_walks_in_one_operation_share_its_budget(monkeypatch):
+    monkeypatch.setenv("WOLDLAB_MAX_VERTICES", "10")
+
+    def norm():     # levels of 2, 3 and 4 vertices
+        return shift_norm_sq(ex52_weights(), TQB, (0, 0), 3)
+
+    norm()
+    norm()
+    with operation() as budget:
+        norm()
+        assert budget.used == 9
+        with operation() as inner:
+            assert inner is budget
+            with pytest.raises(ResourceCapError):
+                norm()
 
 
 def test_budget_env_validation(monkeypatch):
