@@ -21,8 +21,7 @@ from .operator import (SparseVector, apply_adjoint, apply_power, apply_shift,
                        ker_adjoint_local_basis, wandering_orthogonality_check)
 from .series import (AlphaPartial, HyperRangeVector, SeriesConfig,
                      SeriesVerdict, alpha_partial, alpha_terms, alpha_verdict,
-                     g_vector, generation_invariance_check, generation_stream,
-                     hyperrange_recurrence_check, range_membership_check)
+                     g_vector, generation_stream, hyperrange_recurrence_check)
 from .wold import (DecompositionReport, WoldVerdict, case_ii_weight_relation,
                    decomposition_report, wold_verdict)
 

@@ -63,10 +63,6 @@ class SparseVector:
         rows = sorted((kernel.format_vertex(v), x) for v, x in self.entries.items())
         return {"entries": [[tok, x] for tok, x in rows]}
 
-    @classmethod
-    def from_json(cls, kernel: TreeKernel, obj: dict) -> "SparseVector":
-        return cls({kernel.parse_vertex(tok): float(x) for tok, x in obj["entries"]})
-
     def __repr__(self) -> str:
         return f"SparseVector({self.entries!r})"
 
@@ -171,13 +167,14 @@ def classify(ws: WeightSystem, kernel: TreeKernel, window: Window, m: int,
     for v in window_vertices(kernel, window):
         d = defect_diagonal(ws, kernel, v, m)
         report.entries[v] = d
-        if d > tol:
+        # negated comparisons, so that a NaN defect fails every test
+        if not d <= tol:
             expansion = False
             report.witnesses.setdefault("expansion", v)
-        if concave_sign * d > tol:
+        if not concave_sign * d <= tol:
             concave = False
             report.witnesses.setdefault("concave", v)
-        if abs(d) > tol:
+        if not abs(d) <= tol:
             isometry = False
             report.witnesses.setdefault("isometry", v)
     report.flags = {

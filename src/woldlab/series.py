@@ -1,5 +1,5 @@
-"""The branch-ratio series: partial sums, convergence verdicts, hyper-range
-vectors, and the range criterion.
+"""The branch-ratio series: partial sums, convergence verdicts and hyper-range
+vectors.
 
 The series attached to a vertex v sums, over the shells A(v, n), the squared
 ratios of n-step moments against the moment of v itself.  Convergence of this
@@ -20,23 +20,24 @@ from itertools import islice
 from .errors import DivergentSeriesError, UndecidedSeriesError
 from .numerics import (NeumaierSum, bracket_decreasing_tail,
                        quadratic_tail_integral)
-from .operator import SparseVector, apply_power, apply_shift
-from .tree_core import (Budget, TqbKernel, TreeKernel, BilateralPath, child_n,
-                        operation, par_n, same_generation, shell)
+from .operator import SparseVector, apply_shift
+from .tree_core import (Budget, TqbKernel, TreeKernel, BilateralPath, operation,
+                        shell)
 from .weights import (ConstantWeights, Prop51Weights, WeightSystem, family_root,
-                      moment_log, shift_norm_sq)
+                      shift_norm_sq)
+
+THRESHOLD = 1e6         # partial-sum divergence cutoff
+WINDOW = 50             # nonzero terms used for ratio fitting
+DELTA = 0.05            # dead zone around ratio 1
+TERM_FLOOR = 1e-2       # lower bound that certifies divergence
+ANALYTIC_TERMS = 2000   # closed-form terms summed by plugins
+PREMISE_TOL = 1e-9      # closed-form agreement required of plugins
 
 
 @dataclass
 class SeriesConfig:
     n_max: int = 10_000          # generations examined by the heuristic
-    threshold: float = 1e6       # partial-sum divergence cutoff
-    window: int = 50             # nonzero terms used for ratio fitting
-    delta: float = 0.05          # dead zone around ratio 1
-    term_floor: float = 1e-2     # lower bound that certifies divergence
-    analytic_terms: int = 2000   # closed-form terms summed by plugins
     use_plugins: bool = True
-    premise_tol: float = 1e-9    # closed-form agreement required of plugins
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +97,6 @@ class AlphaPartial:
     N: int
     terms: list
     partials: list
-    error_bound: float
-
-    @property
-    def value(self) -> float:
-        return self.partials[-1]
 
     def to_rows(self):
         return [(n, self.terms[n], self.partials[n]) for n in range(self.N + 1)]
@@ -121,7 +117,7 @@ def alpha_partial(ws: WeightSystem, kernel: TreeKernel, v, N: int) -> AlphaParti
     for t in terms:
         acc.add(t)
         partials.append(acc.value)
-    return AlphaPartial(v, N, terms, partials, acc.error_bound)
+    return AlphaPartial(v, N, terms, partials)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +180,10 @@ def alpha_verdict(ws: WeightSystem, kernel: TreeKernel, v,
         return _finite_generation_verdict(ws, kernel, v, span)
     if cfg.use_plugins:
         for plugin in PLUGINS:
-            out = plugin(ws, kernel, v, cfg)
+            out = plugin(ws, kernel, v)
             if out is not None:
                 return out
-    return _heuristic_verdict(ws, kernel, v, cfg)
+    return _heuristic_verdict(ws, kernel, v, cfg.n_max)
 
 
 def _finite_generation_verdict(ws, kernel, v, span) -> SeriesVerdict:
@@ -199,9 +195,9 @@ def _finite_generation_verdict(ws, kernel, v, span) -> SeriesVerdict:
                                    evidence, span)
 
 
-def _heuristic_verdict(ws, kernel, v, cfg: SeriesConfig) -> SeriesVerdict:
+def _heuristic_verdict(ws, kernel, v, n_max: int) -> SeriesVerdict:
     acc = NeumaierSum()
-    recent: deque = deque(maxlen=cfg.window)   # (n, t) for nonzero t
+    recent: deque = deque(maxlen=WINDOW)   # (n, t) for nonzero t
     empty_run = 0
     n_seen = 0
     for n, t in alpha_terms(ws, kernel, v):
@@ -210,13 +206,13 @@ def _heuristic_verdict(ws, kernel, v, cfg: SeriesConfig) -> SeriesVerdict:
             return SeriesVerdict.diverged(
                 v, "heuristic", {"rule": "overflow", "n": n}, n)
         acc.add(t)
-        if acc.value > cfg.threshold:
+        if acc.value > THRESHOLD:
             return SeriesVerdict.diverged(
                 v, "heuristic",
-                {"rule": "threshold", "partial": acc.value, "threshold": cfg.threshold, "n": n}, n)
+                {"rule": "threshold", "partial": acc.value, "threshold": THRESHOLD, "n": n}, n)
         if t == 0.0:
             empty_run += 1
-            if empty_run >= cfg.window:
+            if empty_run >= WINDOW:
                 # A window-long run of empty generations with a finite total:
                 # treated as an exhausted (finite) generation.  Kernels that
                 # can actually certify exhaustion never reach this code path,
@@ -227,10 +223,10 @@ def _heuristic_verdict(ws, kernel, v, cfg: SeriesConfig) -> SeriesVerdict:
         else:
             empty_run = 0
             recent.append((n, t))
-        if n >= cfg.n_max:
+        if n >= n_max:
             break
 
-    if len(recent) < cfg.window:
+    if len(recent) < WINDOW:
         return SeriesVerdict.inconclusive(
             v, {"rule": "insufficient-terms", "nonzero_terms": len(recent)}, n_seen)
 
@@ -243,11 +239,11 @@ def _heuristic_verdict(ws, kernel, v, cfg: SeriesConfig) -> SeriesVerdict:
     ratio = math.exp(mean)
     n_last, t_last = pairs[-1]
 
-    if ratio > 1.0 + cfg.delta:
+    if ratio > 1.0 + DELTA:
         return SeriesVerdict.diverged(
             v, "heuristic", {"rule": "growth", "ratio": ratio, "sigma": sigma}, n_seen)
-    if ratio < 1.0 - cfg.delta:
-        r_hi = min(math.exp(mean + 2.0 * sigma), 1.0 - cfg.delta / 2.0)
+    if ratio < 1.0 - DELTA:
+        r_hi = min(math.exp(mean + 2.0 * sigma), 1.0 - DELTA / 2.0)
         r_lo = max(math.exp(mean - 2.0 * sigma), 0.0)
         tail = t_last * ratio / (1.0 - ratio)
         spread = t_last * (r_hi / (1.0 - r_hi) - r_lo / (1.0 - r_lo))
@@ -256,7 +252,7 @@ def _heuristic_verdict(ws, kernel, v, cfg: SeriesConfig) -> SeriesVerdict:
             {"rule": "geometric-ratio", "ratio": ratio, "sigma": sigma, "tail": tail},
             n_seen)
     floor = min(t for _, t in pairs)
-    if floor >= cfg.term_floor:
+    if floor >= TERM_FLOOR:
         return SeriesVerdict.diverged(
             v, "heuristic", {"rule": "term-floor", "floor": floor}, n_seen)
     return SeriesVerdict.inconclusive(
@@ -267,9 +263,9 @@ def _heuristic_verdict(ws, kernel, v, cfg: SeriesConfig) -> SeriesVerdict:
 # analytic plugins: exact term laws, verified against the stream before use
 
 
-def _fit_k(root: Prop51Weights, v, terms: list, upto: int, dual: bool, premise_tol: float):
+def _fit_k(root: Prop51Weights, v, terms: list, upto: int, dual: bool):
     """(k_fit, rel_resid) of t_l / p_mu(l-1), or t_l * p_mu(l-1) on the dual, over the
-    last 17 sampled generations; None if non-finite, nonpositive or over premise_tol."""
+    last 17 sampled generations; None if non-finite, nonpositive or over PREMISE_TOL."""
     n0, m0 = v
     ks = []
     for l in range(max(n0 + 1, upto - 16), upto + 1):
@@ -279,12 +275,12 @@ def _fit_k(root: Prop51Weights, v, terms: list, upto: int, dual: bool, premise_t
     if k_fit <= 0.0 or not math.isfinite(k_fit):
         return None
     rel_resid = max(abs(k - k_fit) for k in ks) / k_fit
-    if rel_resid > premise_tol:
+    if rel_resid > PREMISE_TOL:
         return None
     return k_fit, rel_resid
 
 
-def _plugin_prop51(ws, kernel, v, cfg: SeriesConfig):
+def _plugin_prop51(ws, kernel, v):
     """Term laws for the polynomial family on the quasi-Brownian tree.
 
     Primal: terms grow like the quadratic p itself; divergence.  Dual: past
@@ -300,7 +296,7 @@ def _plugin_prop51(ws, kernel, v, cfg: SeriesConfig):
     n0, m0 = v
     upto = max(60 if depth else 40, n0 + 24)
     terms = _first_terms(ws, kernel, v, upto)
-    fit = _fit_k(root, v, terms, upto, depth == 1, cfg.premise_tol)
+    fit = _fit_k(root, v, terms, upto, depth == 1)
     if fit is None:
         return None
     k_fit, rel_resid = fit
@@ -313,7 +309,7 @@ def _plugin_prop51(ws, kernel, v, cfg: SeriesConfig):
     a_tail, b_tail = root.a.default, root.b.default
     settled = [s + n0 - m0 + 10 for s in (root.a.settled_after(), root.b.settled_after())
                if s is not None]
-    n_terms = max(cfg.analytic_terms, upto + 10, *settled)
+    n_terms = max(ANALYTIC_TERMS, upto + 10, *settled)
 
     acc = NeumaierSum()
     for t in terms:
@@ -330,7 +326,7 @@ def _plugin_prop51(ws, kernel, v, cfg: SeriesConfig):
     return SeriesVerdict.converged(v, value, tail_bound, "analytic", evidence, n_terms)
 
 
-def _plugin_constant(ws, kernel, v, cfg: SeriesConfig):
+def _plugin_constant(ws, kernel, v):
     """Constant weights on the quasi-Brownian tree.
 
     Primal terms count the singleton shells (eventually exactly 1 per
@@ -348,51 +344,19 @@ def _plugin_constant(ws, kernel, v, cfg: SeriesConfig):
     tail = terms[n0 + 1:]
 
     if depth == 0:
-        if not tail or any(abs(t - 1.0) > cfg.premise_tol for t in tail):
+        if not tail or any(abs(t - 1.0) > PREMISE_TOL for t in tail):
             return None
         evidence = {"rule": "counting", "term": 1.0, "sampled_upto": upto}
         return SeriesVerdict.diverged(v, "analytic", evidence, upto)
 
     ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0.0]
-    if len(ratios) < 6 or any(abs(r - 4.0) > 4.0 * cfg.premise_tol for r in ratios):
+    if len(ratios) < 6 or any(abs(r - 4.0) > 4.0 * PREMISE_TOL for r in ratios):
         return None
     evidence = {"rule": "geometric-growth", "ratio": 4.0, "sampled_upto": upto}
     return SeriesVerdict.diverged(v, "analytic", evidence, upto)
 
 
 PLUGINS = (_plugin_prop51, _plugin_constant)
-
-
-# ---------------------------------------------------------------------------
-# cross-vertex consistency
-
-
-@dataclass
-class GenerationInvarianceReport:
-    u: object
-    v: object
-    verdict_u: SeriesVerdict
-    verdict_v: SeriesVerdict
-    consistent: bool
-    note: str = ""
-
-
-def generation_invariance_check(ws, kernel, u, v, config=None,
-                                n_max: int = 64) -> GenerationInvarianceReport:
-    """Same-generation vertices must agree on convergence.
-
-    A converged/diverged split between them is flagged as an internal
-    inconsistency (the theory forbids it, so the numerics are at fault);
-    inconclusive pairs pass vacuously.
-    """
-    if same_generation(kernel, u, v, n_max) is None:
-        raise ValueError(f"{u!r} and {v!r} are not provably in the same generation")
-    a = alpha_verdict(ws, kernel, u, config)
-    b = alpha_verdict(ws, kernel, v, config)
-    kinds = {a.kind, b.kind}
-    consistent = not ({"converged", "diverged"} <= kinds)
-    note = "" if consistent else "bug-level inconsistency: convergence split a generation"
-    return GenerationInvarianceReport(u, v, a, b, consistent, note)
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +398,15 @@ def g_vector(ws: WeightSystem, kernel: TreeKernel, path: BilateralPath, m: int,
             f"series verdict at {v!r} is inconclusive; cannot build g_{m}")
     entries: dict = {}
     gen_support = []
-    partial = NeumaierSum()
     for _, members in islice(generation_stream(ws, kernel, v), N + 1):
         gen_support.append(tuple(u for u, _ in members))
         for u, rel_log in members:
-            c = math.exp(rel_log)
-            entries[u] = c
-            partial.add(c * c)
-    tail_mass = max(verdict.value - partial.value, 0.0) + verdict.tail_bound
-    return HyperRangeVector(m, v, SparseVector(entries), N, gen_support,
-                            tail_mass, verdict.value, verdict)
+            entries[u] = math.exp(rel_log)
+    vector = SparseVector(entries)
+    # the mass of the vector actually returned, after SparseVector's pruning
+    tail_mass = max(verdict.value - vector.norm_sq(), 0.0) + verdict.tail_bound
+    return HyperRangeVector(m, v, vector, N, gen_support, tail_mass,
+                            verdict.value, verdict)
 
 
 @dataclass
@@ -459,76 +422,22 @@ class RecurrenceReport:
 
 
 def hyperrange_recurrence_check(ws: WeightSystem, kernel: TreeKernel,
-                                path: BilateralPath, m: int, N: int,
-                                tol: float = 1e-10,
-                                config: SeriesConfig | None = None) -> RecurrenceReport:
-    """Residual of S g_m = lambda_{v_{m+1}} g_{m+1} on the common truncation.
+                                g_m: HyperRangeVector, g_next: HyperRangeVector,
+                                tol: float = 1e-10) -> RecurrenceReport:
+    """Residual of S g_m = lambda_{v_{m+1}} g_{m+1} on the common truncation,
+    for g_next the path's next vector after g_m.
 
     The shifted vector reaches one generation past g_{m+1}'s truncation;
     the comparison drops that frontier and budgets both tails.
     """
-    g_m = g_vector(ws, kernel, path, m, N, config)
-    g_next = g_vector(ws, kernel, path, m + 1, N, config)
     if g_m.is_zero or g_next.is_zero:
         raise DivergentSeriesError("recurrence check needs finite series on the path")
-    lam = ws.weight(path[m + 1])
+    lam = ws.weight(g_next.vertex)
     shifted = apply_shift(ws, kernel, g_m.vector)
     common = set()
     for gen in g_next.gen_support:
         common.update(gen)
     diff = shifted.add(g_next.vector, -lam).restrict(common)
-    s_sup = math.sqrt(shift_norm_sq(ws, kernel, path[m], 1))
+    s_sup = math.sqrt(shift_norm_sq(ws, kernel, g_m.vertex, 1))
     allowance = s_sup * math.sqrt(g_m.tail_mass) + lam * math.sqrt(g_next.tail_mass)
-    return RecurrenceReport(m, diff.norm(), allowance, tol)
-
-
-# ---------------------------------------------------------------------------
-# range criterion
-
-
-@dataclass
-class RangeMembershipReport:
-    verdict: str                  # "member" | "not_member" | "inconclusive"
-    n: int
-    deviation: float
-    witness: tuple | None
-    preimage: SparseVector | None
-    roundtrip_residual: float | None
-
-
-@operation()
-def range_membership_check(ws: WeightSystem, kernel: TreeKernel, f: SparseVector,
-                           n: int, tol: float = 1e-10) -> RangeMembershipReport:
-    """Decide whether f lies in the range of the n-th shift power.
-
-    f belongs to the range exactly when f/moment is constant on each full
-    sibling shell Chi^n(a); the constant at each anchor a is the preimage
-    coefficient.  The roundtrip S^n(preimage) is reported as a residual.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0 or len(f) == 0:
-        return RangeMembershipReport("member", n, 0.0, None, f, 0.0)
-    anchors = dict.fromkeys(par_n(kernel, u, n) for u in f.support())   # in first-seen order
-    worst = 0.0
-    witness = None
-    pre: dict = {}
-    for a in anchors:
-        shell = child_n(kernel, a, n)
-        ratios = [(u, f.get(u) / math.exp(moment_log(ws, kernel, u, n))) for u in shell]
-        vals = [r for _, r in ratios]
-        lo, hi = min(vals), max(vals)
-        scale = max(abs(lo), abs(hi), 1e-300)
-        dev = (hi - lo) / scale
-        if dev > worst:
-            u_lo = min(ratios, key=lambda p: p[1])[0]
-            u_hi = max(ratios, key=lambda p: p[1])[0]
-            worst, witness = dev, (a, u_lo, u_hi)
-        pre[a] = math.fsum(vals) / len(vals)
-    if worst <= tol:
-        g = SparseVector(pre)
-        resid = apply_power(ws, kernel, g, n).add(f, -1.0).norm()
-        return RangeMembershipReport("member", n, worst, None, g, resid)
-    if worst > 10.0 * tol:
-        return RangeMembershipReport("not_member", n, worst, witness, None, None)
-    return RangeMembershipReport("inconclusive", n, worst, witness, None, None)
+    return RecurrenceReport(g_m.m, diff.norm(), allowance, tol)

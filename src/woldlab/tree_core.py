@@ -38,8 +38,8 @@ def vertex_cap() -> int:
 class Budget:
     """Counts vertices touched by one logical operation against the cap."""
 
-    def __init__(self, cap: int | None = None) -> None:
-        self.cap = vertex_cap() if cap is None else cap
+    def __init__(self) -> None:
+        self.cap = vertex_cap()
         self.used = 0
 
     def charge(self, k: int = 1) -> None:
@@ -573,8 +573,3 @@ class BilateralPath:
             prev = self._back[-1] if self._back else self.anchor
             self._back.append(self.kernel.parent(prev))
         return self._back[-m - 1]
-
-    def range(self, m_lo: int, m_hi: int) -> list:
-        if m_lo > m_hi:
-            raise ValueError("m_lo must not exceed m_hi")
-        return [self[m] for m in range(m_lo, m_hi + 1)]

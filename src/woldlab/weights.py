@@ -266,7 +266,8 @@ class CauchyDualWeights(WeightSystem):
     """The dual system: each weight divided by the one-step squared norm at
     its parent.  Finished log weights are memoized per vertex, which is
     sound because weight systems and kernels are pure; a miss fills the
-    whole sibling set from the one parent norm it computes."""
+    whole sibling set from the one parent norm it computes.  `weight` reads
+    the same memo."""
 
     def __init__(self, primal: WeightSystem, kernel: TreeKernel, eps: float = 1e-12) -> None:
         self.primal = primal
@@ -277,19 +278,8 @@ class CauchyDualWeights(WeightSystem):
         self.params = {"dual_of": primal.name, "dual_depth": self.dual_depth, **primal.params}
         self._log_cache: dict = {}
 
-    def _checked(self, u, norm: float) -> float:
-        if norm < self.eps:
-            raise DegenerateNormError(
-                f"one-step norm at {u!r} fell below {self.eps}; dual undefined"
-            )
-        return norm
-
-    def _parent_norm_sq(self, v) -> float:
-        u = self.kernel.parent(v)
-        return self._checked(u, shift_norm_sq(self.primal, self.kernel, u, 1))
-
     def weight(self, v) -> float:
-        return self.primal.weight(v) / self._parent_norm_sq(v)
+        return math.exp(self.log_weight(v))
 
     def log_weight(self, v) -> float:
         hit = self._log_cache.get(v)
@@ -301,7 +291,10 @@ class CauchyDualWeights(WeightSystem):
             kids = self.kernel.children(u)
             Budget.current().charge(len(kids))
             logs = [own if c == v else self.primal.log_weight(c) for c in kids]
-            norm = self._checked(u, math.fsum([math.exp(2.0 * lw) for lw in logs]))
+            norm = math.fsum([math.exp(2.0 * lw) for lw in logs])
+            if norm < self.eps:
+                raise DegenerateNormError(
+                    f"one-step norm at {u!r} fell below {self.eps}; dual undefined")
             log_norm = math.log(norm)
             cache = self._log_cache
             for c, lw in zip(kids, logs):

@@ -317,7 +317,7 @@ def decomposition_report(ws: WeightSystem, kernel: TreeKernel, window: Window,
 
     reduction = []
     for m in range(-n_max, n_max):
-        rec = hyperrange_recurrence_check(ws, kernel, path, m, N, tol, cfg)
+        rec = hyperrange_recurrence_check(ws, kernel, gs[m], gs[m + 1], tol)
         row = {"m": m, "recurrence_residual": rec.residual,
                "recurrence_allowance": rec.tail_allowance,
                "recurrence_ok": rec.passed}

@@ -222,7 +222,7 @@ def test_criterion_7_isometric_ladder():
         path = BilateralPath(kernel, (0, 0))
         gs = {m: g_vector(ws, kernel, path, m, 8) for m in range(-4, 5)}
         for m in range(-3, 4):
-            rec = hyperrange_recurrence_check(ws, kernel, path, m, 8)
+            rec = hyperrange_recurrence_check(ws, kernel, gs[m], gs[m + 1])
             assert rec.residual <= 1e-10 + rec.tail_allowance
         for m in range(-3, 4):
             for m2 in range(m + 1, 4):

@@ -11,8 +11,6 @@ import pytest
 
 from woldlab import tree_core
 from woldlab.cli import main
-from woldlab.operator import SparseVector
-from woldlab.tree_core import TkInfKernel
 
 
 def run(capsys, *argv):
@@ -180,8 +178,8 @@ def test_gvec_isometric_tree(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["alpha"] == pytest.approx(2.0)
-    vec = SparseVector.from_json(TkInfKernel(2), obj["vector"])
-    assert vec.entries == pytest.approx({(1, 1): 1.0, (1, 2): 1.0})
+    entries = dict(obj["vector"]["entries"])
+    assert entries == pytest.approx({"1,1": 1.0, "1,2": 1.0})
     assert obj["tail_mass"] <= 1e-12
 
 
@@ -204,6 +202,8 @@ def test_out_writes_file(tmp_path, capsys):
 # Digests of stdout recorded before dual log weights and series terms were
 # memoized, and (from "repro-ex52" on) before every enumeration moved onto the
 # one frontier walker; such changes may alter how work is done, never a byte.
+# "dual-csv" was re-pinned when a dual's weight became exp(log_weight): six of
+# its dual weights moved by one ulp.
 PINNED_STDOUT = {
     "alpha-dual-0,0": (("alpha", "--tree", "tqb", "--weights", "ex52", "--vertex=0,0",
                         "--dual", "--no-plugins", "--N", "60"),
@@ -228,7 +228,7 @@ PINNED_STDOUT = {
                      "--vertex=0,0", "--m", "1", "--N", "12"),
                     "522f1c25af1d7543a544bb71b707338f0a002259e11286f1922f0bdac3c5cf66"),
     "dual-csv": (("dual", "--window", "2,2", "--format", "csv"),
-                 "72386e4cf8fd2a3e327c883885b02db36f32b4e600a36c4cbb058b91a3d94ab1"),
+                 "0b7b7d45b06e7c4ef951a41043a426246bab7e58b4b0ceae22161c1b87096faf"),
 }
 
 
@@ -294,6 +294,15 @@ def test_bad_inputs_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_nan_defects_classify_as_neither(capsys):
+    code, out, _ = run(capsys, "defect", "--tree", "zpath", "--vertex", "0",
+                       "--weights", "constant:nan", "--format", "csv")
+    assert code == 0
+    _, rows, trailers = parse_csv(out)
+    assert rows and all(r[1] == "nan" for r in rows)
+    assert trailers == ["# classification: neither"]
 
 
 @pytest.mark.parametrize("cmd", ["wold", "defect"])

@@ -236,13 +236,6 @@ def test_bilateral_path_choosers():
     assert lo[-3] == hi[-3] == (-3, 0)
 
 
-def test_bilateral_path_range():
-    seg = BilateralPath(ZP, 0).range(-2, 2)
-    assert seg == [-2, -1, 0, 1, 2]
-    with pytest.raises(ValueError):
-        BilateralPath(ZP, 0).range(3, 1)
-
-
 # ---------------------------------------------------------------------------
 # resource caps
 
@@ -302,8 +295,9 @@ def test_budget_env_validation(monkeypatch):
         vertex_cap()
 
 
-def test_budget_explicit():
-    b = Budget(cap=3)
+def test_budget_explicit(monkeypatch):
+    monkeypatch.setenv("WOLDLAB_MAX_VERTICES", "3")
+    b = Budget()
     b.charge(3)
     with pytest.raises(ResourceCapError):
         b.charge()

@@ -170,6 +170,31 @@ def test_dual_miss_fills_the_siblings():
     assert dual.log_weight((0, 4)) == cauchy_dual(EX52, TQB).log_weight((0, 4))
 
 
+def counting(kernel_cls):
+    class Counting(kernel_cls):
+        children_calls = 0
+
+        def children(self, v):
+            self.children_calls += 1
+            return super().children(v)
+    return Counting
+
+
+@pytest.mark.parametrize("case", ["tqb/ex52", "tkinf:3"])
+def test_dual_weight_reads_the_log_cache(case):
+    if case == "tqb/ex52":
+        kernel, ws, verts = counting(TqbKernel)(), EX52, [(0, 0), (1, 5), (3, -2)]
+    else:
+        kernel, ws = counting(TkInfKernel)(3), TkinfIsometricWeights(3)
+        verts = [(-2, 0), (0, 0), (1, 2), (4, 1)]
+    dual = cauchy_dual(ws, kernel)
+    for v in verts:
+        log_weight = dual.log_weight(v)
+        calls = kernel.children_calls
+        assert dual.weight(v) == math.exp(log_weight)
+        assert kernel.children_calls == calls
+
+
 def _tkinf_vertex():
     spine = st.builds(lambda m: (m, 0), st.integers(-5, 0))
     return st.one_of(spine, st.tuples(st.integers(1, 5), st.integers(1, 3)))
