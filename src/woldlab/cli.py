@@ -353,10 +353,11 @@ def _repro_rows(base: Prop51Weights, tampered: bool):
            kind=pv.kind, method=pv.method, rule=pv.evidence.get("rule"))
 
     # 7. dual series convergence with the quadratic comparison bound
+    # (0, 1) = par (0, 0) first, so the stream at (0, 0) descends from its shells
+    dv1 = alpha_verdict(dual, kernel, (0, 1), cfg)
     dv = alpha_verdict(dual, kernel, (0, 0), cfg)
     ok7 = dv.kind == "converged" and dv.method == "analytic" and dv.tail_bound <= 1e-6
     detail = {"kind": dv.kind, "method": dv.method, "tail_bound": dv.tail_bound}
-    dv1 = alpha_verdict(dual, kernel, (0, 1), cfg)
     if dv1.kind == "converged":
         displayed = dv1.value - 1.0
         c = min(b_rule(m) for m in range(-5, 50))

@@ -13,6 +13,7 @@ are verified in-run before being extrapolated.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -21,8 +22,8 @@ from .errors import DivergentSeriesError, UndecidedSeriesError
 from .numerics import (NeumaierSum, bracket_decreasing_tail,
                        quadratic_tail_integral)
 from .operator import SparseVector, apply_shift
-from .tree_core import (Budget, TqbKernel, TreeKernel, BilateralPath, operation,
-                        shell)
+from .tree_core import (Budget, TqbKernel, TreeKernel, BilateralPath, descend,
+                        operation, shell)
 from .weights import (ConstantWeights, Prop51Weights, WeightSystem, family_root,
                       shift_norm_sq)
 
@@ -51,13 +52,18 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v):
     u in A(v, n).  A(v, n) and its (u, log moment) pairs depend on v only
     through top = par^(n-1)(v), so each shell is memoized on the weight
     system per (kernel, top, n) and shared by every same-generation vertex;
-    only a miss walks the shell, charging the operation's budget.  The memo
-    holds lists of pairs only (a stored generator would tie the weight
-    system into a reference cycle).  Per-generation cost of a miss grows
-    with n because fresh branches must be walked down from the ancestor line.
+    memo hits are free.  Shells under one top form a ladder: A(v, n) =
+    Chi^(n-j)(A(par^(n-j)(v), j)), with the logs accumulating in the same
+    order, so a miss descends the remaining n - j levels from the deepest
+    stored rung j < n (found in a sorted depth index per (kernel, top)) and
+    walks down from the top only when no rung exists.  A stream at par(v)
+    run before the one at v thus leaves v one level per generation to walk.
+    Misses charge the operation's budget.  The memos hold lists only (a
+    stored generator would tie the weight system into a reference cycle).
     """
     yield 0, [(v, 0.0)]
     shells = vars(ws).setdefault("_shells", {})
+    rungs = vars(ws).setdefault("_rungs", {})   # (kernel, top) -> sorted depths
     top = v          # par^(n-1)(v) while producing generation n
     base_log = 0.0   # log moment of v at order n, updated incrementally
     n = 1
@@ -69,7 +75,16 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v):
         if members is None:
             budget = Budget.current()
             budget.charge()
-            members = shells[key] = shell(kernel, top, up, n, budget, ws.log_weight)
+            depths = rungs.setdefault((kernel, top), [])
+            i = bisect_left(depths, n)
+            if i:
+                j = depths[i - 1]
+                members = descend(kernel, shells[kernel, top, j], n - j, budget,
+                                  ws.log_weight)
+            else:
+                members = shell(kernel, top, up, n, budget, ws.log_weight)
+            shells[key] = members
+            depths.insert(i, n)
         yield n, [(u, acc - base_log) for u, acc in members]
         top = up
         n += 1

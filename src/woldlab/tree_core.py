@@ -416,7 +416,8 @@ def descend(kernel: TreeKernel, frontier, depth: int, budget: Budget,
     Each level is charged to `budget`.  A child's entry is its parent's log
     plus `log_weight(child)`; unweighted callers get a zero weight, which
     keeps the loop free of per-vertex branches.  Iterated children, shells,
-    windows, shift-power norms and the series term stream all descend here.
+    shift-power norms and the series term stream all descend here; windows,
+    which keep every level, take one plain pass in `window_depth_classes`.
     """
     for _ in range(depth):
         nxt = []
@@ -537,11 +538,13 @@ def window_depth_classes(kernel: TreeKernel, w: Window):
     these classes refine generations exactly.
     """
     budget = Budget.current()
-    levels = [[(par_n(kernel, w.base, w.depth_up), 0.0)]]
+    levels = [[par_n(kernel, w.base, w.depth_up)]]
     budget.charge()
     for _ in range(w.depth_up + w.depth_down):
-        levels.append(descend(kernel, levels[-1], 1, budget))
-    return [[u for u, _ in level] for level in levels]
+        level = [c for u in levels[-1] for c in kernel.children(u)]
+        budget.charge(len(level))
+        levels.append(level)
+    return levels
 
 
 def window_vertices(kernel: TreeKernel, w: Window):

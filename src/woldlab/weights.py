@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import weakref
 from dataclasses import dataclass
 
 from .errors import DegenerateNormError, MissingWeightError
@@ -304,9 +305,18 @@ class CauchyDualWeights(WeightSystem):
 
 
 def cauchy_dual(ws: WeightSystem, kernel: TreeKernel, eps: float = 1e-12) -> CauchyDualWeights:
-    """Dual weight system.  Applying it twice recomputes the original
+    """Dual weight system.  While a dual of ws for (kernel, eps) is alive,
+    every call returns that one object, so its callers share one log cache
+    and one shell memo; ws holds it weakly, which keeps the pair free of a
+    reference cycle.  Applying the dual twice recomputes the original
     numerically; the round trip is a checked property, not a shortcut."""
-    return CauchyDualWeights(ws, kernel, eps)
+    duals = vars(ws).get("_duals")
+    if duals is None:
+        duals = ws._duals = weakref.WeakValueDictionary()
+    dual = duals.get((kernel, eps))
+    if dual is None:
+        dual = duals[kernel, eps] = CauchyDualWeights(ws, kernel, eps)
+    return dual
 
 
 def family_root(ws: WeightSystem) -> tuple[WeightSystem, int]:

@@ -129,6 +129,10 @@ def wold_verdict(ws: WeightSystem, kernel: TreeKernel, window: Window,
     to 8 seeded random window vertices, since convergence is a property of
     the whole tree, not of the vertex; a definitive disagreement means the
     numerics cannot be trusted and the answer degrades to Inconclusive.
+
+    Each series verdict is computed once, in window order (top first), so
+    a vertex's parent is evaluated before it and its term stream climbs the
+    shell ladder the parent's stream left behind.
     """
     cfg = config or SeriesConfig()
     verts = window_vertices(kernel, window)
@@ -137,18 +141,25 @@ def wold_verdict(ws: WeightSystem, kernel: TreeKernel, window: Window,
         raise DegenerateNormError(
             f"one-step norm floor {floor:.3e} on the window; shift is not left-invertible")
     base = window.base
-    primal = alpha_verdict(ws, kernel, base, cfg)
+    rng = random.Random(seed)
+    pool = [v for v in verts if v != base]
+    picks = rng.sample(pool, min(8, len(pool)))
+    checked = {base, *picks}
+    order = [v for v in verts if v in checked]
+    primals = {v: alpha_verdict(ws, kernel, v, cfg) for v in order}
+    duals: dict = {}
+    primal = primals[base]
     evidence: dict = {"alpha_primal": primal.to_json(kernel)}
     witnesses: list = []
     note = ""
-    dual_ws = dual_verdict = None
 
     if primal.kind == "inconclusive":
         outcome, method = "Inconclusive", "heuristic"
         note = "primal series undecided"
     elif primal.kind == "diverged":
         dual_ws = cauchy_dual(ws, kernel)
-        dual_verdict = alpha_verdict(dual_ws, kernel, base, cfg)
+        duals = {v: alpha_verdict(dual_ws, kernel, v, cfg) for v in order}
+        dual_verdict = duals[base]
         evidence["alpha_dual"] = dual_verdict.to_json(kernel)
         both_definitive = primal.definitive and dual_verdict.definitive
         if dual_verdict.kind == "diverged":
@@ -170,11 +181,10 @@ def wold_verdict(ws: WeightSystem, kernel: TreeKernel, window: Window,
             note = "dual series undecided"
     else:
         outcome, method, note, extra = _case_ii_branch(
-            ws, kernel, window, verts, primal, cfg, tol, witnesses)
+            ws, kernel, window, verts, primals, cfg, tol, witnesses)
         evidence.update(extra)
 
-    checks, downgrade, clash = _spot_checks(ws, kernel, verts, base, primal,
-                                            dual_ws, dual_verdict, cfg, seed)
+    checks, downgrade, clash = _spot_checks(kernel, base, picks, primals, duals)
     evidence["spot_checks"] = checks
     if downgrade and outcome != "Inconclusive":
         outcome, method = "Inconclusive", "heuristic"
@@ -183,14 +193,19 @@ def wold_verdict(ws: WeightSystem, kernel: TreeKernel, window: Window,
     return WoldVerdict(base, outcome, method, evidence, witnesses, note)
 
 
-def _case_ii_branch(ws, kernel, window, verts, primal, cfg, tol, witnesses):
+def _case_ii_branch(ws, kernel, window, verts, primals, cfg, tol, witnesses):
+    primal = primals[window.base]
     need = set(verts)
     for v in verts:
         try:
             need.add(kernel.parent(v))
         except UnknownVertexError:
             pass
-    alpha_values = {v: alpha_verdict(ws, kernel, v, cfg) for v in need}
+    # the top anchor's parent is the one vertex of `need` outside the window
+    for v in [*need.difference(verts), *verts]:
+        if v not in primals:
+            primals[v] = alpha_verdict(ws, kernel, v, cfg)
+    alpha_values = {v: primals[v] for v in need}
     kinds = {a.kind for a in alpha_values.values()}
     extra = {
         "alpha_window": {kernel.format_vertex(v): a.to_json(kernel)
@@ -236,10 +251,10 @@ def _case_ii_branch(ws, kernel, window, verts, primal, cfg, tol, witnesses):
     return "Inconclusive", "heuristic", "balancedness undecided", extra
 
 
-def _spot_checks(ws, kernel, verts, base, primal, dual_ws, dual_verdict, cfg, seed):
-    rng = random.Random(seed)
-    pool = [v for v in verts if v != base]
-    picks = rng.sample(pool, min(8, len(pool)))
+def _spot_checks(kernel, base, picks, primals, duals):
+    """Rows in pick order against the base verdicts; the last definitive
+    clash is the witness.  `duals` is empty unless the base diverged."""
+    primal, dual_verdict = primals[base], duals.get(base)
     checks = []
     downgrade, clash = False, None
 
@@ -247,13 +262,13 @@ def _spot_checks(ws, kernel, verts, base, primal, dual_ws, dual_verdict, cfg, se
         return {a.kind, b.kind} == {"converged", "diverged"}
 
     for v in picks:
-        s = alpha_verdict(ws, kernel, v, cfg)
+        s = primals[v]
         row = {"vertex": kernel.format_vertex(v), "kind": s.kind,
                "method": s.method, "agree": not clashes(s, primal)}
         if clashes(s, primal) and s.definitive and primal.definitive:
             downgrade, clash = True, v
-        if dual_ws is not None:
-            sd = alpha_verdict(dual_ws, kernel, v, cfg)
+        if duals:
+            sd = duals[v]
             row["dual_kind"] = sd.kind
             row["dual_agree"] = not clashes(sd, dual_verdict)
             if clashes(sd, dual_verdict) and sd.definitive and dual_verdict.definitive:

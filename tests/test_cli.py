@@ -251,6 +251,21 @@ def test_cap_bounds_a_whole_command(capsys, monkeypatch):
     assert "enumeration touched more than 1000 vertices" in err
 
 
+# Each cap sits between the command's charge with the shell ladder, ancestors
+# first and one shared dual (259,649 and 224,664 vertices) and without them
+# (633,334 and 540,509), so a lost part shows as exit 2.
+@pytest.mark.parametrize("cap, argv, code", [
+    ("300000", ("repro", "ex52", "--tamper"), 1),
+    ("250000", ("wold", "--tree", "tqb", "--weights", "ex52", "--vertex=0,0",
+                "--no-plugins"), 0),
+])
+def test_heavy_commands_fit_under_a_reduced_cap(capsys, monkeypatch, cap, argv, code):
+    uncapped = run(capsys, *argv)
+    assert uncapped[0] == code
+    monkeypatch.setenv("WOLDLAB_MAX_VERTICES", cap)
+    assert run(capsys, *argv) == uncapped
+
+
 def test_command_reads_the_cap_once(capsys, monkeypatch):
     reads = []
     real = tree_core.vertex_cap

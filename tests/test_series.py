@@ -157,8 +157,11 @@ def test_term_memo_keeps_no_reference_cycle():
         cfg = SeriesConfig(n_max=60, use_plugins=False)
         alpha_verdict(dual, TQB, (0, 0))
         alpha_verdict(dual, TQB, (1, 1), cfg)
+        alpha_verdict(dual, TQB, (1, 0), cfg)     # climbs the rungs (0, 0) left
         alpha_verdict(primal, TQB, (1, 1), cfg)
         assert vars(primal)["_shells"] and vars(dual)["_shells"]
+        assert vars(primal)["_rungs"] and vars(dual)["_rungs"]
+        assert cauchy_dual(primal, TQB) is dual and len(vars(primal)["_duals"]) == 1
         refs = weakref.ref(primal), weakref.ref(dual)
         del primal, dual
         assert refs[0]() is None and refs[1]() is None
@@ -230,6 +233,25 @@ def test_same_generation_verdict_walks_only_its_own_shells():
     assert second == alpha_verdict(fresh, TQB, (2, 2), cfg)
     assert (list(islice(alpha_terms(dual, k, (2, 2)), N + 1))
             == list(islice(alpha_terms(fresh, TQB, (2, 2)), N + 1)))
+
+
+def bits(members):
+    return [(u, rel_log.hex()) for u, rel_log in members]
+
+
+def test_parent_stream_leaves_rungs_the_child_descends_from():
+    N = 40
+    k = CountingTqb()
+    dual = cauchy_dual(ex52_weights(), k)
+    list(islice(generation_stream(dual, k, (0, 1)), N + 1))
+    calls = k.children_calls
+    # par^(n-1)(0, 0) = par^(n-2)(0, 1): generation n descends one level from
+    # the stored A((0, 1), n - 1)
+    laddered = [bits(m) for _, m in islice(generation_stream(dual, k, (0, 0)), N + 1)]
+    assert k.children_calls - calls == 80       # a fresh walk makes 1640
+    fresh = cauchy_dual(ex52_weights(), TQB)
+    assert laddered == [bits(m) for _, m in
+                        islice(generation_stream(fresh, TQB, (0, 0)), N + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -164,10 +165,23 @@ def test_sibling_filled_miss_raises_on_a_degenerate_norm():
 
 
 def test_dual_miss_fills_the_siblings():
-    dual = cauchy_dual(EX52, TQB)
+    dual = cauchy_dual(ex52_weights(), TQB)
     dual.log_weight((1, 5))
     assert set(dual._log_cache) == {(1, 5), (0, 4)}    # the children of (0, 5)
-    assert dual.log_weight((0, 4)) == cauchy_dual(EX52, TQB).log_weight((0, 4))
+    assert dual.log_weight((0, 4)) == cauchy_dual(ex52_weights(), TQB).log_weight((0, 4))
+
+
+def test_one_live_dual_per_weight_system_and_kernel():
+    ws = ex52_weights()
+    dual = cauchy_dual(ws, TQB)
+    assert cauchy_dual(ws, TQB) is dual
+    assert cauchy_dual(ws, TqbKernel()) is not dual
+    assert cauchy_dual(ex52_weights(), TQB) is not dual
+    dual.log_weight((1, 5))
+    gone = weakref.ref(dual)
+    del dual
+    assert gone() is None           # held weakly: the next call builds anew
+    assert not cauchy_dual(ws, TQB)._log_cache
 
 
 def counting(kernel_cls):
