@@ -12,6 +12,8 @@ class NeumaierSum:
 
     Tracks the running sum, the correction term, and the sum of absolute
     values, from which a conservative first-order rounding bound follows.
+    `add` takes one value; `extend` takes many in one pass with the same
+    steps in the same order, so both leave bit-identical state.
     """
 
     def __init__(self) -> None:
@@ -27,6 +29,19 @@ class NeumaierSum:
         else:
             self.compensation += (value - t) + self.total
         self.total = t
+
+    def extend(self, values) -> None:
+        """`add` each value in turn, with the running state held in locals."""
+        total, comp, abs_total = self.total, self.compensation, self.abs_total
+        for value in values:
+            abs_total += abs(value)
+            t = total + value
+            if abs(total) >= abs(value):
+                comp += (total - t) + value
+            else:
+                comp += (value - t) + total
+            total = t
+        self.total, self.compensation, self.abs_total = total, comp, abs_total
 
     @property
     def value(self) -> float:

@@ -203,8 +203,7 @@ def alpha_verdict(ws: WeightSystem, kernel: TreeKernel, v,
 
 def _finite_generation_verdict(ws, kernel, v, span) -> SeriesVerdict:
     acc = NeumaierSum()
-    for t in _first_terms(ws, kernel, v, span):
-        acc.add(t)
+    acc.extend(_first_terms(ws, kernel, v, span))
     evidence = {"rule": "finite-generation", "span": span}
     return SeriesVerdict.converged(v, acc.value, acc.error_bound, "analytic",
                                    evidence, span)
@@ -282,10 +281,9 @@ def _fit_k(root: Prop51Weights, v, terms: list, upto: int, dual: bool):
     """(k_fit, rel_resid) of t_l / p_mu(l-1), or t_l * p_mu(l-1) on the dual, over the
     last 17 sampled generations; None if non-finite, nonpositive or over PREMISE_TOL."""
     n0, m0 = v
-    ks = []
-    for l in range(max(n0 + 1, upto - 16), upto + 1):
-        p = root.p(m0 + l - n0, l - 1)
-        ks.append(terms[l] * p if dual else terms[l] / p)
+    lo = max(n0 + 1, upto - 16)
+    ps = root.p_row(m0 + lo - n0, lo - 1, upto + 1 - lo)
+    ks = [terms[l] * p if dual else terms[l] / p for l, p in zip(range(lo, upto + 1), ps)]
     k_fit = math.fsum(ks) / len(ks)
     if k_fit <= 0.0 or not math.isfinite(k_fit):
         return None
@@ -301,7 +299,9 @@ def _plugin_prop51(ws, kernel, v):
     Primal: terms grow like the quadratic p itself; divergence.  Dual: past
     the vertex's ray depth the terms obey t_l = K / p_{mu(l)}(l-1) with a
     constant K; the plugin fits K, verifies constancy, sums the closed form,
-    and brackets the tail by an integral.
+    and brackets the tail by an integral.  The closed-form terms come from
+    one `p_row` and are summed by one `NeumaierSum.extend`, with the floats
+    a term-by-term `p` and `add` loop would give.
     """
     if not isinstance(kernel, TqbKernel):
         return None
@@ -327,10 +327,9 @@ def _plugin_prop51(ws, kernel, v):
     n_terms = max(ANALYTIC_TERMS, upto + 10, *settled)
 
     acc = NeumaierSum()
-    for t in terms:
-        acc.add(t)
-    for l in range(upto + 1, n_terms + 1):
-        acc.add(k_fit / root.p(m0 + l - n0, l - 1))
+    acc.extend(terms)
+    # t_l = K / p(m0 + l - n0, l - 1) for l = upto + 1, ..., n_terms
+    acc.extend(k_fit / q for q in root.p_row(m0 + upto + 1 - n0, upto, n_terms - upto))
 
     lower, upper = bracket_decreasing_tail(
         lambda x: k_fit * quadratic_tail_integral(a_tail, b_tail, x), n_terms - 1)

@@ -144,6 +144,13 @@ class Prop51Weights(WeightSystem):
     def p(self, m: int, x: float) -> float:
         return 1.0 + self.a(m) * x + self.b(m) * x * x
 
+    def p_row(self, m: int, x: int, count: int) -> list:
+        """[p(m + i, x + i) for i < count], each rule's table and default read once."""
+        a_get, a_default = self.a.table.get, self.a.default
+        b_get, b_default = self.b.table.get, self.b.default
+        return [1.0 + a_get(k, a_default) * y + b_get(k, b_default) * y * y
+                for k, y in zip(range(m, m + count), range(x, x + count))]
+
     def weight(self, v) -> float:
         n, m = v
         if n >= 2:

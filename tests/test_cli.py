@@ -218,6 +218,17 @@ PINNED_STDOUT = {
                    "791ada16ee5c89aeec439aaeb9f10b9411cae2ce45efcf3e88af4f83a0d4259a"),
     "alpha-dual-plugin-0,0": (("alpha", "--dual", "--vertex=0,0"),
                               "6eca51d0372311eacab3be0dd875dc3d88d84b93cb5346ffda3975d499328f3c"),
+    # table rules: the closed-form tail reads b(900) from the table at l = 899
+    "alpha-dual-plugin-table": (("alpha", "--tree", "tqb", "--weights", "prop51",
+                                 "--a", "table:0=2,1=3,default=1",
+                                 "--b", "table:-1=2,900=0.5,default=1",
+                                 "--vertex=0,1", "--dual", "--N", "5"),
+                                "638716b100d74ffb0a2e18c0bda19422b243c77042667374eccb81bea2d85146"),
+    "wold-prop51-table": (("wold", "--tree", "tqb", "--weights", "prop51",
+                           "--a", "table:0=2,1=3,default=1",
+                           "--b", "table:-1=2,2=0.5,default=1",
+                           "--vertex=0,1", "--format", "json"),
+                          "517d068fb60bd9b85af4f0baaa2cdcc2e78b871ad01b3b81a54d380170123e73"),
     "tree-show-tkinf3": (("tree", "show", "--tree", "tkinf:3", "--vertex=0,0",
                           "--window", "2,3", "--format", "json"),
                          "b64e2006a0e313b1ede1a78d858c4e5d02f1194dc8653681c6670b997e7c1ee7"),

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from woldlab.numerics import (NeumaierSum, bracket_decreasing_tail,
                               quadratic_tail_integral)
@@ -30,6 +32,29 @@ def test_neumaier_recovers_cancellation():
     acc.add(1e100)
     acc.add(-1e100)
     assert acc.value == 1.0
+
+
+def state(acc):
+    return tuple(x.hex() for x in (acc.total, acc.compensation, acc.abs_total))
+
+
+@given(st.lists(st.floats()), st.lists(st.floats()))
+@example([], [])
+@example([0.0], [-0.0])
+@example([-0.0], [-0.0, 0.0])
+@example([1e300, 1.0], [-1e300, 1e-300, 3.5e-17])
+@example([math.inf], [-math.inf, 1.0])
+@example([1.0], [math.nan, 2.0])
+def test_extend_takes_the_same_steps_as_add(prefix, values):
+    one, many = NeumaierSum(), NeumaierSum()
+    for x in prefix:
+        one.add(x)
+        many.add(x)
+    for x in values:
+        one.add(x)
+    many.extend(iter(values))
+    # hex compares signed zeros and infinities exactly and spells NaN "nan"
+    assert state(many) == state(one)
 
 
 def numeric_tail(a, b, x0, span=8000.0, steps=4_000_000):

@@ -12,15 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from woldlab.errors import DivergentSeriesError, UndecidedSeriesError
+from woldlab.numerics import (NeumaierSum, bracket_decreasing_tail,
+                              quadratic_tail_integral)
 from woldlab.operator import inner
-from woldlab.series import (SeriesConfig, SeriesVerdict, _term_value,
+from woldlab.series import (ANALYTIC_TERMS, SeriesConfig, SeriesVerdict,
+                            _plugin_prop51, _term_value,
                             alpha_partial, alpha_terms, alpha_verdict, g_vector,
                             generation_stream, hyperrange_recurrence_check)
 from woldlab.tree_core import (BilateralPath, Budget, TkInfKernel, TqbKernel,
                                ZPathKernel, enum_A_definitional)
-from woldlab.weights import (ConstantWeights, FunctionWeights,
-                             TkinfIsometricWeights, cauchy_dual, ex52_weights,
-                             moment_log)
+from woldlab.weights import (ConstantWeights, FunctionWeights, PolyRule,
+                             Prop51Weights, TkinfIsometricWeights, cauchy_dual,
+                             ex52_weights, moment_log)
 
 TQB = TqbKernel()
 EX52 = ex52_weights()
@@ -327,6 +330,61 @@ def test_constant_family_diverges_both_ways():
     assert dual.kind == "diverged"
     assert dual.evidence["rule"] == "geometric-growth"
     assert primal.definitive and dual.definitive
+
+
+def reference_prop51_dual(root, dual, v):
+    """The dual prop51 plugin term by term, for a fit it accepts: `root.p`
+    and `NeumaierSum.add` over the plugin's ranges.
+    (value, tail_bound, tail_window, K, residual)."""
+    n0, m0 = v
+    upto = max(60, n0 + 24)
+    terms = first_terms(dual, TQB, v, upto)
+    ks = []
+    for l in range(max(n0 + 1, upto - 16), upto + 1):
+        ks.append(terms[l] * root.p(m0 + l - n0, l - 1))
+    k_fit = math.fsum(ks) / len(ks)
+    rel_resid = max(abs(k - k_fit) for k in ks) / k_fit
+    settled = [s + n0 - m0 + 10 for s in (root.a.settled_after(), root.b.settled_after())
+               if s is not None]
+    n_terms = max(ANALYTIC_TERMS, upto + 10, *settled)
+    acc = NeumaierSum()
+    for t in terms:
+        acc.add(t)
+    for l in range(upto + 1, n_terms + 1):
+        acc.add(k_fit / root.p(m0 + l - n0, l - 1))
+    a_tail, b_tail = root.a.default, root.b.default
+    lower, upper = bracket_decreasing_tail(
+        lambda x: k_fit * quadratic_tail_integral(a_tail, b_tail, x), n_terms - 1)
+    value = acc.value + 0.5 * (upper + lower)
+    tail_bound = 0.5 * (upper - lower) + acc.error_bound + rel_resid * value
+    return value, tail_bound, [lower, upper], k_fit, rel_resid
+
+
+# the prop51 rule pairs and vertices of the benchmark's analytic workload
+A_RULES = ("const:0.5", "const:1", "const:2", "table:0=2,1=3,default=1")
+B_RULES = ("const:1", "const:2", "const:3", "table:-1=2,2=0.5,default=1")
+PROP51_VERTICES = ((0, 0), (0, 1), (1, 2), (0, -2), (2, -1))
+RULE_PAIRS = [(a, b) for a in A_RULES for b in B_RULES]
+# a table entry far out in the closed-form tail: b(900) is read at l = 899
+RULE_PAIRS.append(("table:0=2,1=3,default=1", "table:-1=2,900=0.5,default=1"))
+
+
+@pytest.mark.parametrize("a, b", RULE_PAIRS)
+def test_dual_prop51_plugin_matches_the_term_by_term_oracle(monkeypatch, a, b):
+    root = Prop51Weights(PolyRule.parse(a), PolyRule.parse(b))
+    dual = cauchy_dual(root, TQB)
+    expected = {v: reference_prop51_dual(root, dual, v) for v in PROP51_VERTICES}
+    # the plugin reads the polynomial through p_row only
+    monkeypatch.setattr(Prop51Weights, "p", None)
+    for v in PROP51_VERTICES:
+        out = _plugin_prop51(dual, TQB, v)
+        value, tail_bound, window, k_fit, rel_resid = expected[v]
+        assert out.kind == "converged" and out.method == "analytic"
+        assert out.value.hex() == value.hex()
+        assert out.tail_bound.hex() == tail_bound.hex()
+        assert [x.hex() for x in out.evidence["tail_window"]] == [x.hex() for x in window]
+        assert out.evidence["K"].hex() == k_fit.hex()
+        assert out.evidence["fit_residual"].hex() == rel_resid.hex()
 
 
 # ---------------------------------------------------------------------------

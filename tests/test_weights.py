@@ -13,7 +13,8 @@ from woldlab.errors import (DegenerateNormError, MissingWeightError,
                             UnknownVertexError)
 from woldlab.tree_core import TkInfKernel, TqbKernel, Window, ZPathKernel, par_n
 from woldlab.weights import (CauchyDualWeights, ConstantWeights,
-                             FunctionWeights, PolyRule, TkinfIsometricWeights,
+                             FunctionWeights, PolyRule, Prop51Weights,
+                             TkinfIsometricWeights,
                              WeightSystem,
                              boundedness_estimate, cauchy_dual, ex52_weights,
                              family_root, is_balanced, is_norm_increasing,
@@ -27,6 +28,17 @@ EX52 = ex52_weights()
 
 # ---------------------------------------------------------------------------
 # polynomial rules
+
+
+coeff = st.floats(min_value=1e-3, max_value=1e3)
+rule = st.builds(PolyRule, coeff, st.dictionaries(st.integers(-20, 40), coeff, max_size=6))
+
+
+@given(rule, rule, st.integers(-10, 10), st.integers(0, 30), st.integers(0, 30))
+def test_p_row_is_p_along_the_diagonal(a, b, m, x, count):
+    ws = Prop51Weights(a, b)
+    row = ws.p_row(m, x, count)
+    assert [q.hex() for q in row] == [ws.p(m + i, x + i).hex() for i in range(count)]
 
 
 def test_polyrule_basics():
