@@ -12,8 +12,9 @@ class NeumaierSum:
 
     Tracks the running sum, the correction term, and the sum of absolute
     values, from which a conservative first-order rounding bound follows.
-    `add` takes one value; `extend` takes many in one pass with the same
-    steps in the same order, so both leave bit-identical state.
+    `extend` holds the one spelling of the compensated step and takes many
+    values in one pass; `add` is `extend` of a single value, for callers
+    that read the running sum after each term.
     """
 
     def __init__(self) -> None:
@@ -22,16 +23,10 @@ class NeumaierSum:
         self.abs_total = 0.0
 
     def add(self, value: float) -> None:
-        self.abs_total += abs(value)
-        t = self.total + value
-        if abs(self.total) >= abs(value):
-            self.compensation += (self.total - t) + value
-        else:
-            self.compensation += (value - t) + self.total
-        self.total = t
+        self.extend((value,))
 
     def extend(self, values) -> None:
-        """`add` each value in turn, with the running state held in locals."""
+        """Add each value in turn, with the running state held in locals."""
         total, comp, abs_total = self.total, self.compensation, self.abs_total
         for value in values:
             abs_total += abs(value)

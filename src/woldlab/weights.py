@@ -145,7 +145,13 @@ class Prop51Weights(WeightSystem):
         return 1.0 + self.a(m) * x + self.b(m) * x * x
 
     def p_row(self, m: int, x: int, count: int) -> list:
-        """[p(m + i, x + i) for i < count], each rule's table and default read once."""
+        """[p(m + i, x + i) for i < count], each rule's table and default read once.
+
+        Both `m` and `x` step along the row, so this is not a pair of `p`
+        values at one `m` as `weight` needs. The expression mirrors `p` (and
+        `log_weight`) term for term, so the floats are the same;
+        `test_p_row_is_p_along_the_diagonal` holds the two together.
+        """
         a_get, a_default = self.a.table.get, self.a.default
         b_get, b_default = self.b.table.get, self.b.default
         return [1.0 + a_get(k, a_default) * y + b_get(k, b_default) * y * y
