@@ -217,15 +217,18 @@ class TqbKernel(TreeKernel):
         if v[0] < 0:
             raise UnknownVertexError(f"{v!r} has negative ray coordinate")
 
+    # every walker step: test inline with _check's conditions, call it to raise
     def children(self, v):
-        self._check(v)
+        if not (isinstance(v, tuple) and len(v) == 2) or v[0] < 0:
+            self._check(v)
         n, m = v
         if n == 0:
             return ((0, m - 1), (1, m))
         return ((n + 1, m),)
 
     def parent(self, v):
-        self._check(v)
+        if not (isinstance(v, tuple) and len(v) == 2) or v[0] < 0:
+            self._check(v)
         n, m = v
         if n == 0:
             return (0, m + 1)
@@ -419,11 +422,13 @@ def descend(kernel: TreeKernel, frontier, depth: int, budget: Budget,
     shift-power norms and the series term stream all descend here; windows,
     which keep every level, take one plain pass in `window_depth_classes`.
     """
+    children = kernel.children
     for _ in range(depth):
         nxt = []
+        append = nxt.append
         for u, acc in frontier:
-            for c in kernel.children(u):
-                nxt.append((c, acc + log_weight(c)))
+            for c in children(u):
+                append((c, acc + log_weight(c)))
         budget.charge(len(nxt))
         frontier = nxt
     return frontier

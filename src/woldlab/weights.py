@@ -168,8 +168,9 @@ class Prop51Weights(WeightSystem):
     def log_weight(self, v) -> float:
         n, m = v
         if n >= 2:
-            # p(m, x) inlined with a(m) and b(m) read once; same expression order
-            a, b, x1, x2 = self.a(m), self.b(m), n - 1, n - 2
+            # p(m, x) inlined, rules read as in p_row; same expression order
+            ra, rb, x1, x2 = self.a, self.b, n - 1, n - 2
+            a, b = ra.table.get(m, ra.default), rb.table.get(m, rb.default)
             return 0.5 * (math.log(1.0 + a * x1 + b * x1 * x1)
                           - math.log(1.0 + a * x2 + b * x2 * x2))
         if m >= 1:
@@ -304,16 +305,21 @@ class CauchyDualWeights(WeightSystem):
             u = self.kernel.parent(v)
             kids = self.kernel.children(u)
             Budget.current().charge(len(kids))
-            logs = [own if c == v else self.primal.log_weight(c) for c in kids]
-            norm = math.fsum([math.exp(2.0 * lw) for lw in logs])
+            if len(kids) == 1:
+                # the lone sibling is v (the kernel contract puts v in
+                # children(par v)), and math.fsum of one value is that value
+                norm = math.exp(2.0 * own)
+            else:
+                logs = [own if c == v else self.primal.log_weight(c) for c in kids]
+                norm = math.fsum([math.exp(2.0 * lw) for lw in logs])
             if norm < self.eps:
                 raise DegenerateNormError(
                     f"one-step norm at {u!r} fell below {self.eps}; dual undefined")
             log_norm = math.log(norm)
-            cache = self._log_cache
-            for c, lw in zip(kids, logs):
-                cache[c] = lw - log_norm
-            hit = own - log_norm
+            hit = self._log_cache[v] = own - log_norm
+            if len(kids) > 1:
+                for c, lw in zip(kids, logs):
+                    self._log_cache[c] = lw - log_norm
         return hit
 
 

@@ -58,6 +58,13 @@ def test_tqb_structure():
         TQB.parent((-1, 0))
 
 
+@pytest.mark.parametrize("step", ["children", "parent"])
+@pytest.mark.parametrize("bad", [(-1, 0), (-3, 7), (0,), (0, 0, 0), [0, 0], "0,0", None])
+def test_tqb_steps_reject_unknown_vertices(step, bad):
+    with pytest.raises(UnknownVertexError):
+        getattr(TQB, step)(bad)
+
+
 def test_tkinf_structure():
     assert TK3.children((-2, 0)) == ((-1, 0),)
     assert set(TK3.children((0, 0))) == {(1, 1), (1, 2), (1, 3)}

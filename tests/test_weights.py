@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from woldlab.errors import (DegenerateNormError, MissingWeightError,
                             UnknownVertexError)
-from woldlab.tree_core import TkInfKernel, TqbKernel, Window, ZPathKernel, par_n
+from woldlab.tree_core import (TkInfKernel, TqbKernel, Window, ZPathKernel,
+                               operation, par_n)
 from woldlab.weights import (CauchyDualWeights, ConstantWeights,
                              FunctionWeights, PolyRule, Prop51Weights,
                              TkinfIsometricWeights,
@@ -39,6 +40,13 @@ def test_p_row_is_p_along_the_diagonal(a, b, m, x, count):
     ws = Prop51Weights(a, b)
     row = ws.p_row(m, x, count)
     assert [q.hex() for q in row] == [ws.p(m + i, x + i).hex() for i in range(count)]
+
+
+@given(rule, rule, st.integers(2, 60), st.integers(-25, 45))
+def test_log_weight_is_half_the_log_ratio_of_p(a, b, n, m):
+    ws = Prop51Weights(a, b)
+    want = 0.5 * (math.log(ws.p(m, n - 1)) - math.log(ws.p(m, n - 2)))
+    assert ws.log_weight((n, m)).hex() == want.hex()
 
 
 def test_polyrule_basics():
@@ -181,6 +189,21 @@ def test_dual_miss_fills_the_siblings():
     dual.log_weight((1, 5))
     assert set(dual._log_cache) == {(1, 5), (0, 4)}    # the children of (0, 5)
     assert dual.log_weight((0, 4)) == cauchy_dual(ex52_weights(), TQB).log_weight((0, 4))
+
+
+# (3, 2) is the lone child of (2, 2); (1, 4) shares the spine vertex (0, 4)
+@pytest.mark.parametrize("v, siblings", [((3, 2), [(3, 2)]),
+                                         ((1, 4), [(0, 3), (1, 4)])])
+def test_dual_miss_charges_and_fills_its_sibling_set(v, siblings):
+    primal = ex52_weights()
+    dual = cauchy_dual(primal, TQB)
+    with operation() as budget:
+        dual.log_weight(v)
+        assert budget.used == len(siblings)
+    assert sorted(dual._log_cache) == siblings
+    norm = shift_norm_sq(primal, TQB, TQB.parent(v))
+    for c in siblings:
+        assert dual._log_cache[c].hex() == (primal.log_weight(c) - math.log(norm)).hex()
 
 
 def test_one_live_dual_per_weight_system_and_kernel():
