@@ -224,6 +224,17 @@ def ker_adjoint_local_basis(ws: WeightSystem, kernel: TreeKernel, v) -> list[Spa
     return [SparseVector(dict(zip(kids, b))) for b in basis]
 
 
+def shifted_kernel_vectors(ws: WeightSystem, kernel: TreeKernel, verts, n_max: int):
+    """Yield (v, idx, j, S^j f) for each v in `verts`, f the idx-th vector of
+    its `ker_adjoint_local_basis`, and j = 0, ..., n_max, in that order."""
+    for v in verts:
+        for idx, vec in enumerate(ker_adjoint_local_basis(ws, kernel, v)):
+            yield v, idx, 0, vec
+            for j in range(1, n_max + 1):
+                vec = apply_shift(ws, kernel, vec)
+                yield v, idx, j, vec
+
+
 @dataclass
 class WanderingReport:
     verdict: str                     # "pass" | "fail" | "precondition_violation"
@@ -263,13 +274,7 @@ def wandering_orthogonality_check(ws: WeightSystem, kernel: TreeKernel, window: 
                                n_max, tol, witness=bal.witness,
                                note=f"weights not balanced on window ({bal.verdict})")
     verts = window_vertices(kernel, window)
-    family: list[tuple[int, SparseVector]] = []
-    for v in verts:
-        for vec in ker_adjoint_local_basis(ws, kernel, v):
-            family.append((0, vec))
-            for j in range(1, n_max + 1):
-                vec = apply_shift(ws, kernel, vec)
-                family.append((j, vec))
+    family = [(j, vec) for _, _, j, vec in shifted_kernel_vectors(ws, kernel, verts, n_max)]
     max_pair = 0.0
     witness = None
     for a in range(len(family)):

@@ -13,7 +13,6 @@ are verified in-run before being extrapolated.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -50,41 +49,36 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v):
 
     rel_log is log of the moment ratio lambda^(n)(u) / lambda^(n)(v) for
     u in A(v, n).  A(v, n) and its (u, log moment) pairs depend on v only
-    through top = par^(n-1)(v), so each shell is memoized on the weight
-    system per (kernel, top, n) and shared by every same-generation vertex;
-    memo hits are free.  Shells under one top form a ladder: A(v, n) =
-    Chi^(n-j)(A(par^(n-j)(v), j)), with the logs accumulating in the same
-    order, so a miss descends the remaining n - j levels from the deepest
-    stored rung j < n (found in a sorted depth index per (kernel, top)) and
-    walks down from the top only when no rung exists.  A stream at par(v)
-    run before the one at v thus leaves v one level per generation to walk.
-    Misses charge the operation's budget.  The memos hold lists only (a
-    stored generator would tie the weight system into a reference cycle).
+    through top = par^(n-1)(v), so each shell is memoized per top and n,
+    in the operation's memos for (ws, kernel), and shared by every
+    same-generation vertex; memo hits are free.  Shells under one top form
+    a ladder: A(v, n) = Chi^(n-j)(A(par^(n-j)(v), j)), with the logs
+    accumulating in the same order, so a miss descends the remaining n - j
+    levels from the deepest stored rung j < n and walks down from the top
+    only when no rung exists.  A stream at par(v) run before the one at v
+    thus leaves v one level per generation to walk.  The memos are bound
+    when iteration starts, so a stream outside any operation keeps its own;
+    each miss charges the budget of the operation it runs in.
     """
     yield 0, [(v, 0.0)]
-    shells = vars(ws).setdefault("_shells", {})
-    rungs = vars(ws).setdefault("_rungs", {})   # (kernel, top) -> sorted depths
+    ladders = Budget.current().memos.setdefault(("shells", ws, kernel), {})
     top = v          # par^(n-1)(v) while producing generation n
     base_log = 0.0   # log moment of v at order n, updated incrementally
     n = 1
     while True:
         base_log += ws.log_weight(top)
         up = kernel.parent(top)
-        key = (kernel, top, n)
-        members = shells.get(key)
+        ladder = ladders.setdefault(top, {})     # n -> A(v, n) under this top
+        members = ladder.get(n)
         if members is None:
             budget = Budget.current()
             budget.charge()
-            depths = rungs.setdefault((kernel, top), [])
-            i = bisect_left(depths, n)
-            if i:
-                j = depths[i - 1]
-                members = descend(kernel, shells[kernel, top, j], n - j, budget,
-                                  ws.log_weight)
+            j = max((k for k in ladder if k < n), default=0)
+            if j:
+                members = descend(kernel, ladder[j], n - j, budget, ws.log_weight)
             else:
                 members = shell(kernel, top, up, n, budget, ws.log_weight)
-            shells[key] = members
-            depths.insert(i, n)
+            ladder[n] = members
         yield n, [(u, acc - base_log) for u, acc in members]
         top = up
         n += 1

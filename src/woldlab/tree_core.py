@@ -36,11 +36,14 @@ def vertex_cap() -> int:
 
 
 class Budget:
-    """Counts vertices touched by one logical operation against the cap."""
+    """Counts vertices touched by one logical operation against the cap, and
+    holds the operation's memos (shell ladders, Cauchy duals), which die
+    with it."""
 
     def __init__(self) -> None:
         self.cap = vertex_cap()
         self.used = 0
+        self.memos: dict = {}
 
     def charge(self, k: int = 1) -> None:
         self.used += k
@@ -57,7 +60,7 @@ class Budget:
 def operation():
     """Scope of one logical operation, also usable as a decorator.  The
     outermost scope builds one `Budget`, reading the cap once; every walk
-    inside charges it, and nested scopes join it."""
+    inside charges it, and nested scopes join it and share its memos."""
     token = None if _operation_budget.get() else _operation_budget.set(Budget())
     try:
         yield _operation_budget.get()
@@ -256,14 +259,11 @@ class AdjacencyKernel(TreeKernel):
 
     name = "file"
 
-    def __init__(self, children_map, boundary, order):
+    def __init__(self, children_map, parent_map, boundary, order):
         self._children = children_map
+        self._parent = parent_map
         self._boundary = frozenset(boundary)
         self._order = tuple(order)
-        self._parent = {}
-        for v, kids in children_map.items():
-            for c in kids:
-                self._parent[c] = v
         self.params = {"vertices": len(order), "boundary": sorted(self._boundary)}
 
     def children(self, v):
@@ -301,15 +301,9 @@ def load_adjacency(text: str) -> AdjacencyKernel:
     no cycles, and no leaves or missing parents away from the boundary.
     """
     children_map: dict[str, tuple[str, ...]] = {}
+    parent_of: dict[str, str] = {}
     boundary: set[str] = set()
-    order: list[str] = []
-    ordered: set[str] = set()
-    seen_children: set[str] = set()
-
-    def note(token: str) -> None:
-        if token not in ordered:
-            ordered.add(token)
-            order.append(token)
+    order: dict[str, None] = {}     # every token, in first-mention order
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -332,23 +326,21 @@ def load_adjacency(text: str) -> AdjacencyKernel:
         for c in kids:
             if c == v:
                 raise MalformedTreeError(f"line {lineno}: self-loop at {v!r}")
-            if c in seen_children:
+            if c in parent_of:
                 raise MalformedTreeError(
                     f"line {lineno}: {c!r} already has a parent (trees have unique parents)"
                 )
-            seen_children.add(c)
+            parent_of[c] = v
         if len(set(kids)) != len(kids):
             raise MalformedTreeError(f"line {lineno}: repeated child under {v!r}")
         children_map[v] = kids
-        note(v)
-        for c in kids:
-            note(c)
+        order.update(dict.fromkeys((v, *kids)))     # a known token keeps its place
 
     if not children_map:
         raise MalformedTreeError("adjacency text declares no vertices")
 
-    declared = set(children_map)
-    mentioned = declared | seen_children
+    declared = children_map.keys()
+    mentioned = order.keys()
     for v in boundary:
         if v not in mentioned:
             raise MalformedTreeError(f"boundary vertex {v!r} never appears in the tree")
@@ -363,14 +355,10 @@ def load_adjacency(text: str) -> AdjacencyKernel:
 
     # Rootless away from the boundary: every declared vertex needs a parent.
     for v in children_map:
-        if v not in seen_children and v not in boundary:
+        if v not in parent_of and v not in boundary:
             raise MalformedTreeError(f"vertex {v!r} has no parent and is not on the boundary")
 
     # Acyclic: following parents from any vertex must leave the finite window.
-    parent_of = {}
-    for v, kids in children_map.items():
-        for c in kids:
-            parent_of[c] = v
     for start in children_map:
         cur, steps = start, 0
         while cur in parent_of:
@@ -380,7 +368,7 @@ def load_adjacency(text: str) -> AdjacencyKernel:
                 raise MalformedTreeError(f"parent chain from {start!r} never terminates (cycle)")
 
     # Order stays deterministic: first-mention order from the file.
-    return AdjacencyKernel(children_map, boundary, order)
+    return AdjacencyKernel(children_map, parent_of, boundary, order)
 
 
 BUILTIN_TREES = ("zpath", "tkinf", "tqb")

@@ -10,12 +10,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-import weakref
 from dataclasses import dataclass
 
 from .errors import DegenerateNormError, MissingWeightError
 from .tree_core import (Budget, TkInfKernel, TreeKernel, Window, descend,
                         same_generation, window_depth_classes, window_vertices)
+
+NORM_FLOOR = 1e-12      # one-step norms below this: not left-invertible
 
 
 class WeightSystem:
@@ -284,10 +285,9 @@ class CauchyDualWeights(WeightSystem):
     whole sibling set from the one parent norm it computes.  `weight` reads
     the same memo."""
 
-    def __init__(self, primal: WeightSystem, kernel: TreeKernel, eps: float = 1e-12) -> None:
+    def __init__(self, primal: WeightSystem, kernel: TreeKernel) -> None:
         self.primal = primal
         self.kernel = kernel
-        self.eps = eps
         self.dual_depth = primal.dual_depth + 1
         self.name = primal.name
         self.params = {"dual_of": primal.name, "dual_depth": self.dual_depth, **primal.params}
@@ -312,9 +312,9 @@ class CauchyDualWeights(WeightSystem):
             else:
                 logs = [own if c == v else self.primal.log_weight(c) for c in kids]
                 norm = math.fsum([math.exp(2.0 * lw) for lw in logs])
-            if norm < self.eps:
+            if norm < NORM_FLOOR:
                 raise DegenerateNormError(
-                    f"one-step norm at {u!r} fell below {self.eps}; dual undefined")
+                    f"one-step norm at {u!r} fell below {NORM_FLOOR}; dual undefined")
             log_norm = math.log(norm)
             hit = self._log_cache[v] = own - log_norm
             if len(kids) > 1:
@@ -323,18 +323,17 @@ class CauchyDualWeights(WeightSystem):
         return hit
 
 
-def cauchy_dual(ws: WeightSystem, kernel: TreeKernel, eps: float = 1e-12) -> CauchyDualWeights:
-    """Dual weight system.  While a dual of ws for (kernel, eps) is alive,
-    every call returns that one object, so its callers share one log cache
-    and one shell memo; ws holds it weakly, which keeps the pair free of a
-    reference cycle.  Applying the dual twice recomputes the original
-    numerically; the round trip is a checked property, not a shortcut."""
-    duals = vars(ws).get("_duals")
-    if duals is None:
-        duals = ws._duals = weakref.WeakValueDictionary()
-    dual = duals.get((kernel, eps))
+def cauchy_dual(ws: WeightSystem, kernel: TreeKernel) -> CauchyDualWeights:
+    """Dual weight system, one per (ws, kernel) within an operation: its
+    callers share one log cache and one shell memo, and the operation's
+    memos hold it.  Outside any operation each call builds a fresh dual.
+    Applying the dual twice recomputes the original numerically; the round
+    trip is a checked property, not a shortcut."""
+    memos = Budget.current().memos
+    key = ("dual", ws, kernel)
+    dual = memos.get(key)
     if dual is None:
-        dual = duals[kernel, eps] = CauchyDualWeights(ws, kernel, eps)
+        dual = memos[key] = CauchyDualWeights(ws, kernel)
     return dual
 
 

@@ -15,13 +15,12 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DegenerateNormError, PreconditionError, UnknownVertexError
-from .operator import (apply_adjoint, apply_shift, inner,
-                       ker_adjoint_local_basis)
+from .operator import apply_adjoint, apply_shift, inner, shifted_kernel_vectors
 from .series import (SeriesConfig, SeriesVerdict, alpha_verdict, g_vector,
                      hyperrange_recurrence_check)
 from .tree_core import BilateralPath, TreeKernel, Window, operation, window_vertices
-from .weights import (WeightSystem, boundedness_estimate, cauchy_dual,
-                      is_balanced, shift_norm_sq)
+from .weights import (NORM_FLOOR, WeightSystem, boundedness_estimate,
+                      cauchy_dual, is_balanced, shift_norm_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +136,7 @@ def wold_verdict(ws: WeightSystem, kernel: TreeKernel, window: Window,
     cfg = config or SeriesConfig()
     verts = window_vertices(kernel, window)
     floor = min(shift_norm_sq(ws, kernel, v) for v in verts)
-    if floor < 1e-12:
+    if floor < NORM_FLOOR:
         raise DegenerateNormError(
             f"one-step norm floor {floor:.3e} on the window; shift is not left-invertible")
     base = window.base
@@ -376,15 +375,11 @@ def _coverage_gram(ws, kernel, window, gs, n_max, tol):
         r = g.vector.restrict(win)
         if r.norm_sq() > 0.0:
             members.append((("g", m), r.scale(1.0 / r.norm())))
-    for v in sorted(win, key=kernel.format_vertex):
-        for idx, f in enumerate(ker_adjoint_local_basis(ws, kernel, v)):
-            vec = f
-            for j in range(n_max + 1):
-                r = vec.restrict(win)
-                if r.norm_sq() > 0.0:
-                    members.append((("w", kernel.format_vertex(v), idx, j),
-                                    r.scale(1.0 / r.norm())))
-                vec = apply_shift(ws, kernel, vec)
+    verts = sorted(win, key=kernel.format_vertex)
+    for v, idx, j, vec in shifted_kernel_vectors(ws, kernel, verts, n_max):
+        r = vec.restrict(win)
+        if r.norm_sq() > 0.0:
+            members.append((("w", kernel.format_vertex(v), idx, j), r.scale(1.0 / r.norm())))
     dim = len(members)
     gram = np.eye(dim)
     for i in range(dim):

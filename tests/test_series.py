@@ -20,7 +20,7 @@ from woldlab.series import (ANALYTIC_TERMS, SeriesConfig, SeriesVerdict,
                             alpha_partial, alpha_terms, alpha_verdict, g_vector,
                             generation_stream, hyperrange_recurrence_check)
 from woldlab.tree_core import (BilateralPath, Budget, TkInfKernel, TqbKernel,
-                               ZPathKernel, enum_A_definitional)
+                               ZPathKernel, enum_A_definitional, operation)
 from woldlab.weights import (ConstantWeights, FunctionWeights, PolyRule,
                              Prop51Weights, TkinfIsometricWeights, cauchy_dual,
                              ex52_weights, moment_log)
@@ -139,37 +139,53 @@ def test_interleaved_term_iterators_share_the_memo_exactly(kind, group, data, sc
     # iterators over same-generation bases interleave on one weight system,
     # so each reads shells the others walked
     bases = data.draw(st.lists(st.sampled_from(group), min_size=2, max_size=3))
-    ws = fresh_system(kind)
-    iters = [alpha_terms(ws, TQB, v) for v in bases]
-    seen = [0] * len(bases)
-    for pick in schedule:
-        i = pick % len(bases)
-        if seen[i] == MEMO_DEPTH:
-            continue
-        n, t = next(iters[i])
-        assert n == seen[i]
-        assert t == REFERENCE_TERMS[(kind, bases[i])][n]   # bit-identical
-        seen[i] += 1
+    with operation():           # one operation: one memo for all the iterators
+        ws = fresh_system(kind)
+        iters = [alpha_terms(ws, TQB, v) for v in bases]
+        seen = [0] * len(bases)
+        for pick in schedule:
+            i = pick % len(bases)
+            if seen[i] == MEMO_DEPTH:
+                continue
+            n, t = next(iters[i])
+            assert n == seen[i]
+            assert t == REFERENCE_TERMS[(kind, bases[i])][n]   # bit-identical
+            seen[i] += 1
 
 
 def test_term_memo_keeps_no_reference_cycle():
     gc.disable()
     try:
         primal = ex52_weights()
-        dual = cauchy_dual(primal, TQB)
+        attrs = dict(vars(primal))
         cfg = SeriesConfig(n_max=60, use_plugins=False)
-        alpha_verdict(dual, TQB, (0, 0))
-        alpha_verdict(dual, TQB, (1, 1), cfg)
-        alpha_verdict(dual, TQB, (1, 0), cfg)     # climbs the rungs (0, 0) left
-        alpha_verdict(primal, TQB, (1, 1), cfg)
-        assert vars(primal)["_shells"] and vars(dual)["_shells"]
-        assert vars(primal)["_rungs"] and vars(dual)["_rungs"]
-        assert cauchy_dual(primal, TQB) is dual and len(vars(primal)["_duals"]) == 1
+        with operation() as op:
+            dual = cauchy_dual(primal, TQB)
+            alpha_verdict(dual, TQB, (0, 0))
+            alpha_verdict(dual, TQB, (1, 1), cfg)
+            alpha_verdict(dual, TQB, (1, 0), cfg)     # climbs the rungs (0, 0) left
+            alpha_verdict(primal, TQB, (1, 1), cfg)
+            assert op.memos["shells", primal, TQB] and op.memos["shells", dual, TQB]
+            assert cauchy_dual(primal, TQB) is dual is op.memos["dual", primal, TQB]
+        assert vars(primal) == attrs            # the memos died with the operation
         refs = weakref.ref(primal), weakref.ref(dual)
-        del primal, dual
+        del primal, dual, op, attrs
         assert refs[0]() is None and refs[1]() is None
     finally:
         gc.enable()
+
+
+def test_charges_do_not_depend_on_earlier_operations():
+    primal = ex52_weights()
+    attrs = dict(vars(primal))
+    cfg = SeriesConfig(n_max=60, use_plugins=False)
+    used = []
+    for _ in range(2):
+        with operation() as b:
+            alpha_verdict(primal, TQB, (0, 0), cfg)
+        used.append(b.used)
+    assert used[0] == used[1] > 0
+    assert vars(primal) == attrs
 
 
 class CountingTqb(TqbKernel):
@@ -197,45 +213,49 @@ def test_memo_hits_are_free_and_dual_misses_charge_their_siblings(monkeypatch):
     real = Budget.charge
     monkeypatch.setattr(Budget, "charge",
                         lambda self, k=1: (charged.append(k), real(self, k)))
-    dual = cauchy_dual(ex52_weights(), TQB)
-    dual.log_weight((1, 5))
-    assert charged == [2]       # the children of (0, 5)
-    verdict = alpha_verdict(dual, TQB, (0, 0))
-    charged.clear()
-    assert alpha_verdict(dual, TQB, (0, 0)) == verdict
-    assert charged == []
+    with operation():
+        dual = cauchy_dual(ex52_weights(), TQB)
+        dual.log_weight((1, 5))
+        assert charged == [2]       # the children of (0, 5)
+        verdict = alpha_verdict(dual, TQB, (0, 0))
+        charged.clear()
+        assert alpha_verdict(dual, TQB, (0, 0)) == verdict
+        assert charged == []
 
 
 def test_partial_then_verdict_enumerates_each_generation_once():
     N = 40
-    once = CountingTqb()
-    # generations 0..N and not one more; a dual miss lists its siblings once
-    list(islice(generation_stream(cauchy_dual(ex52_weights(), once), once, (0, 0)), N + 1))
-    assert once.children_calls == 1640
-    k = CountingTqb()
-    dual = cauchy_dual(ex52_weights(), k)
-    table = alpha_partial(dual, k, (0, 0), N)
-    verdict = alpha_verdict(dual, k, (0, 0), SeriesConfig(n_max=N, use_plugins=False))
-    assert k.children_calls == once.children_calls
-    assert verdict.n_used == N and len(table.terms) == N + 1
+    with operation():
+        once = CountingTqb()
+        # generations 0..N and not one more; a dual miss lists its siblings once
+        list(islice(generation_stream(cauchy_dual(ex52_weights(), once), once, (0, 0)),
+                    N + 1))
+        assert once.children_calls == 1640
+        k = CountingTqb()
+        dual = cauchy_dual(ex52_weights(), k)
+        table = alpha_partial(dual, k, (0, 0), N)
+        verdict = alpha_verdict(dual, k, (0, 0), SeriesConfig(n_max=N, use_plugins=False))
+        assert k.children_calls == once.children_calls
+        assert verdict.n_used == N and len(table.terms) == N + 1
 
 
 def test_same_generation_verdict_walks_only_its_own_shells():
     N = 40
     cfg = SeriesConfig(n_max=N, use_plugins=False)
     k = CountingTqb()
-    dual = cauchy_dual(ex52_weights(), k)
-    alpha_verdict(dual, k, (0, 0), cfg)
-    shells, calls = vars(dual)["_shells"], k.children_calls
-    walked = len(shells)
-    # par^2 (2, 2) = par^2 (0, 0): only A((2, 2), 1) and A((2, 2), 2) are new
-    second = alpha_verdict(dual, k, (2, 2), cfg)
-    assert len(shells) - walked == 2
-    assert k.children_calls - calls == 3
-    fresh = cauchy_dual(ex52_weights(), TQB)
-    assert second == alpha_verdict(fresh, TQB, (2, 2), cfg)
-    assert (list(islice(alpha_terms(dual, k, (2, 2)), N + 1))
-            == list(islice(alpha_terms(fresh, TQB, (2, 2)), N + 1)))
+    with operation() as op:
+        dual = cauchy_dual(ex52_weights(), k)
+        alpha_verdict(dual, k, (0, 0), cfg)
+        ladders, calls = op.memos["shells", dual, k], k.children_calls
+        walked = sum(map(len, ladders.values()))
+        # par^2 (2, 2) = par^2 (0, 0): only A((2, 2), 1) and A((2, 2), 2) are new
+        second = alpha_verdict(dual, k, (2, 2), cfg)
+        assert sum(map(len, ladders.values())) - walked == 2
+        assert k.children_calls - calls == 3
+        fresh = cauchy_dual(ex52_weights(), TQB)
+        assert second == alpha_verdict(fresh, TQB, (2, 2), cfg)
+        assert (list(islice(alpha_terms(dual, k, (2, 2)), N + 1))
+                == list(islice(alpha_terms(fresh, TQB, (2, 2)), N + 1)))
 
 
 def bits(members):
@@ -245,16 +265,17 @@ def bits(members):
 def test_parent_stream_leaves_rungs_the_child_descends_from():
     N = 40
     k = CountingTqb()
-    dual = cauchy_dual(ex52_weights(), k)
-    list(islice(generation_stream(dual, k, (0, 1)), N + 1))
-    calls = k.children_calls
-    # par^(n-1)(0, 0) = par^(n-2)(0, 1): generation n descends one level from
-    # the stored A((0, 1), n - 1)
-    laddered = [bits(m) for _, m in islice(generation_stream(dual, k, (0, 0)), N + 1)]
-    assert k.children_calls - calls == 80       # a fresh walk makes 1640
-    fresh = cauchy_dual(ex52_weights(), TQB)
-    assert laddered == [bits(m) for _, m in
-                        islice(generation_stream(fresh, TQB, (0, 0)), N + 1)]
+    with operation():
+        dual = cauchy_dual(ex52_weights(), k)
+        list(islice(generation_stream(dual, k, (0, 1)), N + 1))
+        calls = k.children_calls
+        # par^(n-1)(0, 0) = par^(n-2)(0, 1): generation n descends one level
+        # from the stored A((0, 1), n - 1)
+        laddered = [bits(m) for _, m in islice(generation_stream(dual, k, (0, 0)), N + 1)]
+        assert k.children_calls - calls == 80       # a fresh walk makes 1640
+        fresh = cauchy_dual(ex52_weights(), TQB)
+        assert laddered == [bits(m) for _, m in
+                            islice(generation_stream(fresh, TQB, (0, 0)), N + 1)]
 
 
 # ---------------------------------------------------------------------------
