@@ -19,8 +19,9 @@ from .operator import apply_adjoint, apply_shift, inner, shifted_kernel_vectors
 from .series import (SeriesConfig, SeriesVerdict, alpha_verdict, g_vector,
                      hyperrange_recurrence_check)
 from .tree_core import BilateralPath, TreeKernel, Window, operation, window_vertices
-from .weights import (NORM_FLOOR, WeightSystem, boundedness_estimate,
-                      cauchy_dual, is_balanced, shift_norm_sq)
+from .weights import (NORM_FLOOR, BalancedReport, WeightSystem,
+                      boundedness_estimate, cauchy_dual, is_balanced,
+                      shift_norm_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +116,81 @@ class WoldVerdict:
         }
 
 
+# Each structural finding: (outcome when every ingredient read is
+# definitive, note then, note when some ingredient is heuristic).  A dual
+# that converges where the primal diverges lacks the wandering property.
+FINDINGS = {
+    "case i": ("HasWold_case_i", "", "likely HasWold_case_i (heuristic series evidence)"),
+    "dual converges": ("NoWold", "", "likely NoWold (heuristic series evidence)"),
+    "case ii": ("HasWold_case_ii", "", "likely HasWold_case_ii (heuristic series evidence)"),
+    "relation fails": ("NoWold", "weight relation fails",
+                       "likely NoWold (weight relation fails on heuristic values)"),
+    "unbalanced": ("NoWold", "not balanced",
+                   "likely NoWold (unbalanced, heuristic series evidence)"),
+}
+
+
+def _clash(a: SeriesVerdict, b: SeriesVerdict) -> bool:
+    return {a.kind, b.kind} == {"converged", "diverged"}
+
+
+def outcome_of(primal: SeriesVerdict, dual: SeriesVerdict | None, alphas: list,
+               relation: WeightRelationReport | None, balance: BalancedReport | None,
+               spots: list) -> tuple[str, str, str, list]:
+    """(outcome, method, note, witnesses) of a verdict from its ingredients.
+
+    `primal` is the base series verdict and `dual` the base dual's (None
+    unless the primal diverged); `alphas` holds every window verdict the
+    case (ii) split read, and `relation` and `balance` are None unless all
+    of them converged.  `spots` pairs each pick's primal verdict with its
+    dual verdict or None.  A finding is analytic only when every ingredient
+    it read is definitive; a definitive pick that clashes with the base
+    downgrades a definitive answer, with the last such pick as witness.
+    """
+    def undecided(note, witnesses=()):
+        return "Inconclusive", "heuristic", note, list(witnesses)
+
+    witnesses = []
+    if primal.kind == "inconclusive":
+        return undecided("primal series undecided")
+    if primal.kind == "diverged":
+        if dual.kind == "inconclusive":
+            return undecided("dual series undecided")
+        finding = "case i" if dual.kind == "diverged" else "dual converges"
+        read = (primal, dual)
+    else:
+        kinds = {a.kind for a in alphas}
+        if "inconclusive" in kinds:
+            return undecided("some window series undecided")
+        if "diverged" in kinds:
+            return undecided("bug-level inconsistency: convergence split across the window",
+                             [next(a.vertex for a in alphas if a.kind == "diverged")])
+        if not relation.passed:
+            finding = "relation fails"
+            witnesses.append(relation.witness)
+        elif balance.verdict == "not_balanced":
+            finding = "unbalanced"
+            witnesses.extend(balance.witness[:2])
+        elif balance.verdict == "balanced":
+            finding = "case ii"
+        else:
+            return undecided("balancedness undecided")
+        read = alphas
+    outcome, sure, hedged = FINDINGS[finding]
+    if not all(a.definitive for a in read):
+        return "Inconclusive", "heuristic", hedged, witnesses
+    if finding == "dual converges":
+        witnesses.append(primal.vertex)
+    clashes = [s.vertex for s, sd in spots
+               if (s.definitive and _clash(s, primal))
+               or (sd is not None and sd.definitive and _clash(sd, dual))]
+    if clashes:
+        return ("Inconclusive", "heuristic",
+                f"downgraded: definitive series disagreement at {clashes[-1]!r}",
+                [*witnesses, clashes[-1]])
+    return outcome, "analytic", sure, witnesses
+
+
 @operation()
 def wold_verdict(ws: WeightSystem, kernel: TreeKernel, window: Window,
                  config: SeriesConfig | None = None, seed: int = 0,
@@ -128,6 +204,8 @@ def wold_verdict(ws: WeightSystem, kernel: TreeKernel, window: Window,
     to 8 seeded random window vertices, since convergence is a property of
     the whole tree, not of the vertex; a definitive disagreement means the
     numerics cannot be trusted and the answer degrades to Inconclusive.
+    This function gathers the ingredients and their evidence; `outcome_of`
+    decides.
 
     Each series verdict is computed once, in window order (top first), so
     a vertex's parent is evaluated before it and its term stream climbs the
@@ -149,131 +227,52 @@ def wold_verdict(ws: WeightSystem, kernel: TreeKernel, window: Window,
     duals: dict = {}
     primal = primals[base]
     evidence: dict = {"alpha_primal": primal.to_json(kernel)}
-    witnesses: list = []
-    note = ""
+    alphas: list = []
+    rel = bal = None
 
-    if primal.kind == "inconclusive":
-        outcome, method = "Inconclusive", "heuristic"
-        note = "primal series undecided"
-    elif primal.kind == "diverged":
+    if primal.kind == "diverged":
         dual_ws = cauchy_dual(ws, kernel)
         duals = {v: alpha_verdict(dual_ws, kernel, v, cfg) for v in order}
-        dual_verdict = duals[base]
-        evidence["alpha_dual"] = dual_verdict.to_json(kernel)
-        both_definitive = primal.definitive and dual_verdict.definitive
-        if dual_verdict.kind == "diverged":
-            if both_definitive:
-                outcome, method = "HasWold_case_i", "analytic"
-            else:
-                outcome, method = "Inconclusive", "heuristic"
-                note = "likely HasWold_case_i (heuristic series evidence)"
-        elif dual_verdict.kind == "converged":
-            # analytic dual without the wandering property: no decomposition
-            if both_definitive:
-                outcome, method = "NoWold", "analytic"
-                witnesses.append(base)
-            else:
-                outcome, method = "Inconclusive", "heuristic"
-                note = "likely NoWold (heuristic series evidence)"
-        else:
-            outcome, method = "Inconclusive", "heuristic"
-            note = "dual series undecided"
-    else:
-        outcome, method, note, extra = _case_ii_branch(
-            ws, kernel, window, verts, primals, cfg, tol, witnesses)
-        evidence.update(extra)
+        evidence["alpha_dual"] = duals[base].to_json(kernel)
+    elif primal.kind == "converged":
+        need = set(verts)
+        for v in verts:
+            try:
+                need.add(kernel.parent(v))
+            except UnknownVertexError:
+                pass
+        # the top anchor's parent is the one vertex of `need` outside the window
+        for v in [*need.difference(verts), *verts]:
+            if v not in primals:
+                primals[v] = alpha_verdict(ws, kernel, v, cfg)
+        alpha_values = {v: primals[v] for v in need}
+        alphas = list(alpha_values.values())
+        evidence["alpha_window"] = {kernel.format_vertex(v): primals[v].to_json(kernel)
+                                    for v in sorted(need, key=kernel.format_vertex)}
+        if all(a.kind == "converged" for a in alphas):
+            rel = case_ii_weight_relation(ws, kernel, window, alpha_values, tol)
+            bal = is_balanced(ws, kernel, window)
+            evidence["weight_relation"] = {
+                "max_residual": rel.max_residual, "tol": rel.tol,
+                "allowance": rel.max_allowance, "checked": rel.checked,
+                "witness": kernel.format_vertex(rel.witness) if rel.witness is not None else None,
+            }
+            evidence["balanced"] = {"verdict": bal.verdict, "n_max": bal.n_max, "tol": bal.tol}
 
-    checks, downgrade, clash = _spot_checks(kernel, base, picks, primals, duals)
-    evidence["spot_checks"] = checks
-    if downgrade and outcome != "Inconclusive":
-        outcome, method = "Inconclusive", "heuristic"
-        note = f"downgraded: definitive series disagreement at {clash!r}"
-        witnesses.append(clash)
-    return WoldVerdict(base, outcome, method, evidence, witnesses, note)
-
-
-def _case_ii_branch(ws, kernel, window, verts, primals, cfg, tol, witnesses):
-    primal = primals[window.base]
-    need = set(verts)
-    for v in verts:
-        try:
-            need.add(kernel.parent(v))
-        except UnknownVertexError:
-            pass
-    # the top anchor's parent is the one vertex of `need` outside the window
-    for v in [*need.difference(verts), *verts]:
-        if v not in primals:
-            primals[v] = alpha_verdict(ws, kernel, v, cfg)
-    alpha_values = {v: primals[v] for v in need}
-    kinds = {a.kind for a in alpha_values.values()}
-    extra = {
-        "alpha_window": {kernel.format_vertex(v): a.to_json(kernel)
-                         for v, a in sorted(alpha_values.items(),
-                                            key=lambda kv: kernel.format_vertex(kv[0]))},
-    }
-    if "inconclusive" in kinds:
-        return "Inconclusive", "heuristic", "some window series undecided", extra
-    if "diverged" in kinds:
-        bad = next(v for v, a in alpha_values.items() if a.kind == "diverged")
-        witnesses.append(bad)
-        return ("Inconclusive", "heuristic",
-                "bug-level inconsistency: convergence split across the window", extra)
-
-    rel = case_ii_weight_relation(ws, kernel, window, alpha_values, tol)
-    bal = is_balanced(ws, kernel, window)
-    extra["weight_relation"] = {
-        "max_residual": rel.max_residual, "tol": rel.tol,
-        "allowance": rel.max_allowance, "checked": rel.checked,
-        "witness": kernel.format_vertex(rel.witness) if rel.witness is not None else None,
-    }
-    extra["balanced"] = {"verdict": bal.verdict, "n_max": bal.n_max, "tol": bal.tol}
-
-    all_analytic = (primal.definitive
-                    and all(a.definitive for a in alpha_values.values()))
-    if rel.passed and bal.verdict == "balanced":
-        if all_analytic:
-            return "HasWold_case_ii", "analytic", "", extra
-        return ("Inconclusive", "heuristic",
-                "likely HasWold_case_ii (heuristic series evidence)", extra)
-    if not rel.passed:
-        witnesses.append(rel.witness)
-        if all_analytic:
-            return "NoWold", "analytic", "weight relation fails", extra
-        return ("Inconclusive", "heuristic",
-                "likely NoWold (weight relation fails on heuristic values)", extra)
-    if bal.verdict == "not_balanced":
-        witnesses.extend(bal.witness[:2])
-        if all_analytic:
-            return "NoWold", "analytic", "not balanced", extra
-        return ("Inconclusive", "heuristic",
-                "likely NoWold (unbalanced, heuristic series evidence)", extra)
-    return "Inconclusive", "heuristic", "balancedness undecided", extra
-
-
-def _spot_checks(kernel, base, picks, primals, duals):
-    """Rows in pick order against the base verdicts; the last definitive
-    clash is the witness.  `duals` is empty unless the base diverged."""
-    primal, dual_verdict = primals[base], duals.get(base)
-    checks = []
-    downgrade, clash = False, None
-
-    def clashes(a: SeriesVerdict, b: SeriesVerdict) -> bool:
-        return {a.kind, b.kind} == {"converged", "diverged"}
-
+    rows = []
     for v in picks:
         s = primals[v]
         row = {"vertex": kernel.format_vertex(v), "kind": s.kind,
-               "method": s.method, "agree": not clashes(s, primal)}
-        if clashes(s, primal) and s.definitive and primal.definitive:
-            downgrade, clash = True, v
+               "method": s.method, "agree": not _clash(s, primal)}
         if duals:
-            sd = duals[v]
-            row["dual_kind"] = sd.kind
-            row["dual_agree"] = not clashes(sd, dual_verdict)
-            if clashes(sd, dual_verdict) and sd.definitive and dual_verdict.definitive:
-                downgrade, clash = True, v
-        checks.append(row)
-    return checks, downgrade, clash
+            row["dual_kind"] = duals[v].kind
+            row["dual_agree"] = not _clash(duals[v], duals[base])
+        rows.append(row)
+    evidence["spot_checks"] = rows
+    outcome, method, note, witnesses = outcome_of(
+        primal, duals.get(base), alphas, rel, bal,
+        [(primals[v], duals.get(v)) for v in picks])
+    return WoldVerdict(base, outcome, method, evidence, witnesses, note)
 
 
 # ---------------------------------------------------------------------------

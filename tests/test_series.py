@@ -16,7 +16,7 @@ from woldlab.numerics import (NeumaierSum, bracket_decreasing_tail,
                               quadratic_tail_integral)
 from woldlab.operator import inner
 from woldlab.series import (ANALYTIC_TERMS, SeriesConfig, SeriesVerdict,
-                            _plugin_prop51, _term_value,
+                            _plugin_constant, _plugin_prop51, _term_value,
                             alpha_partial, alpha_terms, alpha_verdict, g_vector,
                             generation_stream, hyperrange_recurrence_check)
 from woldlab.tree_core import (BilateralPath, Budget, TkInfKernel, TqbKernel,
@@ -406,6 +406,53 @@ def test_dual_prop51_plugin_matches_the_term_by_term_oracle(monkeypatch, a, b):
         assert [x.hex() for x in out.evidence["tail_window"]] == [x.hex() for x in window]
         assert out.evidence["K"].hex() == k_fit.hex()
         assert out.evidence["fit_residual"].hex() == rel_resid.hex()
+
+
+# ---------------------------------------------------------------------------
+# verdicts: each plugin premise declines a family it does not describe
+
+
+def nudged(family, at, *args):
+    """`family(*args)` with the weight at `at` scaled by 1 + 1e-6."""
+    class Nudged(family):
+        def weight(self, v):
+            return super().weight(v) * (1.0 + 1e-6 if v == at else 1.0)
+
+        def log_weight(self, v):
+            return super().log_weight(v) + (math.log1p(1e-6) if v == at else 0.0)
+
+    return Nudged(*args)
+
+
+# plugin, family arguments, nudged vertex, Cauchy-dual layer; each nudge sits
+# inside the generations the plugin samples from (0,0)
+NUDGES = {
+    "prop51-primal": (_plugin_prop51, Prop51Weights, (PolyRule(1.0), PolyRule(1.0)),
+                      (2, 30), False),
+    "prop51-dual": (_plugin_prop51, Prop51Weights, (PolyRule(1.0), PolyRule(1.0)),
+                    (2, 50), True),
+    "constant-primal": (_plugin_constant, ConstantWeights, (1.0,), (2, 20), False),
+    "constant-dual": (_plugin_constant, ConstantWeights, (1.0,), (2, 20), True),
+}
+
+
+@pytest.mark.parametrize("case", NUDGES)
+def test_plugin_declines_a_nudged_weight(case):
+    plugin, family, args, at, dual = NUDGES[case]
+    with operation():
+        for ws, accepted in ((family(*args), True), (nudged(family, at, *args), False)):
+            if dual:
+                ws = cauchy_dual(ws, TQB)
+            assert (plugin(ws, TQB, (0, 0)) is not None) == accepted
+
+
+def test_dual_of_a_dual_gets_no_analytic_verdict():
+    # the Cauchy dual of the Cauchy dual is the shift itself, so this series
+    # is ex52's, which diverges; the plugins' laws cover one dual layer only
+    with operation():
+        twice = cauchy_dual(cauchy_dual(EX52, TQB), TQB)
+        out = alpha_verdict(twice, TQB, (0, 0), SeriesConfig(n_max=300))
+    assert not out.definitive
 
 
 # ---------------------------------------------------------------------------

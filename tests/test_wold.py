@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -11,10 +12,10 @@ from woldlab.errors import DegenerateNormError, PreconditionError
 from woldlab.series import SeriesConfig, SeriesVerdict, alpha_verdict
 from woldlab.tree_core import (TkInfKernel, TqbKernel, Window, ZPathKernel,
                                load_adjacency, window_vertices)
-from woldlab.weights import (ConstantWeights, FunctionWeights,
+from woldlab.weights import (BalancedReport, ConstantWeights, FunctionWeights,
                              TkinfIsometricWeights, cauchy_dual, ex52_weights)
-from woldlab.wold import (case_ii_weight_relation, decomposition_report,
-                          wold_verdict)
+from woldlab.wold import (WeightRelationReport, case_ii_weight_relation,
+                          decomposition_report, outcome_of, wold_verdict)
 
 TQB = TqbKernel()
 ZP = ZPathKernel()
@@ -175,6 +176,110 @@ def test_verdict_json_schema():
     assert obj["case"] == "none"
     assert obj["evidence"]["witnesses"] == ["0,0"]
     assert len(obj["evidence"]["spot_checks"]) == 8
+
+
+# ---------------------------------------------------------------------------
+# the outcome rule over every ingredient state
+
+KINDS = {"C": "converged", "D": "diverged", "I": "inconclusive"}
+STATES = ("CA", "CH", "DA", "DH", "I")     # kind, then analytic or heuristic
+
+
+def series(state, vertex):
+    kind = KINDS[state[0]]
+    method = "analytic" if state[1:] == "A" else "heuristic"
+    if kind == "converged":
+        return SeriesVerdict.converged(vertex, 1.0, 0.0, method, {"rule": "test"}, 1)
+    if kind == "diverged":
+        return SeriesVerdict.diverged(vertex, method, {"rule": "test"}, 1)
+    return SeriesVerdict.inconclusive(vertex, {"rule": "test"}, 1)
+
+
+def ingredients(p, d, o, passed, balance):
+    """outcome_of's first five inputs, shaped as wold_verdict passes them: a
+    dual only past a divergent base, window alphas (the base and one other
+    vertex) only past a convergent one, and the relation and balancedness
+    only when every window alpha converged."""
+    primal = series(p, "base")
+    dual = series(d, "base") if primal.kind == "diverged" else None
+    alphas = [primal, series(o, "other")] if primal.kind == "converged" else []
+    if not alphas or any(a.kind != "converged" for a in alphas):
+        return primal, dual, alphas, None, None
+    rel = WeightRelationReport(0.0 if passed else 1.0, "rel", 1e-9, 0.0, 1)
+    bal = BalancedReport(balance, ("u", "w", 1.0, 2.0), 1, 64, 1e-10)
+    return primal, dual, alphas, rel, bal
+
+
+# (base primal, base dual, other window alpha, relation passes, balance)
+#   -> (outcome, note, witnesses) with no spot checks
+FINDING_TABLE = [
+    (("I", "DA", "CA", True, "balanced"), ("Inconclusive", "primal series undecided", [])),
+    (("DA", "DA", "I", True, "balanced"), ("HasWold_case_i", "", [])),
+    (("DA", "DH", "I", True, "balanced"),
+     ("Inconclusive", "likely HasWold_case_i (heuristic series evidence)", [])),
+    (("DA", "CA", "I", True, "balanced"), ("NoWold", "", ["base"])),
+    (("DH", "CA", "I", True, "balanced"),
+     ("Inconclusive", "likely NoWold (heuristic series evidence)", [])),
+    (("DA", "I", "I", True, "balanced"), ("Inconclusive", "dual series undecided", [])),
+    (("CA", "I", "I", True, "balanced"),
+     ("Inconclusive", "some window series undecided", [])),
+    (("CA", "I", "DA", True, "balanced"),
+     ("Inconclusive", "bug-level inconsistency: convergence split across the window",
+      ["other"])),
+    (("CA", "I", "CA", True, "balanced"), ("HasWold_case_ii", "", [])),
+    (("CA", "I", "CH", True, "balanced"),
+     ("Inconclusive", "likely HasWold_case_ii (heuristic series evidence)", [])),
+    (("CA", "I", "CA", False, "balanced"), ("NoWold", "weight relation fails", ["rel"])),
+    (("CH", "I", "CA", False, "not_balanced"),
+     ("Inconclusive", "likely NoWold (weight relation fails on heuristic values)", ["rel"])),
+    (("CA", "I", "CA", True, "not_balanced"), ("NoWold", "not balanced", ["u", "w"])),
+    (("CA", "I", "CH", True, "not_balanced"),
+     ("Inconclusive", "likely NoWold (unbalanced, heuristic series evidence)", ["u", "w"])),
+    (("CA", "I", "CA", True, "inconclusive"),
+     ("Inconclusive", "balancedness undecided", [])),
+]
+
+
+@pytest.mark.parametrize("case, expected", FINDING_TABLE)
+def test_outcome_of_each_finding(case, expected):
+    outcome, method, note, witnesses = outcome_of(*ingredients(*case), [])
+    assert (outcome, note, witnesses) == expected
+    assert method == ("heuristic" if outcome == "Inconclusive" else "analytic")
+
+
+def kind_clash(a, b):
+    return {a.kind, b.kind} == {"converged", "diverged"}
+
+
+def test_outcome_rule_over_every_ingredient_state():
+    """One pick against base primal, base dual and one other window alpha,
+    each in every kind and method, crossed with the relation and balance."""
+    cases = 0
+    for p, d, o, passed, balance in product(STATES, STATES, STATES, (True, False),
+                                            ("balanced", "not_balanced", "inconclusive")):
+        args = ingredients(p, d, o, passed, balance)
+        primal, dual, alphas = args[:3]
+        read = (primal, dual) if dual is not None else alphas
+        bare = outcome_of(*args, [])
+        for sp, sd in product(STATES, (*STATES, None)):
+            pick = series(sp, "pick")
+            pick_dual = series(sd, "pick") if sd and dual is not None else None
+            got = outcome_of(*args, [(pick, pick_dual)])
+            outcome, method, note, witnesses = got
+            assert (method == "analytic") == (outcome != "Inconclusive")
+            if method == "analytic":
+                assert read and all(a.definitive for a in read)
+            clash = ((pick.definitive and kind_clash(pick, primal))
+                     or (pick_dual is not None and pick_dual.definitive
+                         and kind_clash(pick_dual, dual)))
+            if clash and bare[1] == "analytic":
+                assert got == ("Inconclusive", "heuristic",
+                               "downgraded: definitive series disagreement at 'pick'",
+                               [*bare[3], "pick"])
+            else:
+                assert got == bare
+            cases += 1
+    assert cases == 22_500
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Standing mutation check for the provenance rule and the plugin premises.
+
+    python tools/mutants.py
+
+Each entry below is a one-line edit of the library (a mutant) and the one
+test that must catch it.  The script first runs every named test on an
+unmutated copy of `src` and `tests`; they must pass.  Then, for each
+mutant, it copies `src` and `tests` to a fresh temporary directory, applies
+the edit there (the old text must occur exactly once in the file, so an
+entry that has drifted from the code fails loudly) and runs the one test.
+A mutant is killed when that test fails.  The exit status is 1 if a named
+test fails unmutated, an edit does not apply, or a mutant survives.
+
+Nothing is written into the checkout: the copies live in temporary
+directories, pytest's cache is off, and no bytecode is written.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+WOLD = "src/woldlab/wold.py"
+SERIES = "src/woldlab/series.py"
+TABLE = "tests/test_wold.py::test_outcome_of_each_finding"
+RULE = "tests/test_wold.py::test_outcome_rule_over_every_ingredient_state"
+NUDGE = "tests/test_series.py::test_plugin_declines_a_nudged_weight[{}]"
+
+# (file, old text, new text, pytest node id)
+#
+# The spot-check clash rules once also required the base verdict to be
+# definitive.  Those conjuncts were equivalent mutants: a downgrade only
+# touches an answer that is not Inconclusive, and such an answer already
+# read a definitive base.  They were removed from the code, not listed here.
+MUTANTS = [
+    # the provenance rule in wold.outcome_of
+    (WOLD, "if not all(a.definitive for a in read):",
+     "if not any(a.definitive for a in read):", TABLE),
+    (WOLD, "        read = alphas\n", "        read = (primal,)\n", RULE),
+    (WOLD, "(s.definitive and _clash(s, primal))", "(_clash(s, primal))", RULE),
+    (WOLD, "sd.definitive and _clash(sd, dual)", "_clash(sd, dual)", RULE),
+    (WOLD, "    if clashes:\n", '    if clashes and outcome == "NoWold":\n', RULE),
+    # the plugins' premise checks in series.py; the widened fit tolerance is
+    # listed once per Prop. 5.1 control, so each must catch it
+    (SERIES, "if rel_resid > PREMISE_TOL:", "if rel_resid > 1e-3:",
+     NUDGE.format("prop51-primal")),
+    (SERIES, "if rel_resid > PREMISE_TOL:", "if rel_resid > 1e-3:",
+     NUDGE.format("prop51-dual")),
+    (SERIES, "abs(t - 1.0) > PREMISE_TOL", "abs(t - 1.0) > 0.1",
+     NUDGE.format("constant-primal")),
+    (SERIES, "abs(r - 4.0) > 4.0 * PREMISE_TOL", "abs(r - 4.0) > 0.5",
+     NUDGE.format("constant-dual")),
+    (SERIES, "isinstance(root, Prop51Weights) or depth > 1",
+     "isinstance(root, Prop51Weights)",
+     "tests/test_series.py::test_dual_of_a_dual_gets_no_analytic_verdict"),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+
+
+def run_tests(where: Path, *node_ids: str) -> int:
+    env = {**os.environ, "PYTHONPATH": str(where / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *node_ids],
+        cwd=where, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    node_ids = list(dict.fromkeys(entry[3] for entry in MUTANTS))
+    with tempfile.TemporaryDirectory() as tmp:
+        copy_tree(Path(tmp))
+        rc = run_tests(Path(tmp), *node_ids)
+    if rc != 0:
+        print(f"unmutated: the named tests exit {rc}; rerun them to see why")
+        return 1
+    failed = 0
+    for path, old, new, node_id in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            copy_tree(Path(tmp))
+            target = Path(tmp) / path
+            text = target.read_text(encoding="utf-8")
+            count = text.count(old)
+            if count != 1:
+                print(f"DRIFT     {path}: {old.strip()!r} occurs {count} times")
+                failed += 1
+                continue
+            target.write_text(text.replace(old, new), encoding="utf-8")
+            rc = run_tests(Path(tmp), node_id)
+        # pytest exits 1 when a test failed; other codes mean the run broke
+        status = {0: "SURVIVED", 1: "killed"}.get(rc, f"BROKE ({rc})")
+        failed += rc != 1
+        print(f"{status:9} {path}: {old.strip()!r} -> {new.strip()!r}  [{node_id}]")
+    print(f"{len(MUTANTS) - failed}/{len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
