@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .errors import DivergentSeriesError, UndecidedSeriesError
+from .errors import DivergentSeriesError, ResourceCapError, UndecidedSeriesError
 from .numerics import (NeumaierSum, bracket_decreasing_tail,
                        quadratic_tail_integral)
 from .operator import SparseVector, apply_shift
@@ -58,30 +58,36 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v):
     only when no rung exists.  A stream at par(v) run before the one at v
     thus leaves v one level per generation to walk.  The memos are bound
     when iteration starts, so a stream outside any operation keeps its own;
-    each miss charges the budget of the operation it runs in.
+    each miss charges the budget of the operation it runs in.  A cap
+    tripped here names the generation being walked.
     """
     yield 0, [(v, 0.0)]
     ladders = Budget.current().memos.setdefault(("shells", ws, kernel), {})
     top = v          # par^(n-1)(v) while producing generation n
     base_log = 0.0   # log moment of v at order n, updated incrementally
     n = 1
-    while True:
-        base_log += ws.log_weight(top)
-        up = kernel.parent(top)
-        ladder = ladders.setdefault(top, {})     # n -> A(v, n) under this top
-        members = ladder.get(n)
-        if members is None:
-            budget = Budget.current()
-            budget.charge()
-            j = max((k for k in ladder if k < n), default=0)
-            if j:
-                members = descend(kernel, ladder[j], n - j, budget, ws.log_weight)
-            else:
-                members = shell(kernel, top, up, n, budget, ws.log_weight)
-            ladder[n] = members
-        yield n, [(u, acc - base_log) for u, acc in members]
-        top = up
-        n += 1
+    try:
+        while True:
+            base_log += ws.log_weight(top)
+            up = kernel.parent(top)
+            ladder = ladders.setdefault(top, {})     # n -> A(v, n) under this top
+            members = ladder.get(n)
+            if members is None:
+                budget = Budget.current()
+                budget.charge()
+                j = max((k for k in ladder if k < n), default=0)
+                if j:
+                    members = descend(kernel, ladder[j], n - j, budget, ws.log_weight)
+                else:
+                    members = shell(kernel, top, up, n, budget, ws.log_weight)
+                ladder[n] = members
+            yield n, [(u, acc - base_log) for u, acc in members]
+            top = up
+            n += 1
+    except ResourceCapError as exc:
+        raise ResourceCapError(
+            f"{exc} while walking generation {n} of the series term stream "
+            "(WOLDLAB_MAX_VERTICES sets the cap)") from None
 
 
 def _term_value(members) -> float:

@@ -74,7 +74,8 @@ class TreeKernel:
 
     Subclasses implement `children` (finite, ordered, deterministic) and
     `parent`.  Both must be pure: same vertex in, same answer out, so that
-    kernels can be shared freely.
+    kernels can be shared freely.  `siblings` may be overridden by a closed
+    form that gives the same tuple.
     """
 
     name = "abstract"
@@ -85,6 +86,10 @@ class TreeKernel:
 
     def parent(self, v):
         raise NotImplementedError
+
+    def siblings(self, v):
+        """children(par v): v and its siblings, in the kernel's order."""
+        return self.children(self.parent(v))
 
     def default_base(self):
         raise NotImplementedError
@@ -236,6 +241,16 @@ class TqbKernel(TreeKernel):
         if n == 0:
             return (0, m + 1)
         return (n - 1, m)
+
+    def siblings(self, v):
+        if not (isinstance(v, tuple) and len(v) == 2) or v[0] < 0:
+            self._check(v)
+        n, m = v
+        if n >= 2:
+            return (v,)
+        # the two children of the spine vertex (0, m + 1 - n)
+        m += 1 - n
+        return ((0, m - 1), (1, m))
 
     def default_base(self):
         return (0, 0)
@@ -406,18 +421,35 @@ def descend(kernel: TreeKernel, frontier, depth: int, budget: Budget,
 
     Each level is charged to `budget`.  A child's entry is its parent's log
     plus `log_weight(child)`; unweighted callers get a zero weight, which
-    keeps the loop free of per-vertex branches.  Iterated children, shells,
+    keeps the loop free of per-vertex branches.  A one-vertex frontier
+    steps down its unary ray vertex by vertex, with the same charges and
+    floats, until the ray branches.  Iterated children, shells,
     shift-power norms and the series term stream all descend here; windows,
     which keep every level, take one plain pass in `window_depth_classes`.
     """
-    children = kernel.children
-    for _ in range(depth):
+    children, charge = kernel.children, budget.charge
+    level = 0
+    if len(frontier) == 1:
+        (u, acc), = frontier
+        while level < depth:
+            level += 1
+            kids = children(u)
+            if len(kids) != 1:
+                frontier = [(c, acc + log_weight(c)) for c in kids]
+                charge(len(frontier))
+                break
+            u, = kids
+            acc = acc + log_weight(u)
+            charge(1)
+        else:
+            return [(u, acc)]
+    for _ in range(level, depth):
         nxt = []
         append = nxt.append
         for u, acc in frontier:
             for c in children(u):
                 append((c, acc + log_weight(c)))
-        budget.charge(len(nxt))
+        charge(len(nxt))
         frontier = nxt
     return frontier
 

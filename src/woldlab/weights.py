@@ -161,7 +161,10 @@ class Prop51Weights(WeightSystem):
     def weight(self, v) -> float:
         n, m = v
         if n >= 2:
-            return math.sqrt(self.p(m, n - 1) / self.p(m, n - 2))
+            # p(m, x) inlined, as in log_weight; same expression order
+            ra, rb, x1, x2 = self.a, self.b, n - 1, n - 2
+            a, b = ra.table.get(m, ra.default), rb.table.get(m, rb.default)
+            return math.sqrt((1.0 + a * x1 + b * x1 * x1) / (1.0 + a * x2 + b * x2 * x2))
         if m >= 1:
             return math.sqrt(m / (m + 1.0)) if n == 0 else 1.0 / math.sqrt(m)
         return 1.0
@@ -302,19 +305,19 @@ class CauchyDualWeights(WeightSystem):
             # the same floats as shift_norm_sq at par(v): one primal log
             # weight per sibling, v's own first, summed with math.fsum
             own = self.primal.log_weight(v)
-            u = self.kernel.parent(v)
-            kids = self.kernel.children(u)
-            Budget.current().charge(len(kids))
+            kids = self.kernel.siblings(v)
             if len(kids) == 1:
                 # the lone sibling is v (the kernel contract puts v in
                 # children(par v)), and math.fsum of one value is that value
                 norm = math.exp(2.0 * own)
             else:
+                # the walk that reached v charged it; charge the others
+                Budget.current().charge(len(kids) - 1)
                 logs = [own if c == v else self.primal.log_weight(c) for c in kids]
                 norm = math.fsum([math.exp(2.0 * lw) for lw in logs])
             if norm < NORM_FLOOR:
-                raise DegenerateNormError(
-                    f"one-step norm at {u!r} fell below {NORM_FLOOR}; dual undefined")
+                raise DegenerateNormError(f"one-step norm at {self.kernel.parent(v)!r} "
+                                          f"fell below {NORM_FLOOR}; dual undefined")
             log_norm = math.log(norm)
             hit = self._log_cache[v] = own - log_norm
             if len(kids) > 1:

@@ -186,7 +186,7 @@ def outcome_of(primal: SeriesVerdict, dual: SeriesVerdict | None, alphas: list,
                or (sd is not None and sd.definitive and _clash(sd, dual))]
     if clashes:
         return ("Inconclusive", "heuristic",
-                f"downgraded: definitive series disagreement at {clashes[-1]!r}",
+                "downgraded: definitive series disagreement at the last witness",
                 [*witnesses, clashes[-1]])
     return outcome, "analytic", sure, witnesses
 

@@ -260,10 +260,11 @@ def test_cap_bounds_a_whole_command(capsys, monkeypatch):
     code, out, err = run(capsys, "alpha", "--dual", "--no-plugins", "--N", "600")
     assert code == 2 and out == ""
     assert "enumeration touched more than 1000 vertices" in err
+    assert "while walking generation 43 of the series term stream" in err
 
 
 # Each cap sits between the command's charge with the shell ladder, ancestors
-# first and one shared dual (259,649 and 224,664 vertices) and without them
+# first and one shared dual (196,785 and 142,865 vertices) and without them
 # (633,334 and 540,509), so a lost part shows as exit 2.
 @pytest.mark.parametrize("cap, argv, code", [
     ("300000", ("repro", "ex52", "--tamper"), 1),

@@ -216,7 +216,7 @@ def test_memo_hits_are_free_and_dual_misses_charge_their_siblings(monkeypatch):
     with operation():
         dual = cauchy_dual(ex52_weights(), TQB)
         dual.log_weight((1, 5))
-        assert charged == [2]       # the children of (0, 5)
+        assert charged == [1]       # (0, 4), the other child of (0, 5)
         verdict = alpha_verdict(dual, TQB, (0, 0))
         charged.clear()
         assert alpha_verdict(dual, TQB, (0, 0)) == verdict
@@ -227,16 +227,26 @@ def test_partial_then_verdict_enumerates_each_generation_once():
     N = 40
     with operation():
         once = CountingTqb()
-        # generations 0..N and not one more; a dual miss lists its siblings once
+        # generations 0..N and not one more: one children call per ray step,
+        # N(N + 1)/2 in all; a dual miss reads its siblings from `siblings`
         list(islice(generation_stream(cauchy_dual(ex52_weights(), once), once, (0, 0)),
                     N + 1))
-        assert once.children_calls == 1640
+        assert once.children_calls == 820
         k = CountingTqb()
         dual = cauchy_dual(ex52_weights(), k)
         table = alpha_partial(dual, k, (0, 0), N)
         verdict = alpha_verdict(dual, k, (0, 0), SeriesConfig(n_max=N, use_plugins=False))
         assert k.children_calls == once.children_calls
         assert verdict.n_used == N and len(table.terms) == N + 1
+
+
+def test_dual_table_charges_each_ray_vertex_once():
+    N = 400
+    with operation() as budget:
+        alpha_partial(cauchy_dual(ex52_weights(), TQB), TQB, (0, 0), N)
+    # generation n charges its miss and the n vertices of its ray; each of the
+    # N spine misses charges the one sibling the walk did not reach
+    assert budget.used == N * (N + 1) // 2 + 2 * N == 81_000
 
 
 def test_same_generation_verdict_walks_only_its_own_shells():
@@ -272,7 +282,7 @@ def test_parent_stream_leaves_rungs_the_child_descends_from():
         # par^(n-1)(0, 0) = par^(n-2)(0, 1): generation n descends one level
         # from the stored A((0, 1), n - 1)
         laddered = [bits(m) for _, m in islice(generation_stream(dual, k, (0, 0)), N + 1)]
-        assert k.children_calls - calls == 80       # a fresh walk makes 1640
+        assert k.children_calls - calls == 40       # a fresh walk makes 820
         fresh = cauchy_dual(ex52_weights(), TQB)
         assert laddered == [bits(m) for _, m in
                             islice(generation_stream(fresh, TQB, (0, 0)), N + 1)]

@@ -58,11 +58,23 @@ def test_tqb_structure():
         TQB.parent((-1, 0))
 
 
+TQB_BAD = [(-1, 0), (-3, 7), (0,), (0, 0, 0), [0, 0], "0,0", None]
+
+
 @pytest.mark.parametrize("step", ["children", "parent"])
-@pytest.mark.parametrize("bad", [(-1, 0), (-3, 7), (0,), (0, 0, 0), [0, 0], "0,0", None])
+@pytest.mark.parametrize("bad", TQB_BAD)
 def test_tqb_steps_reject_unknown_vertices(step, bad):
     with pytest.raises(UnknownVertexError):
         getattr(TQB, step)(bad)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_tqb_siblings_switch_between_spine_and_rays(n):
+    # (0, m) and (1, m + 1) share the spine parent (0, m + 1); rays are unary from n = 2
+    for m in (-3, 0, 4):
+        v = (n, m)
+        want = {0: ((0, m), (1, m + 1)), 1: ((0, m - 1), (1, m))}.get(n, (v,))
+        assert TQB.siblings(v) == want == TQB.children(TQB.parent(v))
 
 
 def test_tkinf_structure():
@@ -360,8 +372,48 @@ def test_load_adjacency_rejects(text, hint):
         load_adjacency(text)
 
 
+def raised(call, v) -> str:
+    with pytest.raises(UnknownVertexError) as info:
+        call(v)
+    return str(info.value)
+
+
+ADJ = load_adjacency(GOOD)
+
+
+@pytest.mark.parametrize("kernel, v", [
+    *[(TQB, bad) for bad in TQB_BAD],
+    *[(TK3, bad) for bad in [(0, 1), (2, 0), (1, 4), (-1, 2), (1,), None]],
+    (ZP, "0"), (ZP, None),
+    (ADJ, "r"), (ADJ, "ghost"),
+])
+def test_siblings_reject_what_children_of_parent_rejects(kernel, v):
+    assert raised(kernel.siblings, v) == raised(lambda u: kernel.children(kernel.parent(u)), v)
+
+
 # ---------------------------------------------------------------------------
 # properties
+
+
+def tkinf_vertex(k):
+    return st.one_of(st.builds(lambda m: (m, 0), st.integers(-8, 0)),
+                     st.tuples(st.integers(1, 8), st.integers(1, k)))
+
+
+kernel_and_vertex = st.one_of(
+    st.tuples(st.just(TQB), st.tuples(st.integers(0, 6), st.integers(-12, 12))),
+    st.integers(1, 5).flatmap(lambda k: st.tuples(st.just(TkInfKernel(k)), tkinf_vertex(k))),
+    st.tuples(st.just(ZP), st.integers(-40, 40)),
+    # every vertex of GOOD but the root r, boundary vertices x, q, y, z1, w1 included
+    st.tuples(st.just(ADJ), st.sampled_from(["a", "b", "c", "q", "w", "w1", "x", "y",
+                                             "z", "z1"])),
+)
+
+
+@given(kernel_and_vertex)
+def test_siblings_are_the_children_of_the_parent(case):
+    kernel, v = case
+    assert kernel.siblings(v) == kernel.children(kernel.parent(v))
 
 
 @given(st.integers(-40, 40), st.integers(0, 12))

@@ -48,6 +48,12 @@ def test_log_weight_is_half_the_log_ratio_of_p(a, b, n, m):
     assert ws.log_weight((n, m)).hex() == want.hex()
 
 
+@given(rule, rule, st.integers(2, 60), st.integers(-25, 45))
+def test_weight_is_the_root_of_the_ratio_of_p(a, b, n, m):
+    ws = Prop51Weights(a, b)
+    assert ws.weight((n, m)).hex() == math.sqrt(ws.p(m, n - 1) / ws.p(m, n - 2)).hex()
+
+
 def test_polyrule_basics():
     r = PolyRule(1.0, {0: 2.0, -3: 0.5})
     assert r(0) == 2.0 and r(-3) == 0.5 and r(7) == 1.0
@@ -198,7 +204,8 @@ def test_dual_miss_charges_and_fills_its_sibling_set(v, siblings):
     dual = cauchy_dual(primal, TQB)
     with operation() as budget:
         dual.log_weight(v)
-        assert budget.used == len(siblings)
+        # the walk that reached v charged it; the miss charges the others
+        assert budget.used == len(siblings) - 1
     assert sorted(dual._log_cache) == siblings
     norm = shift_norm_sq(primal, TQB, TQB.parent(v))
     for c in siblings:

@@ -164,8 +164,8 @@ def test_spot_check_clash_downgrades():
 
     out = wold_verdict(EX52, LyingTqb(), window)
     assert out.outcome == "Inconclusive"
-    assert "downgraded" in out.note
-    assert target in out.witnesses
+    assert out.note == "downgraded: definitive series disagreement at the last witness"
+    assert out.witnesses[-1] == target
 
 
 def test_verdict_json_schema():
@@ -274,7 +274,7 @@ def test_outcome_rule_over_every_ingredient_state():
                          and kind_clash(pick_dual, dual)))
             if clash and bare[1] == "analytic":
                 assert got == ("Inconclusive", "heuristic",
-                               "downgraded: definitive series disagreement at 'pick'",
+                               "downgraded: definitive series disagreement at the last witness",
                                [*bare[3], "pick"])
             else:
                 assert got == bare

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Standing mutation check for the provenance rule and the plugin premises.
+"""Standing mutation check for the provenance rule, the plugin premises and
+the closed-form sibling sets with their vertex charge.
 
     python tools/mutants.py
 
@@ -29,6 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 WOLD = "src/woldlab/wold.py"
 SERIES = "src/woldlab/series.py"
+WEIGHTS = "src/woldlab/weights.py"
+TREE = "src/woldlab/tree_core.py"
 TABLE = "tests/test_wold.py::test_outcome_of_each_finding"
 RULE = "tests/test_wold.py::test_outcome_rule_over_every_ingredient_state"
 NUDGE = "tests/test_series.py::test_plugin_declines_a_nudged_weight[{}]"
@@ -60,6 +63,12 @@ MUTANTS = [
     (SERIES, "isinstance(root, Prop51Weights) or depth > 1",
      "isinstance(root, Prop51Weights)",
      "tests/test_series.py::test_dual_of_a_dual_gets_no_analytic_verdict"),
+    # the dual miss charges only the siblings the walk did not reach, and
+    # tqb's closed-form sibling set keeps the spine pair at n == 1
+    (WEIGHTS, "charge(len(kids) - 1)", "charge(len(kids))",
+     "tests/test_weights.py::test_dual_miss_charges_and_fills_its_sibling_set[v1-siblings1]"),
+    (TREE, "if n >= 2:\n            return (v,)", "if n >= 1:\n            return (v,)",
+     "tests/test_tree_core.py::test_tqb_siblings_switch_between_spine_and_rays[1]"),
 ]
 
 
