@@ -56,13 +56,15 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v):
     accumulating in the same order, so a miss descends the remaining n - j
     levels from the deepest stored rung j < n and walks down from the top
     only when no rung exists.  A stream at par(v) run before the one at v
-    thus leaves v one level per generation to walk.  The memos are bound
-    when iteration starts, so a stream outside any operation keeps its own;
-    each miss charges the budget of the operation it runs in.  A cap
-    tripped here names the generation being walked.
+    thus leaves v one level per generation to walk.  The budget and its
+    memos are bound when iteration starts, so a stream outside any
+    operation keeps its own, and the cap bounds the whole stream, as it
+    does inside an operation.  A cap tripped here names the generation
+    being walked.
     """
     yield 0, [(v, 0.0)]
-    ladders = Budget.current().memos.setdefault(("shells", ws, kernel), {})
+    budget = Budget.current()
+    ladders = budget.memos.setdefault(("shells", ws, kernel), {})
     top = v          # par^(n-1)(v) while producing generation n
     base_log = 0.0   # log moment of v at order n, updated incrementally
     n = 1
@@ -73,13 +75,12 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v):
             ladder = ladders.setdefault(top, {})     # n -> A(v, n) under this top
             members = ladder.get(n)
             if members is None:
-                budget = Budget.current()
                 budget.charge()
                 j = max((k for k in ladder if k < n), default=0)
                 if j:
-                    members = descend(kernel, ladder[j], n - j, budget, ws.log_weight)
+                    members = descend(kernel, ladder[j], n - j, budget, ws)
                 else:
-                    members = shell(kernel, top, up, n, budget, ws.log_weight)
+                    members = shell(kernel, top, up, n, budget, ws)
                 ladder[n] = members
             yield n, [(u, acc - base_log) for u, acc in members]
             top = up

@@ -74,8 +74,8 @@ class TreeKernel:
 
     Subclasses implement `children` (finite, ordered, deterministic) and
     `parent`.  Both must be pure: same vertex in, same answer out, so that
-    kernels can be shared freely.  `siblings` may be overridden by a closed
-    form that gives the same tuple.
+    kernels can be shared freely.  `siblings` and `ray` may be overridden by
+    closed forms that give the same answers.
     """
 
     name = "abstract"
@@ -90,6 +90,25 @@ class TreeKernel:
     def siblings(self, v):
         """children(par v): v and its siblings, in the kernel's order."""
         return self.children(self.parent(v))
+
+    def ray(self, u, depth):
+        """(chain, kids): the unary ray below u, at most `depth` levels of it.
+
+        `chain` lists the lone children below u, each the only child of the
+        vertex before it.  `kids` is the children tuple of the chain's last
+        vertex (u for an empty chain) when the ray branches before `depth`,
+        and None when it does not.  This default makes one `children` call
+        per vertex it passes, the branching one included.
+        """
+        chain = []
+        children = self.children
+        for _ in range(depth):
+            kids = children(u)
+            if len(kids) != 1:
+                return chain, kids
+            u, = kids
+            chain.append(u)
+        return chain, None
 
     def default_base(self):
         raise NotImplementedError
@@ -123,13 +142,23 @@ class ZPathKernel(TreeKernel):
     name = "zpath"
     params: dict = {}
 
+    # every walker step: test inline with _check's condition, call it to raise
     def children(self, v):
-        self._check(v)
+        if not isinstance(v, int):
+            self._check(v)
         return (v + 1,)
 
     def parent(self, v):
-        self._check(v)
+        if not isinstance(v, int):
+            self._check(v)
         return v - 1
+
+    def ray(self, u, depth):
+        if depth <= 0:
+            return [], None
+        if not isinstance(u, int):
+            self._check(u)
+        return list(range(u + 1, u + depth + 1)), None
 
     def default_base(self):
         return 0
@@ -162,6 +191,7 @@ class TkInfKernel(TreeKernel):
             raise ValueError("tkinf needs k >= 1")
         self.k = k
         self.params = {"k": k}
+        self._rays = tuple((1, i) for i in range(1, k + 1))
 
     def _check(self, v):
         if not (isinstance(v, tuple) and len(v) == 2):
@@ -173,23 +203,47 @@ class TkInfKernel(TreeKernel):
         elif not 1 <= j <= self.k:
             raise UnknownVertexError(f"{v!r} is outside the {self.k} rays")
 
+    # every walker step: test inline with _check's conditions, call it to raise
     def children(self, v):
-        self._check(v)
+        if not (isinstance(v, tuple) and len(v) == 2
+                and (v[1] == 0 if v[0] <= 0 else 1 <= v[1] <= self.k)):
+            self._check(v)
         m, j = v
         if m < 0:
             return ((m + 1, 0),)
         if m == 0:
-            return tuple((1, i) for i in range(1, self.k + 1))
+            return self._rays
         return ((m + 1, j),)
 
     def parent(self, v):
-        self._check(v)
+        if not (isinstance(v, tuple) and len(v) == 2
+                and (v[1] == 0 if v[0] <= 0 else 1 <= v[1] <= self.k)):
+            self._check(v)
         m, j = v
         if m <= 0:
             return (m - 1, 0)
         if m == 1:
             return (0, 0)
         return (m - 1, j)
+
+    def ray(self, u, depth):
+        if depth <= 0:
+            return [], None
+        if not (isinstance(u, tuple) and len(u) == 2
+                and (u[1] == 0 if u[0] <= 0 else 1 <= u[1] <= self.k)):
+            self._check(u)
+        m, j = u
+        if m > 0:
+            return [(m + i, j) for i in range(1, depth + 1)], None
+        # up the spine to (0, 0), which branches unless there is one ray
+        spine = min(-m, depth)
+        chain = [(m + i, 0) for i in range(1, spine + 1)]
+        if spine == depth:
+            return chain, None
+        if self.k > 1:
+            return chain, self._rays
+        chain.extend((i, 1) for i in range(1, depth - spine + 1))
+        return chain, None
 
     def default_base(self):
         return (0, 0)
@@ -251,6 +305,16 @@ class TqbKernel(TreeKernel):
         # the two children of the spine vertex (0, m + 1 - n)
         m += 1 - n
         return ((0, m - 1), (1, m))
+
+    def ray(self, u, depth):
+        if depth <= 0:
+            return [], None
+        if not (isinstance(u, tuple) and len(u) == 2) or u[0] < 0:
+            self._check(u)
+        n, m = u
+        if n == 0:
+            return [], ((0, m - 1), (1, m))
+        return [(k, m) for k in range(n + 1, n + depth + 1)], None
 
     def default_base(self):
         return (0, 0)
@@ -415,34 +479,42 @@ def _no_weight(v) -> float:
     return 0.0
 
 
-def descend(kernel: TreeKernel, frontier, depth: int, budget: Budget,
-            log_weight=_no_weight):
+def descend(kernel: TreeKernel, frontier, depth: int, budget: Budget, ws=None):
     """Expand a frontier of (vertex, log) pairs `depth` levels down.
 
     Each level is charged to `budget`.  A child's entry is its parent's log
-    plus `log_weight(child)`; unweighted callers get a zero weight, which
-    keeps the loop free of per-vertex branches.  A one-vertex frontier
-    steps down its unary ray vertex by vertex, with the same charges and
-    floats, until the ray branches.  Iterated children, shells,
-    shift-power norms and the series term stream all descend here; windows,
-    which keep every level, take one plain pass in `window_depth_classes`.
+    plus the log weight of the child under the weight system `ws`; an
+    unweighted walk (`ws` None) adds a zero weight, which keeps the loop
+    free of per-vertex branches.  A one-vertex frontier more than one
+    level deep takes its unary ray in one `kernel.ray` call, one
+    `ws.ray_log_weights` call and one charge, and adds the weights in ray
+    order, so floats and trip points are those of the level loop; the ray
+    asks for at most one vertex past the cap, so a huge `depth` trips at
+    once.  Where the ray branches, and for a single level, the level loop
+    that wide frontiers take does the work.  Iterated children,
+    shells, shift-power norms and the series term stream all descend here;
+    windows, which keep every level, take one plain pass in
+    `window_depth_classes`.
     """
     children, charge = kernel.children, budget.charge
+    log_weight = _no_weight if ws is None else ws.log_weight
     level = 0
-    if len(frontier) == 1:
+    if len(frontier) == 1 and depth > 1:
         (u, acc), = frontier
-        while level < depth:
-            level += 1
-            kids = children(u)
-            if len(kids) != 1:
-                frontier = [(c, acc + log_weight(c)) for c in kids]
-                charge(len(frontier))
-                break
-            u, = kids
-            acc = acc + log_weight(u)
-            charge(1)
-        else:
+        limit = budget.cap - budget.used + 1
+        chain, kids = kernel.ray(u, depth if depth < limit else limit)
+        # weights before the charge, as in the level loop
+        if ws is not None:
+            for lw in ws.ray_log_weights(chain):
+                acc = acc + lw
+        charge(len(chain))
+        if chain:
+            u = chain[-1]
+        if kids is None:
             return [(u, acc)]
+        frontier = [(c, acc + log_weight(c)) for c in kids]
+        charge(len(frontier))
+        level = len(chain) + 1
     for _ in range(level, depth):
         nxt = []
         append = nxt.append
@@ -454,17 +526,18 @@ def descend(kernel: TreeKernel, frontier, depth: int, budget: Budget,
     return frontier
 
 
-def shell(kernel: TreeKernel, top, up, n: int, budget: Budget, log_weight=_no_weight):
+def shell(kernel: TreeKernel, top, up, n: int, budget: Budget, ws=None):
     """The shell A(v, n), n >= 1, as (u, log) pairs, from top = par^(n-1)(v).
 
     A(v, 1) = Chi(par(v)) minus v, and A(v, n) = Chi(A(par(v), n-1)); the
     unrolled form drops the one child of up = par(top) leading back to v and
     expands the rest n-1 levels.  Logs accumulate from the shell's first
-    level, as in `descend`.
+    level under the weight system `ws`, as in `descend`.
     """
+    log_weight = _no_weight if ws is None else ws.log_weight
     first = [(c, log_weight(c)) for c in kernel.children(up) if c != top]
     budget.charge(len(first))
-    return descend(kernel, first, n - 1, budget, log_weight)
+    return descend(kernel, first, n - 1, budget, ws)
 
 
 def child_n(kernel: TreeKernel, v, n: int):

@@ -23,12 +23,21 @@ class WeightSystem:
     """Positive weight per vertex, plus family metadata.
 
     Subclasses implement `weight`; `log_weight` may be overridden when a
-    closed form in log space is cheaper or more accurate.
+    closed form in log space is cheaper or more accurate, and
+    `ray_log_weights` when a ray's log weights are cheaper taken together.
+    A subclass that overrides `log_weight` alone gets the per-vertex
+    `ray_log_weights`.
     """
 
     name = "custom"
     params: dict = {}
     dual_depth = 0
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # an inherited batch form would bypass a new log_weight
+        if "log_weight" in vars(cls) and "ray_log_weights" not in vars(cls):
+            cls.ray_log_weights = WeightSystem.ray_log_weights
 
     def weight(self, v) -> float:
         raise NotImplementedError
@@ -38,6 +47,12 @@ class WeightSystem:
         if not 0.0 < w < math.inf:
             raise ValueError(f"weight at {v!r} must be positive and finite, got {w!r}")
         return math.log(w)
+
+    def ray_log_weights(self, chain) -> list:
+        """[log_weight(v) for v in chain], where each vertex of `chain` is
+        its parent's only child: a `TreeKernel.ray` chain, or part of one.
+        Overrides give the same floats."""
+        return [self.log_weight(v) for v in chain]
 
 
 class ConstantWeights(WeightSystem):
@@ -183,6 +198,30 @@ class Prop51Weights(WeightSystem):
             return -0.5 * math.log(m)
         return 0.0
 
+    def ray_log_weights(self, chain) -> list:
+        """log_weight along the chain.  Down a tqb ray (n, m), (n + 1, m), ...
+        the log p_m(n - 1) of one vertex is the log p_m(x2) of the next, so
+        each is taken once; rules are read as in log_weight, and every term
+        is log_weight's expression, so the floats are the same."""
+        a_get, a_default = self.a.table.get, self.a.default
+        b_get, b_default = self.b.table.get, self.b.default
+        log = math.log
+        out = []
+        row = x_prev = lp_prev = None
+        for v in chain:
+            n, m = v
+            if n < 2:
+                out.append(self.log_weight(v))
+                continue
+            if m != row:
+                row, a, b = m, a_get(m, a_default), b_get(m, b_default)
+                x_prev = None
+            x1, x2 = n - 1, n - 2
+            lp2 = lp_prev if x2 == x_prev else log(1.0 + a * x2 + b * x2 * x2)
+            lp_prev, x_prev = log(1.0 + a * x1 + b * x1 * x1), x1
+            out.append(0.5 * (lp_prev - lp2))
+        return out
+
 
 def ex52_weights() -> Prop51Weights:
     """The all-ones polynomial instance: p_m(x) = 1 + x + x^2 for every m."""
@@ -273,7 +312,7 @@ def shift_norm_sq(ws: WeightSystem, kernel: TreeKernel, u, n: int = 1) -> float:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1.0
-    leaves = descend(kernel, [(u, 0.0)], n, Budget.current(), ws.log_weight)
+    leaves = descend(kernel, [(u, 0.0)], n, Budget.current(), ws)
     return math.fsum(math.exp(2.0 * acc) for _, acc in leaves)
 
 
@@ -307,23 +346,45 @@ class CauchyDualWeights(WeightSystem):
             own = self.primal.log_weight(v)
             kids = self.kernel.siblings(v)
             if len(kids) == 1:
-                # the lone sibling is v (the kernel contract puts v in
-                # children(par v)), and math.fsum of one value is that value
-                norm = math.exp(2.0 * own)
-            else:
-                # the walk that reached v charged it; charge the others
-                Budget.current().charge(len(kids) - 1)
-                logs = [own if c == v else self.primal.log_weight(c) for c in kids]
-                norm = math.fsum([math.exp(2.0 * lw) for lw in logs])
+                return self._lone_child(v, own)
+            # the walk that reached v charged it; charge the others
+            Budget.current().charge(len(kids) - 1)
+            logs = [own if c == v else self.primal.log_weight(c) for c in kids]
+            norm = math.fsum([math.exp(2.0 * lw) for lw in logs])
             if norm < NORM_FLOOR:
-                raise DegenerateNormError(f"one-step norm at {self.kernel.parent(v)!r} "
-                                          f"fell below {NORM_FLOOR}; dual undefined")
+                self._degenerate(v)
             log_norm = math.log(norm)
-            hit = self._log_cache[v] = own - log_norm
-            if len(kids) > 1:
-                for c, lw in zip(kids, logs):
-                    self._log_cache[c] = lw - log_norm
+            for c, lw in zip(kids, logs):
+                self._log_cache[c] = lw - log_norm
+            hit = self._log_cache[v]
         return hit
+
+    def ray_log_weights(self, chain) -> list:
+        """Every vertex is its parent's only child, so a miss needs no
+        sibling set and charges nothing.  The misses' primal log weights
+        come from one `ray_log_weights` call on the primal, then each miss
+        is finished in chain order."""
+        cache = self._log_cache
+        misses = [v for v in chain if v not in cache]
+        if misses:
+            for v, own in zip(misses, self.primal.ray_log_weights(misses)):
+                self._lone_child(v, own)
+        return [cache[v] for v in chain]
+
+    def _lone_child(self, v, own) -> float:
+        """Cache and return the dual log weight of v, its parent's only child,
+        from its primal log weight `own`.  The lone sibling is v (the kernel
+        contract puts v in children(par v)), and math.fsum of one value is
+        that value, so the norm is exp(2 own)."""
+        norm = math.exp(2.0 * own)
+        if norm < NORM_FLOOR:
+            self._degenerate(v)
+        hit = self._log_cache[v] = own - math.log(norm)
+        return hit
+
+    def _degenerate(self, v):
+        raise DegenerateNormError(f"one-step norm at {self.kernel.parent(v)!r} "
+                                  f"fell below {NORM_FLOOR}; dual undefined")
 
 
 def cauchy_dual(ws: WeightSystem, kernel: TreeKernel) -> CauchyDualWeights:

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from woldlab.errors import DivergentSeriesError, UndecidedSeriesError
+from woldlab.errors import (DegenerateNormError, DivergentSeriesError,
+                            UndecidedSeriesError)
 from woldlab.numerics import (NeumaierSum, bracket_decreasing_tail,
                               quadratic_tail_integral)
 from woldlab.operator import inner
@@ -189,13 +190,22 @@ def test_charges_do_not_depend_on_earlier_operations():
 
 
 class CountingTqb(TqbKernel):
+    """Counts kernel steps down the tree: a `children` call, or one vertex of
+    a `ray` (its chain, and its branching children tuple), as many steps as
+    the default `ray` makes `children` calls."""
+
     def __init__(self):
-        self.children_calls = 0
+        self.steps = 0
         self.parent_calls = 0
 
     def children(self, v):
-        self.children_calls += 1
+        self.steps += 1
         return super().children(v)
+
+    def ray(self, u, depth):
+        chain, kids = super().ray(u, depth)
+        self.steps += len(chain) + (kids is not None)
+        return chain, kids
 
     def parent(self, v):
         self.parent_calls += 1
@@ -227,16 +237,16 @@ def test_partial_then_verdict_enumerates_each_generation_once():
     N = 40
     with operation():
         once = CountingTqb()
-        # generations 0..N and not one more: one children call per ray step,
+        # generations 0..N and not one more: one step per ray vertex,
         # N(N + 1)/2 in all; a dual miss reads its siblings from `siblings`
         list(islice(generation_stream(cauchy_dual(ex52_weights(), once), once, (0, 0)),
                     N + 1))
-        assert once.children_calls == 820
+        assert once.steps == 820
         k = CountingTqb()
         dual = cauchy_dual(ex52_weights(), k)
         table = alpha_partial(dual, k, (0, 0), N)
         verdict = alpha_verdict(dual, k, (0, 0), SeriesConfig(n_max=N, use_plugins=False))
-        assert k.children_calls == once.children_calls
+        assert k.steps == once.steps
         assert verdict.n_used == N and len(table.terms) == N + 1
 
 
@@ -256,16 +266,27 @@ def test_same_generation_verdict_walks_only_its_own_shells():
     with operation() as op:
         dual = cauchy_dual(ex52_weights(), k)
         alpha_verdict(dual, k, (0, 0), cfg)
-        ladders, calls = op.memos["shells", dual, k], k.children_calls
+        ladders, calls = op.memos["shells", dual, k], k.steps
         walked = sum(map(len, ladders.values()))
         # par^2 (2, 2) = par^2 (0, 0): only A((2, 2), 1) and A((2, 2), 2) are new
         second = alpha_verdict(dual, k, (2, 2), cfg)
         assert sum(map(len, ladders.values())) - walked == 2
-        assert k.children_calls - calls == 3
+        assert k.steps - calls == 3
         fresh = cauchy_dual(ex52_weights(), TQB)
         assert second == alpha_verdict(fresh, TQB, (2, 2), cfg)
         assert (list(islice(alpha_terms(dual, k, (2, 2)), N + 1))
                 == list(islice(alpha_terms(fresh, TQB, (2, 2)), N + 1)))
+
+
+def test_stream_raises_on_a_degenerate_ray_norm():
+    # spine norms are 2; from n = 3 a ray weight is 1e-7, its norm 1e-14
+    dual = cauchy_dual(FunctionWeights(lambda v: 1e-7 if v[0] >= 3 else 1.0), TQB)
+    stream = generation_stream(dual, TQB, (0, 0))
+    assert [n for n, _ in islice(stream, 3)] == [0, 1, 2]
+    # generation 3 takes the ray (2, 3), (3, 3) below (1, 3) in one call
+    with pytest.raises(DegenerateNormError, match=r"norm at \(2, 3\) fell below"):
+        next(stream)
+    assert (2, 3) in dual._log_cache and (3, 3) not in dual._log_cache
 
 
 def bits(members):
@@ -278,11 +299,11 @@ def test_parent_stream_leaves_rungs_the_child_descends_from():
     with operation():
         dual = cauchy_dual(ex52_weights(), k)
         list(islice(generation_stream(dual, k, (0, 1)), N + 1))
-        calls = k.children_calls
+        calls = k.steps
         # par^(n-1)(0, 0) = par^(n-2)(0, 1): generation n descends one level
         # from the stored A((0, 1), n - 1)
         laddered = [bits(m) for _, m in islice(generation_stream(dual, k, (0, 0)), N + 1)]
-        assert k.children_calls - calls == 40       # a fresh walk makes 820
+        assert k.steps - calls == 40       # a fresh walk makes 820
         fresh = cauchy_dual(ex52_weights(), TQB)
         assert laddered == [bits(m) for _, m in
                             islice(generation_stream(fresh, TQB, (0, 0)), N + 1)]

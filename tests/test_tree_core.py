@@ -6,12 +6,12 @@ import random
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from woldlab.errors import (MalformedTreeError, ResourceCapError,
                             UnknownVertexError)
-from woldlab.tree_core import (Budget, TkInfKernel, TqbKernel, Window,
+from woldlab.tree_core import (Budget, TkInfKernel, TqbKernel, TreeKernel, Window,
                                ZPathKernel, BilateralPath, child_n, enum_A,
                                enum_A_definitional,
                                load_adjacency, make_kernel, operation, par_n,
@@ -265,16 +265,21 @@ def dual_stream_upto(n):
 
 
 # name: (cap, enumeration of size n, the largest n within the cap).  Outside
-# an operation every walk gets its own budget: a stream generation, a norm,
-# a window.
+# an operation every walk gets its own budget: a norm, a window, a whole
+# stream.
 CAP_TRIPS = {
     # levels of 2, 3, ..., n + 1 vertices below a spine vertex
     "child_n": (10, lambda n: child_n(TQB, (0, 0), n), 3),
+    # one vertex per level down a ray; past the cap a depth of 10**12 trips
+    # at once, without walking or listing the ray
+    "child_n_ray": (10, lambda n: child_n(TQB, (1, 0), n if n <= 10 else 10**12), 10),
     "shift_norm_sq": (10, lambda n: shift_norm_sq(ex52_weights(), TQB, (0, 0), n), 3),
     # the top anchor plus levels of 2, 3, ..., n + 1 vertices
     "window_vertices": (10, lambda n: window_vertices(TQB, Window((0, 0), 1, n - 1)), 3),
-    # generation n charges n + 1: one shell vertex per level, plus the up-walk step
-    "generation_stream": (60, dual_stream_upto, 59),
+    # generation n charges n + 1: one shell vertex per level, plus the up-walk
+    # step; 9 generations charge 54.  A spine dual miss charges its sibling
+    # to a budget of its own here, as a walk outside any operation does.
+    "generation_stream": (60, dual_stream_upto, 9),
 }
 
 
@@ -286,6 +291,20 @@ def test_budget_trips(monkeypatch, name):
     run(last_ok)
     with pytest.raises(ResourceCapError):
         run(last_ok + 1)
+
+
+def test_stream_budget_is_bound_once_in_or_out_of_an_operation(monkeypatch):
+    monkeypatch.setenv("WOLDLAB_MAX_VERTICES", "60")
+
+    def tripped_at():
+        # generation n charges n + 1; 9 generations charge 54, 10 charge 65
+        with pytest.raises(ResourceCapError, match="generation 10 "):
+            for _ in generation_stream(ex52_weights(), TQB, (0, 0)):
+                pass
+
+    tripped_at()
+    with operation():
+        tripped_at()
 
 
 def test_walks_in_one_operation_share_its_budget(monkeypatch):
@@ -414,6 +433,58 @@ kernel_and_vertex = st.one_of(
 def test_siblings_are_the_children_of_the_parent(case):
     kernel, v = case
     assert kernel.siblings(v) == kernel.children(kernel.parent(v))
+
+
+def unary_walk(kernel, u, depth):
+    """`TreeKernel.ray` spelled out: children calls until a vertex does not
+    have exactly one child, or `depth` lone children are listed."""
+    chain = []
+    for _ in range(depth):
+        kids = kernel.children(u)
+        if len(kids) != 1:
+            return chain, kids
+        u = kids[0]
+        chain.append(u)
+    return chain, None
+
+
+@settings(max_examples=300)
+@given(kernel_and_vertex, st.integers(0, 12))
+@example((TQB, (3, 1)), 4)
+@example((TQB, (0, 2)), 1)
+@example((TkInfKernel(1), (-2, 0)), 5)
+@example((TkInfKernel(4), (-2, 0)), 5)
+@example((ZP, 0), 0)
+def test_ray_is_the_unary_walk(case, depth):
+    kernel, u = case
+    try:
+        want = unary_walk(kernel, u, depth)
+    except UnknownVertexError as exc:      # a walk past a file's boundary
+        assert raised(lambda v: kernel.ray(v, depth), u) == str(exc)
+        return
+    assert kernel.ray(u, depth) == want == TreeKernel.ray(kernel, u, depth)
+
+
+RAY_BAD = [
+    *[(TQB, bad) for bad in TQB_BAD],
+    *[(TkInfKernel(k), bad) for k in (1, 3)
+      for bad in [(0, 1), (2, 0), (1, 4), (-1, 2), (1,), None]],
+    (ZP, "0"), (ZP, None), (ZP, 1.5),
+    (ADJ, "ghost"), (ADJ, "x"),
+]
+
+
+@pytest.mark.parametrize("kernel, v", RAY_BAD)
+def test_ray_rejects_what_children_rejects(kernel, v):
+    for depth in (1, 3):
+        assert raised(lambda u: kernel.ray(u, depth), v) == raised(kernel.children, v)
+    assert kernel.ray(v, 0) == ([], None)
+
+
+@pytest.mark.parametrize("kernel, v", [case for case in RAY_BAD if case[0] is not ADJ])
+def test_inline_vertex_tests_raise_what_check_raises(kernel, v):
+    for step in (kernel.children, kernel.parent, lambda u: kernel.ray(u, 2)):
+        assert raised(step, v) == raised(kernel._check, v)
 
 
 @given(st.integers(-40, 40), st.integers(0, 12))

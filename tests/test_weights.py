@@ -284,6 +284,63 @@ def test_dual_log_weights_match_the_parent_norm_bit_for_bit(case, layers, data):
         assert got == primal.log_weight(v) - math.log(norm)
 
 
+# ---------------------------------------------------------------------------
+# log weights along a ray
+
+
+RAY_WEIGHTS = {
+    "prop51": lambda a, b: Prop51Weights(a, b),
+    "constant": lambda a, b: ConstantWeights(a.default),
+    "function": lambda a, b: FunctionWeights(lambda v: 1.5 + math.sin(v[0] + 2 * v[1])),
+}
+
+ray_start = st.one_of(
+    st.tuples(st.just(TQB), st.tuples(st.integers(0, 4), st.integers(-5, 5))),
+    st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(TkInfKernel(k)), st.one_of(
+        st.builds(lambda m: (m, 0), st.integers(-6, 0)),
+        st.tuples(st.integers(1, 6), st.integers(1, k))))),
+)
+
+
+def cache_bits(dual):
+    return {v: lw.hex() for v, lw in dual._log_cache.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(sorted(RAY_WEIGHTS)), a=rule, b=rule,
+       layers=st.integers(0, 2), start=ray_start, depth=st.integers(0, 30),
+       data=st.data())
+def test_ray_log_weights_are_the_log_weights_bit_for_bit(family, a, b, layers, start,
+                                                         depth, data):
+    kernel, u = start
+    chain, _ = kernel.ray(u, depth)
+    # part of the ray first, then all of it; a dual has some vertices cached
+    keep = data.draw(st.lists(st.booleans(), min_size=len(chain), max_size=len(chain)))
+    part = [v for v, kept in zip(chain, keep) if kept]
+    warm = data.draw(st.lists(st.sampled_from(chain), max_size=4)) if chain else []
+    got, want = RAY_WEIGHTS[family](a, b), RAY_WEIGHTS[family](a, b)
+    for _ in range(layers):
+        got, want = cauchy_dual(got, kernel), cauchy_dual(want, kernel)
+    for v in warm:
+        assert got.log_weight(v) == want.log_weight(v)
+    for vertices in (part, chain):
+        assert ([lw.hex() for lw in got.ray_log_weights(vertices)]
+                == [want.log_weight(v).hex() for v in vertices])
+    while isinstance(got, CauchyDualWeights):
+        assert cache_bits(got) == cache_bits(want)
+        got, want = got.primal, want.primal
+
+
+def test_a_new_log_weight_gets_the_per_vertex_ray_form():
+    class Shifted(Prop51Weights):
+        def log_weight(self, v):
+            return super().log_weight(v) + 1.0
+
+    ws = Shifted(PolyRule(1.0), PolyRule(1.0))
+    chain = [(n, 0) for n in range(1, 6)]
+    assert ws.ray_log_weights(chain) == [ws.log_weight(v) for v in chain]
+
+
 def test_family_root_tracks_depth():
     assert family_root(EX52) == (EX52, 0)
     d = cauchy_dual(EX52, TQB)

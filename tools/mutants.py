@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Standing mutation check for the provenance rule, the plugin premises and
-the closed-form sibling sets with their vertex charge.
+"""Standing mutation check for the provenance rule, the plugin premises, the
+closed-form sibling sets and rays with their vertex charge, and the
+degenerate-norm guard on a ray.
 
     python tools/mutants.py
 
@@ -69,6 +70,13 @@ MUTANTS = [
      "tests/test_weights.py::test_dual_miss_charges_and_fills_its_sibling_set[v1-siblings1]"),
     (TREE, "if n >= 2:\n            return (v,)", "if n >= 1:\n            return (v,)",
      "tests/test_tree_core.py::test_tqb_siblings_switch_between_spine_and_rays[1]"),
+    # tqb's closed-form ray lists `depth` vertices, and a dual weight on a
+    # ray keeps the degenerate-norm guard
+    (TREE, "range(n + 1, n + depth + 1)", "range(n + 1, n + depth)",
+     "tests/test_tree_core.py::test_ray_is_the_unary_walk"),
+    (WEIGHTS, "        norm = math.exp(2.0 * own)\n        if norm < NORM_FLOOR:\n"
+     "            self._degenerate(v)\n", "        norm = math.exp(2.0 * own)\n",
+     "tests/test_series.py::test_stream_raises_on_a_degenerate_ray_norm"),
 ]
 
 
