@@ -58,9 +58,10 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v):
     only when no rung exists.  A stream at par(v) run before the one at v
     thus leaves v one level per generation to walk.  The budget and its
     memos are bound when iteration starts, so a stream outside any
-    operation keeps its own, and the cap bounds the whole stream, as it
-    does inside an operation.  A cap tripped here names the generation
-    being walked.
+    operation keeps its own, and each generation is walked with that
+    budget current, so a dual weight's sibling charges land in it too:
+    the cap bounds the whole stream, in an operation or out of one.  A cap
+    tripped here names the generation being walked.
     """
     yield 0, [(v, 0.0)]
     budget = Budget.current()
@@ -70,18 +71,19 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v):
     n = 1
     try:
         while True:
-            base_log += ws.log_weight(top)
-            up = kernel.parent(top)
-            ladder = ladders.setdefault(top, {})     # n -> A(v, n) under this top
-            members = ladder.get(n)
-            if members is None:
-                budget.charge()
-                j = max((k for k in ladder if k < n), default=0)
-                if j:
-                    members = descend(kernel, ladder[j], n - j, budget, ws)
-                else:
-                    members = shell(kernel, top, up, n, budget, ws)
-                ladder[n] = members
+            with budget:     # sibling charges of dual misses land here too
+                base_log += ws.log_weight(top)
+                up = kernel.parent(top)
+                ladder = ladders.setdefault(top, {})     # n -> A(v, n) under this top
+                members = ladder.get(n)
+                if members is None:
+                    budget.charge()
+                    j = max((k for k in ladder if k < n), default=0)
+                    if j:
+                        members = descend(kernel, ladder[j], n - j, budget, ws)
+                    else:
+                        members = shell(kernel, top, up, n, budget, ws)
+                    ladder[n] = members
             yield n, [(u, acc - base_log) for u, acc in members]
             top = up
             n += 1

@@ -44,6 +44,17 @@ class Budget:
         self.cap = vertex_cap()
         self.used = 0
         self.memos: dict = {}
+        self._tokens: list = []
+
+    def __enter__(self) -> Budget:
+        """Make this budget the current one for the walks in the block: a
+        generator that bound it when iteration started charges it wherever
+        it is resumed.  Blocks may nest but must not span a yield."""
+        self._tokens.append(_operation_budget.set(self))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _operation_budget.reset(self._tokens.pop())
 
     def charge(self, k: int = 1) -> None:
         self.used += k
@@ -153,13 +164,6 @@ class ZPathKernel(TreeKernel):
             self._check(v)
         return v - 1
 
-    def ray(self, u, depth):
-        if depth <= 0:
-            return [], None
-        if not isinstance(u, int):
-            self._check(u)
-        return list(range(u + 1, u + depth + 1)), None
-
     def default_base(self):
         return 0
 
@@ -225,25 +229,6 @@ class TkInfKernel(TreeKernel):
         if m == 1:
             return (0, 0)
         return (m - 1, j)
-
-    def ray(self, u, depth):
-        if depth <= 0:
-            return [], None
-        if not (isinstance(u, tuple) and len(u) == 2
-                and (u[1] == 0 if u[0] <= 0 else 1 <= u[1] <= self.k)):
-            self._check(u)
-        m, j = u
-        if m > 0:
-            return [(m + i, j) for i in range(1, depth + 1)], None
-        # up the spine to (0, 0), which branches unless there is one ray
-        spine = min(-m, depth)
-        chain = [(m + i, 0) for i in range(1, spine + 1)]
-        if spine == depth:
-            return chain, None
-        if self.k > 1:
-            return chain, self._rays
-        chain.extend((i, 1) for i in range(1, depth - spine + 1))
-        return chain, None
 
     def default_base(self):
         return (0, 0)
@@ -475,6 +460,9 @@ def make_kernel(spec: str) -> TreeKernel:
 # iterated maps and generation shells
 
 
+RAY_PIECE = 4096   # the most ray vertices `descend` holds at once
+
+
 def _no_weight(v) -> float:
     return 0.0
 
@@ -486,35 +474,40 @@ def descend(kernel: TreeKernel, frontier, depth: int, budget: Budget, ws=None):
     plus the log weight of the child under the weight system `ws`; an
     unweighted walk (`ws` None) adds a zero weight, which keeps the loop
     free of per-vertex branches.  A one-vertex frontier more than one
-    level deep takes its unary ray in one `kernel.ray` call, one
-    `ws.ray_log_weights` call and one charge, and adds the weights in ray
-    order, so floats and trip points are those of the level loop; the ray
-    asks for at most one vertex past the cap, so a huge `depth` trips at
-    once.  Where the ray branches, and for a single level, the level loop
-    that wide frontiers take does the work.  Iterated children,
-    shells, shift-power norms and the series term stream all descend here;
-    windows, which keep every level, take one plain pass in
-    `window_depth_classes`.
+    level deep takes its unary ray in pieces of at most RAY_PIECE
+    vertices, each with one `kernel.ray` call, one `ws.ray_log_weights`
+    call and one charge, and adds the weights in ray order, so floats and
+    trip points are those of the level loop.  A piece asks for at most one
+    vertex past the cap, so memory stays bounded by the piece and a huge
+    `depth` trips at the cap.  Where the ray branches, and for a single
+    level, the level loop that wide frontiers take does the work.
+    Iterated children, shells, shift-power norms and the series term
+    stream all descend here; windows, which keep every level, take one
+    plain pass in `window_depth_classes`.
     """
     children, charge = kernel.children, budget.charge
     log_weight = _no_weight if ws is None else ws.log_weight
     level = 0
     if len(frontier) == 1 and depth > 1:
         (u, acc), = frontier
-        limit = budget.cap - budget.used + 1
-        chain, kids = kernel.ray(u, depth if depth < limit else limit)
-        # weights before the charge, as in the level loop
-        if ws is not None:
-            for lw in ws.ray_log_weights(chain):
-                acc = acc + lw
-        charge(len(chain))
-        if chain:
-            u = chain[-1]
-        if kids is None:
-            return [(u, acc)]
+        while True:
+            chain, kids = kernel.ray(u, min(depth - level, RAY_PIECE,
+                                            budget.cap - budget.used + 1))
+            # weights before the charge, as in the level loop
+            if ws is not None:
+                for lw in ws.ray_log_weights(chain):
+                    acc = acc + lw
+            charge(len(chain))
+            level += len(chain)
+            if chain:
+                u = chain[-1]
+            if kids is not None:
+                break
+            if level == depth:
+                return [(u, acc)]
         frontier = [(c, acc + log_weight(c)) for c in kids]
         charge(len(frontier))
-        level = len(chain) + 1
+        level += 1
     for _ in range(level, depth):
         nxt = []
         append = nxt.append

@@ -20,11 +20,12 @@ from woldlab.series import (ANALYTIC_TERMS, SeriesConfig, SeriesVerdict,
                             _plugin_constant, _plugin_prop51, _term_value,
                             alpha_partial, alpha_terms, alpha_verdict, g_vector,
                             generation_stream, hyperrange_recurrence_check)
+from woldlab import tree_core
 from woldlab.tree_core import (BilateralPath, Budget, TkInfKernel, TqbKernel,
                                ZPathKernel, enum_A_definitional, operation)
 from woldlab.weights import (ConstantWeights, FunctionWeights, PolyRule,
                              Prop51Weights, TkinfIsometricWeights, cauchy_dual,
-                             ex52_weights, moment_log)
+                             ex52_weights, moment_log, shift_norm_sq)
 
 TQB = TqbKernel()
 EX52 = ex52_weights()
@@ -291,6 +292,22 @@ def test_stream_raises_on_a_degenerate_ray_norm():
 
 def bits(members):
     return [(u, rel_log.hex()) for u, rel_log in members]
+
+
+def test_ray_pieces_keep_floats_and_charges(monkeypatch):
+    def walk():
+        with operation() as budget:
+            dual = cauchy_dual(ex52_weights(), TQB)
+            terms = [bits(m) for _, m in islice(generation_stream(dual, TQB, (0, 0)), 30)]
+            norm = shift_norm_sq(dual, TQB, (1, 2), 25).hex()
+            return terms, norm, sorted(cache_items(dual)), budget.used
+
+    def cache_items(dual):
+        return [(v, lw.hex()) for v, lw in dual._log_cache.items()]
+
+    whole = walk()
+    monkeypatch.setattr(tree_core, "RAY_PIECE", 3)
+    assert walk() == whole
 
 
 def test_parent_stream_leaves_rungs_the_child_descends_from():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -271,15 +272,14 @@ CAP_TRIPS = {
     # levels of 2, 3, ..., n + 1 vertices below a spine vertex
     "child_n": (10, lambda n: child_n(TQB, (0, 0), n), 3),
     # one vertex per level down a ray; past the cap a depth of 10**12 trips
-    # at once, without walking or listing the ray
+    # at the cap, in pieces that never list more than one vertex past it
     "child_n_ray": (10, lambda n: child_n(TQB, (1, 0), n if n <= 10 else 10**12), 10),
     "shift_norm_sq": (10, lambda n: shift_norm_sq(ex52_weights(), TQB, (0, 0), n), 3),
     # the top anchor plus levels of 2, 3, ..., n + 1 vertices
     "window_vertices": (10, lambda n: window_vertices(TQB, Window((0, 0), 1, n - 1)), 3),
     # generation n charges n + 1: one shell vertex per level, plus the up-walk
-    # step; 9 generations charge 54.  A spine dual miss charges its sibling
-    # to a budget of its own here, as a walk outside any operation does.
-    "generation_stream": (60, dual_stream_upto, 9),
+    # step, and each spine dual miss its sibling, all to the stream's budget
+    "generation_stream": (60, dual_stream_upto, 8),
 }
 
 
@@ -293,18 +293,35 @@ def test_budget_trips(monkeypatch, name):
         run(last_ok + 1)
 
 
-def test_stream_budget_is_bound_once_in_or_out_of_an_operation(monkeypatch):
+@pytest.mark.parametrize("dual, generation", [(False, 10), (True, 9)])
+def test_stream_budget_is_bound_once_in_or_out_of_an_operation(monkeypatch, dual,
+                                                              generation):
     monkeypatch.setenv("WOLDLAB_MAX_VERTICES", "60")
 
     def tripped_at():
-        # generation n charges n + 1; 9 generations charge 54, 10 charge 65
-        with pytest.raises(ResourceCapError, match="generation 10 "):
-            for _ in generation_stream(ex52_weights(), TQB, (0, 0)):
+        # generation n charges n + 1; 9 generations charge 54, 10 charge 65,
+        # and a dual stream's spine misses charge their siblings on top
+        ws = cauchy_dual(ex52_weights(), TQB) if dual else ex52_weights()
+        with pytest.raises(ResourceCapError, match=f"generation {generation} "):
+            for _ in generation_stream(ws, TQB, (0, 0)):
                 pass
 
     tripped_at()
     with operation():
         tripped_at()
+
+
+def test_deep_ray_trips_the_default_cap_in_bounded_memory(monkeypatch):
+    monkeypatch.delenv("WOLDLAB_MAX_VERTICES", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError):
+            child_n(TQB, (1, 0), 10**12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a million-vertex chain would hold about 90 MiB
+    assert peak < 4 * 2**20
 
 
 def test_walks_in_one_operation_share_its_budget(monkeypatch):

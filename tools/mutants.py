@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Standing mutation check for the provenance rule, the plugin premises, the
-closed-form sibling sets and rays with their vertex charge, and the
-degenerate-norm guard on a ray.
+closed-form sibling sets and rays with their vertex charge, the
+degenerate-norm guard on a ray and the stream's one budget.
 
     python tools/mutants.py
 
@@ -77,6 +77,11 @@ MUTANTS = [
     (WEIGHTS, "        norm = math.exp(2.0 * own)\n        if norm < NORM_FLOOR:\n"
      "            self._degenerate(v)\n", "        norm = math.exp(2.0 * own)\n",
      "tests/test_series.py::test_stream_raises_on_a_degenerate_ray_norm"),
+    # a stream walks each generation with its own budget current, so a dual
+    # miss charges its sibling there, in an operation or out of one
+    (SERIES, "with budget:", "with Budget():",
+     "tests/test_tree_core.py::test_stream_budget_is_bound_once_in_or_out_of_an_operation"
+     "[True-9]"),
 ]
 
 
