@@ -22,7 +22,7 @@ from .operator import classify, defect_diagonal
 from .series import SeriesConfig, alpha_partial, alpha_verdict, g_vector
 from .tree_core import (BilateralPath, TqbKernel, Window, load_adjacency, make_kernel,
                         operation, window_depth_classes, window_vertices)
-from .weights import (FunctionWeights, Prop51Weights, PolyRule, cauchy_dual,
+from .weights import (Prop51Weights, PolyRule, WeightSystem, cauchy_dual,
                       ex52_weights, is_balanced, is_norm_increasing,
                       make_weights, shift_norm_sq)
 from .wold import wold_verdict
@@ -216,6 +216,32 @@ def cmd_gvec(args) -> int:
 
 _TAMPER_VERTEX = (2, 3)
 _TAMPER_SCALE = 1.001
+_TAMPER_LOG = math.log(_TAMPER_SCALE)
+
+
+class TamperedWeights(WeightSystem):
+    """The negative control of `repro --tamper`: the base system with the
+    weight at _TAMPER_VERTEX scaled by _TAMPER_SCALE, carried in log space.
+    It is no Prop51Weights, so the plugins decline it."""
+
+    name = "tampered"
+
+    def __init__(self, base: WeightSystem) -> None:
+        self.base = base
+        self.params = {"vertex": str(_TAMPER_VERTEX)}
+
+    def weight(self, v) -> float:
+        return math.exp(self.log_weight(v))
+
+    def log_weight(self, v) -> float:
+        lw = self.base.log_weight(v)
+        return lw + _TAMPER_LOG if v == _TAMPER_VERTEX else lw
+
+    def ray_log_weights(self, chain) -> list:
+        out = self.base.ray_log_weights(chain)
+        if _TAMPER_VERTEX in chain:
+            out[chain.index(_TAMPER_VERTEX)] += _TAMPER_LOG
+        return out
 
 
 def _spine_norm(m: int) -> float:
@@ -258,12 +284,7 @@ def _check(rows, name, passed, **detail):
 
 def _repro_rows(base: Prop51Weights, tampered: bool):
     kernel = TqbKernel()
-    if tampered:
-        ws = FunctionWeights(
-            lambda v, _b=base: _b.weight(v) * (_TAMPER_SCALE if v == _TAMPER_VERTEX else 1.0),
-            name="tampered", params={"vertex": str(_TAMPER_VERTEX)})
-    else:
-        ws = base
+    ws = TamperedWeights(base) if tampered else base
     p, a_rule, b_rule = base.p, base.a, base.b
     window = Window((0, 0), 3, 3)
     cfg = SeriesConfig(n_max=350)

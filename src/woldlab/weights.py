@@ -322,10 +322,15 @@ def shift_norm_sq(ws: WeightSystem, kernel: TreeKernel, u, n: int = 1) -> float:
 
 class CauchyDualWeights(WeightSystem):
     """The dual system: each weight divided by the one-step squared norm at
-    its parent.  Finished log weights are memoized per vertex, which is
-    sound because weight systems and kernels are pure; a miss fills the
-    whole sibling set from the one parent norm it computes.  `weight` reads
-    the same memo."""
+    its parent.
+
+    A lone child's norm is exp(2 own) of its own primal log weight `own`,
+    so its dual log weight is own - log(exp(2 own)), taken afresh on each
+    read and never stored.  Sibling sets of two or more need a
+    `math.fsum` over their primal weights: a miss fills the whole set
+    from the one parent norm it computes, and `_log_cache` memoizes those
+    entries per vertex, which is sound because weight systems and kernels
+    are pure.  `weight` reads the same values."""
 
     def __init__(self, primal: WeightSystem, kernel: TreeKernel) -> None:
         self.primal = primal
@@ -340,47 +345,44 @@ class CauchyDualWeights(WeightSystem):
 
     def log_weight(self, v) -> float:
         hit = self._log_cache.get(v)
-        if hit is None:
-            # the same floats as shift_norm_sq at par(v): one primal log
-            # weight per sibling, v's own first, summed with math.fsum
-            own = self.primal.log_weight(v)
-            kids = self.kernel.siblings(v)
-            if len(kids) == 1:
-                return self._lone_child(v, own)
-            # the walk that reached v charged it; charge the others
-            Budget.current().charge(len(kids) - 1)
-            logs = [own if c == v else self.primal.log_weight(c) for c in kids]
-            norm = math.fsum([math.exp(2.0 * lw) for lw in logs])
+        if hit is not None:
+            return hit
+        # the same floats as shift_norm_sq at par(v): one primal log
+        # weight per sibling, v's own first, summed with math.fsum
+        own = self.primal.log_weight(v)
+        kids = self.kernel.siblings(v)
+        if len(kids) == 1:
+            # the lone sibling is v (the kernel contract puts v in
+            # children(par v)), and math.fsum of one value is that value
+            norm = math.exp(2.0 * own)
             if norm < NORM_FLOOR:
                 self._degenerate(v)
-            log_norm = math.log(norm)
-            for c, lw in zip(kids, logs):
-                self._log_cache[c] = lw - log_norm
-            hit = self._log_cache[v]
-        return hit
-
-    def ray_log_weights(self, chain) -> list:
-        """Every vertex is its parent's only child, so a miss needs no
-        sibling set and charges nothing.  The misses' primal log weights
-        come from one `ray_log_weights` call on the primal, then each miss
-        is finished in chain order."""
-        cache = self._log_cache
-        misses = [v for v in chain if v not in cache]
-        if misses:
-            for v, own in zip(misses, self.primal.ray_log_weights(misses)):
-                self._lone_child(v, own)
-        return [cache[v] for v in chain]
-
-    def _lone_child(self, v, own) -> float:
-        """Cache and return the dual log weight of v, its parent's only child,
-        from its primal log weight `own`.  The lone sibling is v (the kernel
-        contract puts v in children(par v)), and math.fsum of one value is
-        that value, so the norm is exp(2 own)."""
-        norm = math.exp(2.0 * own)
+            return own - math.log(norm)
+        # the walk that reached v charged it; charge the others
+        Budget.current().charge(len(kids) - 1)
+        logs = [own if c == v else self.primal.log_weight(c) for c in kids]
+        norm = math.fsum([math.exp(2.0 * lw) for lw in logs])
         if norm < NORM_FLOOR:
             self._degenerate(v)
-        hit = self._log_cache[v] = own - math.log(norm)
-        return hit
+        log_norm = math.log(norm)
+        for c, lw in zip(kids, logs):
+            self._log_cache[c] = lw - log_norm
+        return self._log_cache[v]
+
+    def ray_log_weights(self, chain) -> list:
+        """Every vertex is its parent's only child, so each is log_weight's
+        lone-child branch: no sibling set, no charge, no memo.  The primal
+        log weights come from one `ray_log_weights` call on the primal, and
+        the guard runs in chain order."""
+        exp, log = math.exp, math.log
+        out = []
+        append = out.append
+        for v, own in zip(chain, self.primal.ray_log_weights(chain)):
+            norm = exp(2.0 * own)
+            if norm < NORM_FLOOR:
+                self._degenerate(v)
+            append(own - log(norm))
+        return out
 
     def _degenerate(self, v):
         raise DegenerateNormError(f"one-step norm at {self.kernel.parent(v)!r} "

@@ -301,9 +301,17 @@ def test_repro_passes(capsys):
 def test_repro_tamper_pinpoints(capsys):
     code, out, _ = run(capsys, "repro", "ex52", "--tamper")
     assert code == 1
-    fails = [l for l in out.splitlines() if l.startswith("[FAIL]")]
-    assert fails
-    assert any("norm-closed-forms" in l for l in fails)
+    marks = [l.split(" ", 2)[:2] for l in out.splitlines() if l.startswith("[")]
+    # one weight scaled by 1.001 breaks every check but norm-increasing, which
+    # a larger weight cannot break; a tamper that stops perturbing shows here
+    assert marks == [["[FAIL]", "boundedness-certificate"],
+                     ["[FAIL]", "norm-closed-forms"],
+                     ["[FAIL]", "dual-closed-forms"],
+                     ["[PASS]", "norm-increasing"],
+                     ["[FAIL]", "three-expansion"],
+                     ["[FAIL]", "alpha-divergence"],
+                     ["[FAIL]", "dual-alpha-convergence"],
+                     ["[FAIL]", "wold-verdict"]]
 
 
 # ---------------------------------------------------------------------------

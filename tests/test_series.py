@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from woldlab.cli import TamperedWeights
 from woldlab.errors import (DegenerateNormError, DivergentSeriesError,
                             UndecidedSeriesError)
 from woldlab.numerics import (NeumaierSum, bracket_decreasing_tail,
@@ -260,6 +261,18 @@ def test_dual_table_charges_each_ray_vertex_once():
     assert budget.used == N * (N + 1) // 2 + 2 * N == 81_000
 
 
+@pytest.mark.parametrize("N", [1, 40, 400])
+def test_dual_table_memoizes_only_the_spine_pairs(N):
+    with operation():
+        dual = cauchy_dual(ex52_weights(), TQB)
+        alpha_partial(dual, TQB, (0, 0), N)
+    # shell n starts at the pair {(0, n - 1), (1, n)} below (0, n); every
+    # other vertex the walk reaches is a lone child on a ray
+    assert sorted(dual._log_cache) == sorted(
+        v for n in range(1, N + 1) for v in TQB.children((0, n)))
+    assert len(dual._log_cache) == 2 * N
+
+
 def test_same_generation_verdict_walks_only_its_own_shells():
     N = 40
     cfg = SeriesConfig(n_max=N, use_plugins=False)
@@ -287,7 +300,12 @@ def test_stream_raises_on_a_degenerate_ray_norm():
     # generation 3 takes the ray (2, 3), (3, 3) below (1, 3) in one call
     with pytest.raises(DegenerateNormError, match=r"norm at \(2, 3\) fell below"):
         next(stream)
-    assert (2, 3) in dual._log_cache and (3, 3) not in dual._log_cache
+    # the lone child (2, 3) passed the guard and is read afresh, not memoized;
+    # the memo holds the spine pairs of generations 1 to 3 alone
+    norm = shift_norm_sq(dual.primal, TQB, (1, 3))
+    assert dual.log_weight((2, 3)).hex() == (
+        dual.primal.log_weight((2, 3)) - math.log(norm)).hex()
+    assert sorted(dual._log_cache) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3)]
 
 
 def bits(members):
@@ -501,6 +519,17 @@ def test_dual_of_a_dual_gets_no_analytic_verdict():
         twice = cauchy_dual(cauchy_dual(EX52, TQB), TQB)
         out = alpha_verdict(twice, TQB, (0, 0), SeriesConfig(n_max=300))
     assert not out.definitive
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_plugins_decline_the_tamper_control(dual):
+    # `repro --tamper`'s weight system wraps ex52 but is no Prop51Weights
+    with operation():
+        ws = TamperedWeights(ex52_weights())
+        if dual:
+            ws = cauchy_dual(ws, TQB)
+        out = alpha_verdict(ws, TQB, (0, 0), SeriesConfig(n_max=60))
+    assert out.method == "heuristic"
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from woldlab.cli import TamperedWeights
 from woldlab.errors import (DegenerateNormError, MissingWeightError,
                             UnknownVertexError)
 from woldlab.tree_core import (TkInfKernel, TqbKernel, Window, ZPathKernel,
@@ -203,12 +204,14 @@ def test_dual_miss_charges_and_fills_its_sibling_set(v, siblings):
     primal = ex52_weights()
     dual = cauchy_dual(primal, TQB)
     with operation() as budget:
-        dual.log_weight(v)
+        got = dual.log_weight(v)
         # the walk that reached v charged it; the miss charges the others
         assert budget.used == len(siblings) - 1
-    assert sorted(dual._log_cache) == siblings
+    # a set of two or more is memoized whole; a lone child is never memoized
+    assert sorted(dual._log_cache) == (siblings if len(siblings) > 1 else [])
     norm = shift_norm_sq(primal, TQB, TQB.parent(v))
-    for c in siblings:
+    assert got.hex() == (primal.log_weight(v) - math.log(norm)).hex()
+    for c in dual._log_cache:
         assert dual._log_cache[c].hex() == (primal.log_weight(c) - math.log(norm)).hex()
 
 
@@ -244,10 +247,17 @@ def test_dual_weight_reads_the_log_cache(case):
         verts = [(-2, 0), (0, 0), (1, 2), (4, 1)]
     dual = cauchy_dual(ws, kernel)
     for v in verts:
+        lone = len(kernel.siblings(v)) == 1
         log_weight = dual.log_weight(v)
         calls = kernel.children_calls
         assert dual.weight(v) == math.exp(log_weight)
-        assert kernel.children_calls == calls
+        if lone:
+            # a lone child's dual is a pure map of its own weight, not memoized
+            assert v not in dual._log_cache
+            norm = shift_norm_sq(ws, kernel, kernel.parent(v))
+            assert log_weight.hex() == (ws.log_weight(v) - math.log(norm)).hex()
+        else:
+            assert kernel.children_calls == calls
 
 
 def _tkinf_vertex():
@@ -292,10 +302,13 @@ RAY_WEIGHTS = {
     "prop51": lambda a, b: Prop51Weights(a, b),
     "constant": lambda a, b: ConstantWeights(a.default),
     "function": lambda a, b: FunctionWeights(lambda v: 1.5 + math.sin(v[0] + 2 * v[1])),
+    "tampered": lambda a, b: TamperedWeights(Prop51Weights(a, b)),
 }
 
 ray_start = st.one_of(
     st.tuples(st.just(TQB), st.tuples(st.integers(0, 4), st.integers(-5, 5))),
+    # the tqb rays through and beside the tampered vertex (2, 3)
+    st.tuples(st.just(TQB), st.sampled_from([(1, 3), (2, 3), (1, 2), (1, 4)])),
     st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(TkInfKernel(k)), st.one_of(
         st.builds(lambda m: (m, 0), st.integers(-6, 0)),
         st.tuples(st.integers(1, 6), st.integers(1, k))))),
@@ -329,6 +342,17 @@ def test_ray_log_weights_are_the_log_weights_bit_for_bit(family, a, b, layers, s
     while isinstance(got, CauchyDualWeights):
         assert cache_bits(got) == cache_bits(want)
         got, want = got.primal, want.primal
+
+
+@pytest.mark.parametrize("u", [(1, 3), (2, 3), (1, 2)])
+def test_tampered_ray_moves_only_the_tampered_vertex(u):
+    base = ex52_weights()
+    ws = TamperedWeights(base)
+    chain, _ = TQB.ray(u, 5)
+    moved = [v for v, lw, lb in zip(chain, ws.ray_log_weights(chain),
+                                    base.ray_log_weights(chain)) if lw != lb]
+    assert moved == ([(2, 3)] if (2, 3) in chain else [])
+    assert ws.log_weight((2, 3)) == base.log_weight((2, 3)) + math.log(1.001)
 
 
 def test_a_new_log_weight_gets_the_per_vertex_ray_form():

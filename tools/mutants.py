@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Standing mutation check for the provenance rule, the plugin premises, the
 closed-form sibling sets and rays with their vertex charge, the
-degenerate-norm guard on a ray and the stream's one budget.
+degenerate-norm guard on a lone child, on a ray and one at a time, and the
+stream's one budget.
 
     python tools/mutants.py
 
@@ -70,13 +71,16 @@ MUTANTS = [
      "tests/test_weights.py::test_dual_miss_charges_and_fills_its_sibling_set[v1-siblings1]"),
     (TREE, "if n >= 2:\n            return (v,)", "if n >= 1:\n            return (v,)",
      "tests/test_tree_core.py::test_tqb_siblings_switch_between_spine_and_rays[1]"),
-    # tqb's closed-form ray lists `depth` vertices, and a dual weight on a
-    # ray keeps the degenerate-norm guard
+    # tqb's closed-form ray lists `depth` vertices, and a lone child's dual
+    # weight keeps the degenerate-norm guard, on a ray and one at a time
     (TREE, "range(n + 1, n + depth + 1)", "range(n + 1, n + depth)",
      "tests/test_tree_core.py::test_ray_is_the_unary_walk"),
-    (WEIGHTS, "        norm = math.exp(2.0 * own)\n        if norm < NORM_FLOOR:\n"
-     "            self._degenerate(v)\n", "        norm = math.exp(2.0 * own)\n",
+    (WEIGHTS, "            if norm < NORM_FLOOR:\n                self._degenerate(v)\n"
+     "            append(", "            append(",
      "tests/test_series.py::test_stream_raises_on_a_degenerate_ray_norm"),
+    (WEIGHTS, "            if norm < NORM_FLOOR:\n                self._degenerate(v)\n"
+     "            return own", "            return own",
+     "tests/test_weights.py::test_dual_degenerate_norm"),
     # a stream walks each generation with its own budget current, so a dual
     # miss charges its sibling there, in an operation or out of one
     (SERIES, "with budget:", "with Budget():",
