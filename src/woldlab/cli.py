@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import functools
 import io
 import json
 import math
@@ -426,7 +427,10 @@ def cmd_repro(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The woldlab parser, built once per process: `main` reuses it, so an
+    in-process caller pays only `parse_args`.  Parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tree", default="tqb",
                         help="zpath | tqb | tkinf:k=K | path to adjacency file")

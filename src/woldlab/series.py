@@ -193,6 +193,17 @@ def alpha_verdict(ws: WeightSystem, kernel: TreeKernel, v,
     abandoned on mismatch), then the sampling heuristic.
     """
     cfg = config or SeriesConfig()
+    # one decision per vertex and config in an operation: decomposition_report
+    # asks again at path vertices its wold_verdict has decided.  The config
+    # dataclass is unhashable, so the key holds its fields.
+    key = ("alpha", ws, kernel, v, cfg.n_max, cfg.use_plugins)
+    memos = Budget.current().memos
+    if key not in memos:
+        memos[key] = _decide(ws, kernel, v, cfg)
+    return memos[key]
+
+
+def _decide(ws, kernel, v, cfg: SeriesConfig) -> SeriesVerdict:
     span = kernel.generation_span(v)
     if span is not None:
         return _finite_generation_verdict(ws, kernel, v, span)

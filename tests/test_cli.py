@@ -2,21 +2,39 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from woldlab import tree_core
 from woldlab.cli import main
 
+SRC = Path(tree_core.__file__).resolve().parents[1]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cold(*argv):
+    """(exit code, stdout, stderr) of main(argv) in a fresh interpreter, whose
+    parser has never been built."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from woldlab.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
 
 
 def parse_csv(text):
@@ -349,3 +367,70 @@ def test_nonfinite_csv_weight_exits_two(capsys, tmp_path, cmd, value):
                          "--vertex=0")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("nosuch",),
+    ("alpha", "--format", "xml"),
+    ("repro",),
+    ("alpha", "--N", "notanint"),
+])
+def test_parser_rejections_exit_two_with_usage(capsys, argv):
+    code, out, err = run_cold(*argv)
+    assert code == 2 and out == "" and "usage: woldlab" in err
+    # the same rejection from a parser that has just served a command
+    assert run(capsys, "tree", "show")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: woldlab")
+    for command in ("tree", "alpha", "dual", "defect", "balanced", "wold", "gvec", "repro"):
+        assert command in out
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    assert run(capsys, "tree", "show")[0] == 0
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (("tree", "show"), ("alpha", "--N", "5"), ("dual", "--format", "csv"),
+                 ("defect", "--m", "2"), ("balanced",)):
+        assert run(capsys, *argv)[0] == 0
+    assert built == []
+    argparse.ArgumentParser(prog="probe")   # the count is live
+    assert built == ["probe"]
+
+
+# Each pair differs in one flag; A's bytes must not depend on B having run
+# in between, and B's must be those of a fresh process.
+@pytest.mark.parametrize("a, b", [
+    (("alpha", "--vertex=0,0", "--N", "20"), ("alpha", "--vertex=0,0", "--N", "20", "--dual")),
+    (("wold", "--N", "60"), ("wold", "--N", "60", "--no-plugins")),
+    (("defect", "--tree", "tkinf:3", "--weights", "tkinf-isometric"),
+     ("defect", "--tree", "tkinf:3", "--weights", "tkinf-isometric", "--m", "5")),
+    (("dual", "--window", "2,2"), ("dual", "--window", "2,2", "--format", "csv")),
+    (("repro", "ex52"), ("repro", "ex52", "--tamper")),
+], ids=["dual", "no-plugins", "m", "format", "tamper"])
+def test_reused_parser_keeps_no_state(capsys, a, b):
+    first = run(capsys, *a)
+    between = run(capsys, *b)
+    assert run(capsys, *a) == first
+    assert between == run_cold(*b)

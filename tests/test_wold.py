@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from itertools import product
 
 import pytest
 
+import woldlab.series
 import woldlab.wold
 from woldlab.errors import DegenerateNormError, PreconditionError
 from woldlab.series import SeriesConfig, SeriesVerdict, alpha_verdict
@@ -327,3 +330,23 @@ def test_wold_verdict_builds_one_dual(monkeypatch):
     assert "alpha_dual" in verdict.evidence
     assert any("dual_kind" in row for row in verdict.evidence["spot_checks"])
     assert len(built) == 1
+
+
+def test_decomposition_report_decides_each_vertex_once(monkeypatch):
+    # wold_verdict decides the window's vertices, then each g_vector asks
+    # again at its path vertex: 13 requests over 8 distinct vertices
+    decided = []
+    real = woldlab.series._finite_generation_verdict
+
+    def spy(ws, kernel, v, span):
+        decided.append(v)
+        return real(ws, kernel, v, span)
+
+    monkeypatch.setattr(woldlab.series, "_finite_generation_verdict", spy)
+    k = TkInfKernel(2)
+    rep = decomposition_report(TkinfIsometricWeights(2), k, Window((0, 0), 2, 2), n_max=2)
+    assert len(decided) == len(set(decided)) == 8
+    # the report's bytes from before verdicts were memoized
+    text = json.dumps(rep.to_json(k), sort_keys=True)
+    assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
+            == "0035d3f955f7f5cdef3854b4b246308ad154aab3932dfcd261f924a2a81a1eff")

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Standing mutation check for the provenance rule, the plugin premises, the
 closed-form sibling sets and rays with their vertex charge, the
-degenerate-norm guard on a lone child, on a ray and one at a time, and the
-stream's one budget.
+degenerate-norm guard on a lone child, on a ray and one at a time, the
+stream's one budget, and the command line's one parser per process.
 
     python tools/mutants.py
 
@@ -34,6 +34,7 @@ WOLD = "src/woldlab/wold.py"
 SERIES = "src/woldlab/series.py"
 WEIGHTS = "src/woldlab/weights.py"
 TREE = "src/woldlab/tree_core.py"
+CLI = "src/woldlab/cli.py"
 TABLE = "tests/test_wold.py::test_outcome_of_each_finding"
 RULE = "tests/test_wold.py::test_outcome_rule_over_every_ingredient_state"
 NUDGE = "tests/test_series.py::test_plugin_declines_a_nudged_weight[{}]"
@@ -86,6 +87,9 @@ MUTANTS = [
     (SERIES, "with budget:", "with Budget():",
      "tests/test_tree_core.py::test_stream_budget_is_bound_once_in_or_out_of_an_operation"
      "[True-9]"),
+    # main reuses the parser it built first instead of building one per call
+    (CLI, "@functools.cache\ndef _build_parser", "def _build_parser",
+     "tests/test_cli.py::test_main_builds_its_parser_once"),
 ]
 
 
