@@ -244,6 +244,13 @@ class TamperedWeights(WeightSystem):
             out[chain.index(_TAMPER_VERTEX)] += _TAMPER_LOG
         return out
 
+    def ray_dual_log_weights(self, chain, dual) -> list:
+        out = self.base.ray_dual_log_weights(chain, dual)
+        if _TAMPER_VERTEX in chain:
+            out[chain.index(_TAMPER_VERTEX)] = dual.lone_child_log_weight(
+                _TAMPER_VERTEX, self.base.log_weight(_TAMPER_VERTEX) + _TAMPER_LOG)
+        return out
+
 
 def _spine_norm(m: int) -> float:
     return 2.0 if m <= 1 else 1.0

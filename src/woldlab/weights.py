@@ -24,9 +24,9 @@ class WeightSystem:
 
     Subclasses implement `weight`; `log_weight` may be overridden when a
     closed form in log space is cheaper or more accurate, and
-    `ray_log_weights` when a ray's log weights are cheaper taken together.
-    A subclass that overrides `log_weight` alone gets the per-vertex
-    `ray_log_weights`.
+    `ray_log_weights` and `ray_dual_log_weights` when a ray's log weights,
+    or its Cauchy dual's, are cheaper taken together.  A subclass that
+    overrides `log_weight` alone gets the per-vertex forms of both.
     """
 
     name = "custom"
@@ -36,8 +36,10 @@ class WeightSystem:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # an inherited batch form would bypass a new log_weight
-        if "log_weight" in vars(cls) and "ray_log_weights" not in vars(cls):
-            cls.ray_log_weights = WeightSystem.ray_log_weights
+        if "log_weight" in vars(cls):
+            for name in ("ray_log_weights", "ray_dual_log_weights"):
+                if name not in vars(cls):
+                    setattr(cls, name, getattr(WeightSystem, name))
 
     def weight(self, v) -> float:
         raise NotImplementedError
@@ -53,6 +55,24 @@ class WeightSystem:
         its parent's only child: a `TreeKernel.ray` chain, or part of one.
         Overrides give the same floats."""
         return [self.log_weight(v) for v in chain]
+
+    def ray_dual_log_weights(self, chain, dual) -> list:
+        """`dual.ray_log_weights(chain)` for `dual`, a Cauchy dual of this
+        system: every vertex is its parent's only child, so each is the
+        dual's lone-child map of its log weight here, taken from one
+        `ray_log_weights` call; no sibling set, no charge, no memo, and
+        the guard runs in chain order."""
+        # the map inlined: a call per vertex would slow every stream of a
+        # family without its own form (tkinf, constant, csv)
+        exp, log = math.exp, math.log
+        out = []
+        append = out.append
+        for v, own in zip(chain, self.ray_log_weights(chain)):
+            norm = exp(2.0 * own)
+            if norm < NORM_FLOOR:
+                dual._degenerate(v)
+            append(own - log(norm))
+        return out
 
 
 class ConstantWeights(WeightSystem):
@@ -199,27 +219,38 @@ class Prop51Weights(WeightSystem):
         return 0.0
 
     def ray_log_weights(self, chain) -> list:
-        """log_weight along the chain.  Down a tqb ray (n, m), (n + 1, m), ...
-        the log p_m(n - 1) of one vertex is the log p_m(x2) of the next, so
-        each is taken once; rules are read as in log_weight, and every term
-        is log_weight's expression, so the floats are the same."""
+        return self._from_rows(chain, ("ray rows", self), self.log_weight)
+
+    def ray_dual_log_weights(self, chain, dual) -> list:
+        lone, log_weight = dual.lone_child_log_weight, self.log_weight
+        return self._from_rows(chain, ("ray rows", self, dual),
+                               lambda v: lone(v, log_weight(v)))
+
+    def _from_rows(self, chain, key, entry) -> list:
+        """[entry(v) for v in chain], where entry(v) depends only on
+        (a_m, b_m, n) once n >= 2, as log_weight and the dual's lone-child
+        map of it do.  Those values are kept in the operation's memos under
+        `key`, one row {n: entry} per coefficient pair, so each is taken
+        once per operation; every vertex's own (n, m) is read, a vertex with
+        n < 2 is entry(v) afresh, and the list returned is always new."""
+        rows = Budget.current().memos.setdefault(key, {})
         a_get, a_default = self.a.table.get, self.a.default
         b_get, b_default = self.b.table.get, self.b.default
-        log = math.log
         out = []
-        row = x_prev = lp_prev = None
+        append = out.append
+        row_m = row = None
         for v in chain:
             n, m = v
             if n < 2:
-                out.append(self.log_weight(v))
+                append(entry(v))
                 continue
-            if m != row:
-                row, a, b = m, a_get(m, a_default), b_get(m, b_default)
-                x_prev = None
-            x1, x2 = n - 1, n - 2
-            lp2 = lp_prev if x2 == x_prev else log(1.0 + a * x2 + b * x2 * x2)
-            lp_prev, x_prev = log(1.0 + a * x1 + b * x1 * x1), x1
-            out.append(0.5 * (lp_prev - lp2))
+            if m != row_m:
+                row_m = m
+                row = rows.setdefault((a_get(m, a_default), b_get(m, b_default)), {})
+            lw = row.get(n)
+            if lw is None:
+                lw = row[n] = entry(v)
+            append(lw)
         return out
 
 
@@ -326,7 +357,8 @@ class CauchyDualWeights(WeightSystem):
 
     A lone child's norm is exp(2 own) of its own primal log weight `own`,
     so its dual log weight is own - log(exp(2 own)), taken afresh on each
-    read and never stored.  Sibling sets of two or more need a
+    read and never stored here (a primal's `ray_dual_log_weights` may keep
+    it).  Sibling sets of two or more need a
     `math.fsum` over their primal weights: a miss fills the whole set
     from the one parent norm it computes, and `_log_cache` memoizes those
     entries per vertex, which is sound because weight systems and kernels
@@ -353,11 +385,8 @@ class CauchyDualWeights(WeightSystem):
         kids = self.kernel.siblings(v)
         if len(kids) == 1:
             # the lone sibling is v (the kernel contract puts v in
-            # children(par v)), and math.fsum of one value is that value
-            norm = math.exp(2.0 * own)
-            if norm < NORM_FLOOR:
-                self._degenerate(v)
-            return own - math.log(norm)
+            # children(par v))
+            return self.lone_child_log_weight(v, own)
         # the walk that reached v charged it; charge the others
         Budget.current().charge(len(kids) - 1)
         logs = [own if c == v else self.primal.log_weight(c) for c in kids]
@@ -369,20 +398,16 @@ class CauchyDualWeights(WeightSystem):
             self._log_cache[c] = lw - log_norm
         return self._log_cache[v]
 
+    def lone_child_log_weight(self, v, own) -> float:
+        """The dual log weight of v, its parent's only child, whose primal
+        log weight is `own`: math.fsum of the one norm is that norm."""
+        norm = math.exp(2.0 * own)
+        if norm < NORM_FLOOR:
+            self._degenerate(v)
+        return own - math.log(norm)
+
     def ray_log_weights(self, chain) -> list:
-        """Every vertex is its parent's only child, so each is log_weight's
-        lone-child branch: no sibling set, no charge, no memo.  The primal
-        log weights come from one `ray_log_weights` call on the primal, and
-        the guard runs in chain order."""
-        exp, log = math.exp, math.log
-        out = []
-        append = out.append
-        for v, own in zip(chain, self.primal.ray_log_weights(chain)):
-            norm = exp(2.0 * own)
-            if norm < NORM_FLOOR:
-                self._degenerate(v)
-            append(own - log(norm))
-        return out
+        return self.primal.ray_dual_log_weights(chain, self)
 
     def _degenerate(self, v):
         raise DegenerateNormError(f"one-step norm at {self.kernel.parent(v)!r} "

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from woldlab.cli import TamperedWeights
@@ -357,12 +359,71 @@ def test_tampered_ray_moves_only_the_tampered_vertex(u):
 
 def test_a_new_log_weight_gets_the_per_vertex_ray_form():
     class Shifted(Prop51Weights):
+        # depends on m beyond (a_m, b_m), so prop51's rows would be wrong
         def log_weight(self, v):
-            return super().log_weight(v) + 1.0
+            return super().log_weight(v) + 1.0 + v[1]
 
     ws = Shifted(PolyRule(1.0), PolyRule(1.0))
     chain = [(n, 0) for n in range(1, 6)]
     assert ws.ray_log_weights(chain) == [ws.log_weight(v) for v in chain]
+    # two rays, ray (n, 0) and ray (n, 1), both unary from n = 2
+    lone = [(n, m) for m in (0, 1) for n in range(2, 7)]
+    dual = cauchy_dual(ws, TQB)
+    assert type(ws).ray_dual_log_weights is WeightSystem.ray_dual_log_weights
+    assert dual.ray_log_weights(lone) == [dual.log_weight(v) for v in lone]
+
+
+# Rules whose coefficient pairs agree on some m and differ on others: with
+# a = const:1 and b = TABLED, rows (1, 2), (1, 3) and (1, 1) share a; with
+# a = b = TABLED they are (2, 2), (3, 3) and (1, 1).
+TABLED = PolyRule.parse("table:0=2,1=3,default=1")
+warm_rule = st.sampled_from([PolyRule(1.0), TABLED, PolyRule.parse("table:-1=3,2=2,default=1.5")])
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["prop51", "tampered"]), a=warm_rule, b=warm_rule,
+       layers=st.integers(0, 2),
+       starts=st.lists(ray_start, min_size=2, max_size=6), depth=st.integers(1, 12))
+@example(family="prop51", a=PolyRule(1.0), b=TABLED, layers=0,
+         starts=[(TQB, (1, 0)), (TQB, (1, 1)), (TQB, (1, 2)), (TQB, (3, 0))], depth=6)
+@example(family="tampered", a=TABLED, b=TABLED, layers=1,
+         starts=[(TQB, (1, 2)), (TQB, (1, 3)), (TQB, (1, 4)), (TkInfKernel(1), (-2, 0))],
+         depth=8)
+def test_warm_ray_rows_are_the_log_weights_bit_for_bit(family, a, b, layers, starts, depth):
+    # one operation, so each chain after the first may read rows an earlier
+    # chain filled: rows shared across m, or split where a table entry differs
+    with operation():
+        got, want = RAY_WEIGHTS[family](a, b), RAY_WEIGHTS[family](a, b)
+        for kernel, u in starts:
+            g, w = got, want
+            for _ in range(layers):
+                g, w = cauchy_dual(g, kernel), cauchy_dual(w, kernel)
+            chain, _ = kernel.ray(u, depth)
+            assert ([lw.hex() for lw in g.ray_log_weights(chain)]
+                    == [w.log_weight(v).hex() for v in chain])
+
+
+def test_ray_rows_are_never_aliased_and_die_with_the_operation():
+    base = ex52_weights()
+    attrs = dict(vars(base))
+    chain, _ = TQB.ray((1, 3), 6)
+    assert (2, 3) in chain
+    with operation() as op:
+        tampered = TamperedWeights(base)
+        systems = [tampered, cauchy_dual(tampered, TQB), base, cauchy_dual(base, TQB)]
+        # the tampered ray first: its edit must land in its own list only
+        first = [ws.ray_log_weights(chain) for ws in systems]
+        want = [[ws.log_weight(v).hex() for v in chain] for ws in systems]
+        assert [[lw.hex() for lw in out] for out in first] == want
+        for out in first:
+            out[chain.index((2, 3))] = out[0] = math.nan
+        assert [[lw.hex() for lw in ws.ray_log_weights(chain)] for ws in systems] == want
+        assert ("ray rows", base) in op.memos
+        budget = weakref.ref(op)
+    del op
+    gc.collect()
+    assert budget() is None              # the rows died with the operation
+    assert vars(base) == attrs
 
 
 def test_family_root_tracks_depth():

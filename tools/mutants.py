@@ -2,6 +2,7 @@
 """Standing mutation check for the provenance rule, the plugin premises, the
 closed-form sibling sets and rays with their vertex charge, the
 degenerate-norm guard on a lone child, on a ray and one at a time, the
+Prop. 5.1 ray rows that an operation keeps per coefficient pair, the
 stream's one budget, and the command line's one parser per process.
 
     python tools/mutants.py
@@ -37,6 +38,7 @@ TREE = "src/woldlab/tree_core.py"
 CLI = "src/woldlab/cli.py"
 TABLE = "tests/test_wold.py::test_outcome_of_each_finding"
 RULE = "tests/test_wold.py::test_outcome_rule_over_every_ingredient_state"
+WARM = "tests/test_weights.py::test_warm_ray_rows_are_the_log_weights_bit_for_bit"
 NUDGE = "tests/test_series.py::test_plugin_declines_a_nudged_weight[{}]"
 
 # (file, old text, new text, pytest node id)
@@ -76,12 +78,16 @@ MUTANTS = [
     # weight keeps the degenerate-norm guard, on a ray and one at a time
     (TREE, "range(n + 1, n + depth + 1)", "range(n + 1, n + depth)",
      "tests/test_tree_core.py::test_ray_is_the_unary_walk"),
-    (WEIGHTS, "            if norm < NORM_FLOOR:\n                self._degenerate(v)\n"
+    (WEIGHTS, "            if norm < NORM_FLOOR:\n                dual._degenerate(v)\n"
      "            append(", "            append(",
      "tests/test_series.py::test_stream_raises_on_a_degenerate_ray_norm"),
-    (WEIGHTS, "            if norm < NORM_FLOOR:\n                self._degenerate(v)\n"
-     "            return own", "            return own",
+    (WEIGHTS, "        if norm < NORM_FLOOR:\n            self._degenerate(v)\n"
+     "        return own", "        return own",
      "tests/test_weights.py::test_dual_degenerate_norm"),
+    # prop51's ray rows: one per coefficient pair (a_m, b_m), read at n
+    (WEIGHTS, "rows.setdefault((a_get(m, a_default), b_get(m, b_default)), {})",
+     "rows.setdefault(a_get(m, a_default), {})", WARM),
+    (WEIGHTS, "lw = row.get(n)", "lw = row.get(n - 1)", WARM),
     # a stream walks each generation with its own budget current, so a dual
     # miss charges its sibling there, in an operation or out of one
     (SERIES, "with budget:", "with Budget():",
