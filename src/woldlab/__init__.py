@@ -7,15 +7,15 @@ from .errors import (DegenerateNormError, DivergentSeriesError,
                      WoldlabError)
 from .tree_core import (AdjacencyKernel, BilateralPath, Budget, TkInfKernel,
                         TqbKernel, TreeKernel, Window, ZPathKernel, child_n,
-                        descend, enum_A, enum_A_definitional, load_adjacency,
-                        make_kernel, operation, par_n, same_generation,
-                        shell, window_depth_classes, window_vertices)
+                        descend, enum_A, load_adjacency, make_kernel,
+                        operation, par_n, same_generation, shell,
+                        window_depth_classes, window_vertices)
 from .weights import (CauchyDualWeights, ConstantWeights, CsvWeights,
                       FunctionWeights, PolyRule, Prop51Weights,
                       TkinfIsometricWeights, WeightSystem, boundedness_estimate,
                       cauchy_dual, ex52_weights, is_balanced,
                       is_norm_increasing, load_weight_csv, make_weights,
-                      moment_log, shift_norm_sq)
+                      shift_norm_sq)
 from .operator import (SparseVector, apply_adjoint, apply_power, apply_shift,
                        classify, defect_diagonal, inner,
                        ker_adjoint_local_basis, wandering_orthogonality_check)

@@ -559,28 +559,6 @@ def enum_A(kernel: TreeKernel, v, n: int):
     return tuple(u for u, _ in shell(kernel, top, kernel.parent(top), n, Budget.current()))
 
 
-def enum_A_definitional(kernel: TreeKernel, v, n: int):
-    """A(v, n) straight from the definition: Chi^n(par^n(v)) minus Chi^(n-1)(par^(n-1)(v)).
-
-    Kept as an independent oracle for `shell`: the iterated child sets are
-    expanded depth first by recursion, not through `descend`.
-    """
-    if n == 0:
-        return (v,)
-    budget = Budget.current()
-
-    def chi(u, k):
-        if k == 0:
-            return [u]
-        kids = kernel.children(u)
-        budget.charge(len(kids))
-        return [x for c in kids for x in chi(c, k - 1)]
-
-    big = chi(par_n(kernel, v, n), n)
-    small = set(chi(par_n(kernel, v, n - 1), n - 1))
-    return tuple(u for u in big if u not in small)
-
-
 def same_generation(kernel: TreeKernel, u, v, n_max: int = 64) -> int | None:
     """Least n with par^n(u) = par^n(v), or None if not found by n_max.
 

@@ -318,19 +318,7 @@ def load_weight_csv(text: str, kernel: TreeKernel, source: str = "<memory>") -> 
 
 
 # ---------------------------------------------------------------------------
-# moments and norms
-
-
-def moment_log(ws: WeightSystem, kernel: TreeKernel, u, n: int) -> float:
-    """log lambda^(n)(u) = sum of log weights along u, par(u), ..., par^(n-1)(u)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total = 0.0
-    x = u
-    for _ in range(n):
-        total += ws.log_weight(x)
-        x = kernel.parent(x)
-    return total
+# norms
 
 
 def shift_norm_sq(ws: WeightSystem, kernel: TreeKernel, u, n: int = 1) -> float:

@@ -361,13 +361,11 @@ def decomposition_report(ws: WeightSystem, kernel: TreeKernel, window: Window,
                           "allowance": allowance,
                           "ok": abs(a - b) <= tol + allowance})
 
-    coverage = _coverage_gram(ws, kernel, window, gs, n_max, tol)
+    coverage = _coverage_gram(ws, kernel, window, gs, n_max)
     return DecompositionReport(window, n_max, N, tol, reduction, unitarity, coverage)
 
 
-def _coverage_gram(ws, kernel, window, gs, n_max, tol):
-    import numpy as np
-
+def _coverage_gram(ws, kernel, window, gs, n_max):
     win = set(window_vertices(kernel, window))
     members = []
     for m, g in sorted(gs.items()):
@@ -380,14 +378,45 @@ def _coverage_gram(ws, kernel, window, gs, n_max, tol):
         if r.norm_sq() > 0.0:
             members.append((("w", kernel.format_vertex(v), idx, j), r.scale(1.0 / r.norm())))
     dim = len(members)
-    gram = np.eye(dim)
+    gram = [[1.0] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
-            gram[i, j] = gram[j, i] = inner(members[i][1], members[j][1])
-    off = float(np.max(np.abs(gram - np.eye(dim)))) if dim else 0.0
-    rank = int(np.linalg.matrix_rank(gram, tol=1e-8)) if dim else 0
+            gram[i][j] = gram[j][i] = inner(members[i][1], members[j][1])
+    off = max((abs(gram[i][j]) for i in range(dim) for j in range(i + 1, dim)), default=0.0)
+    rank = _rank(gram)
     return {"vectors": dim, "window_dim": len(win),
             "gram_offdiag_max": off, "rank": rank,
             "deficit": len(win) - rank,
             "labels": [list(map(str, lab)) if isinstance(lab, tuple) else str(lab)
                        for lab, _ in members]}
+
+
+def _rank(a: list) -> int:
+    """How many |eigenvalues| of the symmetric matrix `a` (rows, left with
+    the eigenvalues on its diagonal) exceed 1e-8, as `matrix_rank(a, 1e-8)`
+    counts.  Cyclic Jacobi (Golub & Van Loan, 8.5), stopped when twice the
+    off-diagonal square sum is 1e-32 of the Frobenius one, not at 0.0.
+    """
+    n = len(a)
+    frob = sum(x * x for row in a for x in row)
+    for _ in range(64):
+        if 2.0 * sum(a[p][q] ** 2 for p in range(n) for q in range(p + 1, n)) <= 1e-32 * frob:
+            return sum(abs(a[i][i]) > 1e-8 for i in range(n))
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                for k in range(n):
+                    if k != p and k != q:
+                        akp, akq = a[k][p], a[k][q]
+                        a[k][p] = a[p][k] = c * akp - s * akq
+                        a[k][q] = a[q][k] = s * akp + c * akq
+                a[p][p] -= t * apq
+                a[q][q] += t * apq
+                a[p][q] = a[q][p] = 0.0
+    raise ArithmeticError("Jacobi sweeps did not converge")

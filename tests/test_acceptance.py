@@ -21,11 +21,13 @@ from woldlab.operator import (SparseVector, apply_adjoint, apply_power,
 from woldlab.series import alpha_partial, alpha_terms, alpha_verdict, g_vector, \
     hyperrange_recurrence_check
 from woldlab.tree_core import (BilateralPath, TkInfKernel, TqbKernel, Window,
-                               ZPathKernel, child_n, enum_A,
-                               enum_A_definitional, par_n, window_vertices)
+                               ZPathKernel, child_n, enum_A, par_n,
+                               window_vertices)
 from woldlab.weights import (ConstantWeights, TkinfIsometricWeights,
                              cauchy_dual, ex52_weights, shift_norm_sq)
 from woldlab.wold import wold_verdict
+
+from oracles import enum_A_definitional
 
 TQB = TqbKernel()
 ZP = ZPathKernel()

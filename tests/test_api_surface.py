@@ -14,8 +14,6 @@ import woldlab
 ALLOWED_WITHOUT_CALLER = {
     "decomposition_report": "library entry point: the case-(ii) structure report",
     "wandering_orthogonality_check": "library entry point: the wandering Gram checks",
-    "enum_A_definitional": "independent oracle for the shells the term stream walks",
-    "moment_log": "independent oracle for the stream's incremental log moments",
     "enum_A": "the shell enumeration the acceptance criteria exercise",
     "child_n": "the iterated children the acceptance criteria exercise",
 }

@@ -209,6 +209,17 @@ def test_gvec_zero_on_divergence(capsys):
     assert obj["alpha"] is None
 
 
+def test_gvec_csv(capsys):
+    code, out, _ = run(capsys, "gvec", "--tree", "tkinf:2", "--weights",
+                       "tkinf-isometric", "--vertex", "0,0", "--m", "1",
+                       "--N", "6", "--format", "csv")
+    assert code == 0
+    header, rows, trailers = parse_csv(out)
+    assert header == ["vertex", "coefficient"]
+    assert rows == [["1,1", "1.0"], ["1,2", "1.0"]]
+    assert len(trailers) == 1 and trailers[0].startswith("# m=1 alpha=2.0 tail_mass=")
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "verdict.json"
     code, out, _ = run(capsys, "wold", "--vertex", "0,0", "--out", str(target))
@@ -314,6 +325,32 @@ def test_repro_passes(capsys):
     lines = [l for l in out.splitlines() if l.startswith("[")]
     assert len(lines) == 8
     assert all(l.startswith("[PASS]") for l in lines)
+
+
+def test_repro_out_writes_the_bundle(tmp_path, capsys):
+    target = tmp_path / "bundle.json"
+    code, out, _ = run(capsys, "repro", "ex52", "--out", str(target))
+    assert code == 0
+    assert out.count("[PASS]") == 8
+    bundle = json.loads(target.read_text(encoding="utf-8"))
+    assert bundle["passed"] is True
+    assert bundle["item"] == "ex52" and bundle["tamper"] is False
+    assert [row["passed"] for row in bundle["checks"]] == [True] * 8
+
+
+def test_repro_prop51_reads_its_rules(tmp_path, capsys):
+    target = tmp_path / "bundle.json"
+    code, out, _ = run(capsys, "repro", "prop51", "--a", "const:2", "--b", "const:0.5",
+                       "--out", str(target))
+    assert code == 0
+    assert out.count("[PASS]") == 8
+    bundle = json.loads(target.read_text(encoding="utf-8"))
+    assert bundle["passed"] is True
+    assert bundle["weights"] == {"a": "const:2.0", "b": "const:0.5"}
+    # sup of the one-step norms is 1 + a + b, not the default rules' 3
+    certificate = bundle["checks"][0]
+    assert certificate["check"] == "boundedness-certificate"
+    assert certificate["detail"]["closed_form_sup"] == 3.5
 
 
 def test_repro_tamper_pinpoints(capsys):

@@ -23,10 +23,12 @@ from woldlab.series import (ANALYTIC_TERMS, SeriesConfig, SeriesVerdict,
                             generation_stream, hyperrange_recurrence_check)
 from woldlab import tree_core
 from woldlab.tree_core import (BilateralPath, Budget, TkInfKernel, TqbKernel,
-                               ZPathKernel, enum_A_definitional, operation)
+                               ZPathKernel, operation)
 from woldlab.weights import (ConstantWeights, FunctionWeights, PolyRule,
                              Prop51Weights, TkinfIsometricWeights, cauchy_dual,
-                             ex52_weights, moment_log, shift_norm_sq)
+                             ex52_weights, shift_norm_sq)
+
+from oracles import enum_A_definitional, moment_log
 
 TQB = TqbKernel()
 EX52 = ex52_weights()

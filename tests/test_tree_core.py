@@ -14,12 +14,13 @@ from woldlab.errors import (MalformedTreeError, ResourceCapError,
                             UnknownVertexError)
 from woldlab.tree_core import (Budget, TkInfKernel, TqbKernel, TreeKernel, Window,
                                ZPathKernel, BilateralPath, child_n, enum_A,
-                               enum_A_definitional,
                                load_adjacency, make_kernel, operation, par_n,
                                same_generation, vertex_cap,
                                window_depth_classes, window_vertices)
 from woldlab.series import generation_stream
 from woldlab.weights import cauchy_dual, ex52_weights, shift_norm_sq
+
+from oracles import enum_A_definitional
 
 ZP = ZPathKernel()
 TQB = TqbKernel()

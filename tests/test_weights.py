@@ -21,8 +21,9 @@ from woldlab.weights import (CauchyDualWeights, ConstantWeights,
                              WeightSystem,
                              boundedness_estimate, cauchy_dual, ex52_weights,
                              family_root, is_balanced, is_norm_increasing,
-                             load_weight_csv, make_weights, moment_log,
-                             shift_norm_sq)
+                             load_weight_csv, make_weights, shift_norm_sq)
+
+from oracles import moment_log
 
 TQB = TqbKernel()
 ZP = ZPathKernel()

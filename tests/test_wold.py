@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import woldlab.series
 import woldlab.wold
@@ -17,7 +24,7 @@ from woldlab.tree_core import (TkInfKernel, TqbKernel, Window, ZPathKernel,
                                load_adjacency, window_vertices)
 from woldlab.weights import (BalancedReport, ConstantWeights, FunctionWeights,
                              TkinfIsometricWeights, cauchy_dual, ex52_weights)
-from woldlab.wold import (WeightRelationReport, case_ii_weight_relation,
+from woldlab.wold import (WeightRelationReport, _rank, case_ii_weight_relation,
                           decomposition_report, outcome_of, wold_verdict)
 
 TQB = TqbKernel()
@@ -314,6 +321,101 @@ def test_decomposition_report_needs_case_two():
         decomposition_report(EX52, TQB, Window((0, 0), 2, 2))
 
 
+# sha256 of the JSON of the tkinf:2 report at (0,0), window (2,2), n_max=2,
+# from before verdicts were memoized and before the Gram rank left numpy
+REPORT_DIGEST = "0035d3f955f7f5cdef3854b4b246308ad154aab3932dfcd261f924a2a81a1eff"
+
+REPORT_WITHOUT_NUMPY = """
+import hashlib, json, sys
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"{name} is refused")
+
+sys.meta_path.insert(0, RefuseNumpy())
+from woldlab.tree_core import TkInfKernel, Window
+from woldlab.weights import TkinfIsometricWeights
+from woldlab.wold import decomposition_report
+
+k = TkInfKernel(2)
+rep = decomposition_report(TkinfIsometricWeights(2), k, Window((0, 0), 2, 2), n_max=2)
+text = json.dumps(rep.to_json(k), sort_keys=True)
+print(hashlib.sha256(text.encode("utf-8")).hexdigest())
+"""
+
+
+def test_decomposition_report_needs_no_numpy():
+    # a fresh interpreter whose numpy import fails; the suite's own process
+    # may have numpy loaded by a plugin
+    src = Path(woldlab.wold.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", REPORT_WITHOUT_NUMPY],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == REPORT_DIGEST + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the coverage Gram's rank
+
+
+# a rank-2 block, a rank-1 block and a zero block
+BLOCKS = [[2.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+          [1.0, 2.0, 0.0, 0.0, 0.0, 0.0],
+          [0.0, 0.0, 1.0, 1.0, 0.0, 0.0],
+          [0.0, 0.0, 1.0, 1.0, 0.0, 0.0],
+          [0.0] * 6,
+          [0.0] * 6]
+KNOWN_RANKS = {
+    "empty": ([], 0),
+    "one": ([[0.5]], 1),
+    "one-zero": ([[0.0]], 0),
+    "identity": ([[float(i == j) for j in range(5)] for i in range(5)], 5),
+    "zero": ([[0.0] * 4 for _ in range(4)], 0),
+    "rank-one": ([[x * y for y in (1.0, -2.0, 3.0, 0.5)] for x in (1.0, -2.0, 3.0, 0.5)], 1),
+    # rows and columns permuted alike, so that the rotations mix the blocks
+    "block-mix": ([[BLOCKS[i][j] for j in (4, 0, 2, 5, 1, 3)] for i in (4, 0, 2, 5, 1, 3)], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KNOWN_RANKS))
+def test_rank_of_known_grams(case):
+    gram, rank = KNOWN_RANKS[case]
+    a = [row[:] for row in gram]
+    assert _rank(a) == rank
+    n = len(a)
+    # left diagonal, with the trace kept
+    assert all(abs(a[i][j]) <= 1e-14 for i in range(n) for j in range(n) if i != j)
+    assert math.fsum(a[i][i] for i in range(n)) == pytest.approx(
+        math.fsum(gram[i][i] for i in range(n)))
+
+
+@st.composite
+def low_rank_grams(draw):
+    """(B B^T, r) for an n x r integer B of full column rank: an identity
+    block over random integer rows, the rows shuffled."""
+    n = draw(st.integers(1, 15))
+    r = draw(st.integers(0, n))
+    rows = [[float(i == j) for j in range(r)] for i in range(r)]
+    rows += draw(st.lists(st.lists(st.integers(-9, 9).map(float), min_size=r, max_size=r),
+                          min_size=n - r, max_size=n - r))
+    rows = draw(st.permutations(rows))
+    gram = [[math.fsum(x * y for x, y in zip(u, v)) for v in rows] for u in rows]
+    return gram, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_rank_grams())
+def test_rank_of_integer_gram_products(case):
+    gram, r = case
+    n = len(gram)
+    trace = math.fsum(gram[i][i] for i in range(n))
+    a = [row[:] for row in gram]
+    assert _rank(a) == r
+    assert abs(math.fsum(a[i][i] for i in range(n)) - trace) <= n * sys.float_info.epsilon * trace
+
+
 # ---------------------------------------------------------------------------
 # shared work
 
@@ -346,7 +448,5 @@ def test_decomposition_report_decides_each_vertex_once(monkeypatch):
     k = TkInfKernel(2)
     rep = decomposition_report(TkinfIsometricWeights(2), k, Window((0, 0), 2, 2), n_max=2)
     assert len(decided) == len(set(decided)) == 8
-    # the report's bytes from before verdicts were memoized
     text = json.dumps(rep.to_json(k), sort_keys=True)
-    assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
-            == "0035d3f955f7f5cdef3854b4b246308ad154aab3932dfcd261f924a2a81a1eff")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_DIGEST

@@ -3,7 +3,8 @@
 closed-form sibling sets and rays with their vertex charge, the
 degenerate-norm guard on a lone child, on a ray and one at a time, the
 Prop. 5.1 ray rows that an operation keeps per coefficient pair, the
-stream's one budget, and the command line's one parser per process.
+stream's one budget, the command line's one parser per process, and the
+Jacobi rank of the coverage Gram.
 
     python tools/mutants.py
 
@@ -40,6 +41,7 @@ TABLE = "tests/test_wold.py::test_outcome_of_each_finding"
 RULE = "tests/test_wold.py::test_outcome_rule_over_every_ingredient_state"
 WARM = "tests/test_weights.py::test_warm_ray_rows_are_the_log_weights_bit_for_bit"
 NUDGE = "tests/test_series.py::test_plugin_declines_a_nudged_weight[{}]"
+KNOWN_RANK = "tests/test_wold.py::test_rank_of_known_grams[{}]"
 
 # (file, old text, new text, pytest node id)
 #
@@ -96,6 +98,11 @@ MUTANTS = [
     # main reuses the parser it built first instead of building one per call
     (CLI, "@functools.cache\ndef _build_parser", "def _build_parser",
      "tests/test_cli.py::test_main_builds_its_parser_once"),
+    # the coverage Gram's rank counts |eigenvalue| > 1e-8, and each Jacobi
+    # rotation is orthogonal
+    (WOLD, "abs(a[i][i]) > 1e-8", "abs(a[i][i]) >= 0.0", KNOWN_RANK.format("zero")),
+    (WOLD, "a[k][p] = a[p][k] = c * akp - s * akq", "a[k][p] = a[p][k] = c * akp + s * akq",
+     KNOWN_RANK.format("rank-one")),
 ]
 
 
