@@ -19,7 +19,7 @@ from itertools import islice
 
 from .errors import DivergentSeriesError, ResourceCapError, UndecidedSeriesError
 from .numerics import (NeumaierSum, bracket_decreasing_tail,
-                       quadratic_tail_integral)
+                       quadratic_tail_integral, quadratic_tail_sum)
 from .operator import SparseVector, apply_shift
 from .tree_core import (Budget, TqbKernel, TreeKernel, BilateralPath, descend,
                         operation, shell)
@@ -312,10 +312,12 @@ def _plugin_prop51(ws, kernel, v):
 
     Primal: terms grow like the quadratic p itself; divergence.  Dual: past
     the vertex's ray depth the terms obey t_l = K / p_{mu(l)}(l-1) with a
-    constant K; the plugin fits K, verifies constancy, sums the closed form,
-    and brackets the tail by an integral.  The closed-form terms come from
-    one `p_row` and are summed by one `NeumaierSum.extend`, with the floats
-    a term-by-term `p` and `add` loop would give.
+    constant K; the plugin fits K, verifies constancy, sums the closed form
+    up to l = n_terms, and brackets the rest by an integral.  The closed
+    form is summed term by term from one `p_row` only until both coefficient
+    rules have settled to their defaults; from there to n_terms it is one
+    block K * (S(x_s) - S(n_terms)) of `quadratic_tail_sum`, whose certified
+    error bounds K * (R(x_s) + R(n_terms)) join `tail_bound`.
     """
     if not isinstance(kernel, TqbKernel):
         return None
@@ -339,16 +341,23 @@ def _plugin_prop51(ws, kernel, v):
     settled = [s + n0 - m0 + 10 for s in (root.a.settled_after(), root.b.settled_after())
                if s is not None]
     n_terms = max(ANALYTIC_TERMS, upto + 10, *settled)
+    # t_l = K / p(m0 + l - n0, x) with x = l - 1, for x = upto, ..., n_terms - 1:
+    # one by one below x_s, where a table entry may still be read, and as
+    # one block from x_s on, where both rules give their defaults
+    x_s = max([upto + 1, *settled])
 
     acc = NeumaierSum()
     acc.extend(terms)
-    # t_l = K / p(m0 + l - n0, l - 1) for l = upto + 1, ..., n_terms
-    acc.extend(k_fit / q for q in root.p_row(m0 + upto + 1 - n0, upto, n_terms - upto))
+    acc.extend(k_fit / q for q in root.p_row(m0 + upto + 1 - n0, upto, x_s - upto))
+    s_from, r_from = quadratic_tail_sum(a_tail, b_tail, x_s)
+    s_past, r_past = quadratic_tail_sum(a_tail, b_tail, n_terms)
+    acc.add(k_fit * (s_from - s_past))
 
     lower, upper = bracket_decreasing_tail(
         lambda x: k_fit * quadratic_tail_integral(a_tail, b_tail, x), n_terms - 1)
     value = acc.value + 0.5 * (upper + lower)
-    tail_bound = 0.5 * (upper - lower) + acc.error_bound + rel_resid * value
+    tail_bound = (0.5 * (upper - lower) + acc.error_bound + k_fit * (r_from + r_past)
+                  + rel_resid * value)
     evidence = {"rule": "polynomial-tail", "K": k_fit, "fit_residual": rel_resid,
                 "terms": n_terms, "tail_window": [lower, upper]}
     return SeriesVerdict.converged(v, value, tail_bound, "analytic", evidence, n_terms)

@@ -246,18 +246,18 @@ PINNED_STDOUT = {
     "repro-ex52": (("repro", "ex52"),
                    "791ada16ee5c89aeec439aaeb9f10b9411cae2ce45efcf3e88af4f83a0d4259a"),
     "alpha-dual-plugin-0,0": (("alpha", "--dual", "--vertex=0,0"),
-                              "6eca51d0372311eacab3be0dd875dc3d88d84b93cb5346ffda3975d499328f3c"),
+                              "f89c12d0a3c2773c7cc73b92eb135dbe6a7c1053ea002af6087b5c20c43b4cc2"),
     # table rules: the closed-form tail reads b(900) from the table at l = 899
     "alpha-dual-plugin-table": (("alpha", "--tree", "tqb", "--weights", "prop51",
                                  "--a", "table:0=2,1=3,default=1",
                                  "--b", "table:-1=2,900=0.5,default=1",
                                  "--vertex=0,1", "--dual", "--N", "5"),
-                                "638716b100d74ffb0a2e18c0bda19422b243c77042667374eccb81bea2d85146"),
+                                "32ff0677391d3b8166caaa7577d525d26c84eed71f36a97c55a89c3157441991"),
     "wold-prop51-table": (("wold", "--tree", "tqb", "--weights", "prop51",
                            "--a", "table:0=2,1=3,default=1",
                            "--b", "table:-1=2,2=0.5,default=1",
                            "--vertex=0,1", "--format", "json"),
-                          "517d068fb60bd9b85af4f0baaa2cdcc2e78b871ad01b3b81a54d380170123e73"),
+                          "bfd9fcd55d34350c9bb1d4bd96e20754e96886d369b4c6e5363bcede6c83b394"),
     "tree-show-tkinf3": (("tree", "show", "--tree", "tkinf:3", "--vertex=0,0",
                           "--window", "2,3", "--format", "json"),
                          "b64e2006a0e313b1ede1a78d858c4e5d02f1194dc8653681c6670b997e7c1ee7"),

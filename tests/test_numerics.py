@@ -1,16 +1,18 @@
-"""Compensated summation and tail-integral brackets."""
+"""Compensated summation, inverse-quadratic tails and tail-integral brackets."""
 
 from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from woldlab.numerics import (NeumaierSum, bracket_decreasing_tail,
-                              quadratic_tail_integral)
+from woldlab.numerics import (EPS, NeumaierSum, bracket_decreasing_tail,
+                              quadratic_tail_integral, quadratic_tail_sum)
 
 
 def test_neumaier_matches_fsum():
@@ -102,6 +104,104 @@ def test_quadratic_tail_rejects_bad_domains():
         quadratic_tail_integral(2.0, 1.0, -2.0)   # double root at -1, start before it
     with pytest.raises(ValueError):
         quadratic_tail_integral(-3.0, 1.0, 1.5)   # between the real roots
+
+
+# (a, b) of 1 + a x + b x^2: complex roots, the double root, real roots
+QUADRATICS = {"complex-1-1": (1.0, 1.0), "complex-0.5-3": (0.5, 3.0),
+              "double-2-1": (2.0, 1.0), "real-3-1": (3.0, 1.0), "real-2-0.5": (2.0, 0.5)}
+
+
+def decimal_tail_integral(a, b, x0):
+    """quadratic_tail_integral in 50 significant digits, for a, b > 0 and
+    starts where sqrt(4b - a^2) < (2b x0 + a) / 2 if the roots are complex."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, x0 = Decimal(a), Decimal(b), Decimal(x0)
+        y = 2 * b * x0 + a
+        disc = 4 * b - a * a
+        if disc == 0:
+            return 2 / y
+        if disc < 0:
+            s = (-disc).sqrt()
+            return ((y + s) / (y - s)).ln() / s
+        # (2/s) * (pi/2 - atan(y/s)) = (2/s) * atan(t), t = s/y, by Taylor
+        s = disc.sqrt()
+        t = s / y
+        assert t < Decimal("0.5")
+        atan, power, k = Decimal(0), t, 1
+        while abs(power) > Decimal(10) ** -60:
+            atan += power / k
+            power *= -t * t
+            k += 2
+        return 2 * atan / s
+
+
+@pytest.mark.parametrize("x0", [60.0, 2000.0, 1e5])
+@pytest.mark.parametrize("case", QUADRATICS)
+def test_quadratic_tail_integral_to_the_last_ulps(case, x0):
+    # pi/2 - atan(y) and log((x0 - r2)/(x0 - r1)) cancel as x0 grows (relative
+    # error 3.5e-13 at (1, 1) and x0 = 2000); atan2 and log1p do not
+    a, b = QUADRATICS[case]
+    want = decimal_tail_integral(a, b, x0)
+    got = quadratic_tail_integral(a, b, x0)
+    assert abs(Decimal(got) - want) <= 4 * Decimal(EPS) * want
+
+
+def exact_block(a, b, x0, x1):
+    """sum_{x0 <= x < x1} 1 / (1 + a x + b x^2) in rationals."""
+    a, b = Fraction(a), Fraction(b)
+    return sum(1 / (1 + a * x + b * x * x) for x in range(x0, x1))
+
+
+def em_block(a, b, x0, x1):
+    """(S(x0) - S(x1), R(x0) + R(x1)) of quadratic_tail_sum, in rationals."""
+    (s0, r0), (s1, r1) = quadratic_tail_sum(a, b, x0), quadratic_tail_sum(a, b, x1)
+    return Fraction(s0) - Fraction(s1), Fraction(r0) + Fraction(r1)
+
+
+# 41 and 61 are the plugin's first block starts (upto + 1); 911 lies past the
+# b(900) entry of table:-1=2,900=0.5 read at (0, 1); 2000 is ANALYTIC_TERMS
+@pytest.mark.parametrize("x0", [1, 41, 61, 911])
+@pytest.mark.parametrize("case", QUADRATICS)
+def test_quadratic_tail_sum_certifies_exact_blocks(case, x0):
+    a, b = QUADRATICS[case]
+    block, certified = em_block(a, b, x0, 2000)
+    assert abs(block - exact_block(a, b, x0, 2000)) <= certified
+
+
+@given(st.floats(0.01, 100.0), st.floats(-1.0, 1.0), st.integers(0, 200))
+@example(1.0, 0.0, 0)      # the double root a^2 = 4b
+@example(1.0, 1e-15, 30)   # complex roots a hair apart
+@example(1.0, -1e-15, 30)  # real roots a hair apart
+def test_quadratic_tail_sum_certifies_near_the_double_root(a, spread, x0):
+    # b runs from a tenth to ten times a^2/4, the double root, where the
+    # integral switches branch and the two roots merge
+    b = a * a / 4.0 * 10.0 ** spread
+    block, certified = em_block(a, b, x0, x0 + 150)
+    assert abs(block - exact_block(a, b, x0, x0 + 150)) <= certified
+
+
+@pytest.mark.parametrize("x0", [5, 8])
+@pytest.mark.parametrize("case", QUADRATICS)
+def test_quadratic_tail_sum_errs_at_the_sixth_correction(case, x0):
+    # after five corrections the error is at most the sixth plus its
+    # remainder, each <= |B_12| / (b d^13); on the double root f^(9) meets
+    # its bound, so dropping the fifth correction shows
+    a, b = QUADRATICS[case]
+    disc = a * a - 4.0 * b
+    block, _ = em_block(a, b, x0, 2000)
+    bound = 0
+    for x in (x0, 2000):
+        d = x + 2.0 / (a + math.sqrt(disc)) if disc > 0.0 else x + a / (2.0 * b)
+        bound += 2 * Fraction(691, 2730) / (Fraction(b) * Fraction(d) ** 13)
+    bound += 32 * Fraction(EPS) * block
+    assert abs(block - exact_block(a, b, x0, 2000)) <= bound
+
+
+def test_quadratic_tail_sum_rejects_bad_domains():
+    for a, b, x0 in ((0.0, 1.0, 5), (1.0, 0.0, 5), (1.0, 1.0, -1), (-3.0, 1.0, 7)):
+        with pytest.raises(ValueError):
+            quadratic_tail_sum(a, b, x0)
 
 
 def test_bracket_orders_endpoints():

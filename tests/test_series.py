@@ -15,7 +15,7 @@ from woldlab.cli import TamperedWeights
 from woldlab.errors import (DegenerateNormError, DivergentSeriesError,
                             UndecidedSeriesError)
 from woldlab.numerics import (NeumaierSum, bracket_decreasing_tail,
-                              quadratic_tail_integral)
+                              quadratic_tail_integral, quadratic_tail_sum)
 from woldlab.operator import inner
 from woldlab.series import (ANALYTIC_TERMS, SeriesConfig, SeriesVerdict,
                             _plugin_constant, _plugin_prop51, _term_value,
@@ -47,7 +47,7 @@ def first_terms(ws, kernel, v, upto):
 def inverse_quadratic_tail(n_from: float) -> float:
     """Integral of dx / (x^2 - x + 1) from n_from to infinity."""
     s = math.sqrt(3.0)
-    return (2.0 / s) * (math.pi / 2.0 - math.atan((2.0 * n_from - 1.0) / s))
+    return (2.0 / s) * math.atan2(s, 2.0 * n_from - 1.0)
 
 
 def dual_spine_bracket(scale: float, shift: float, n0: int = 100_000):
@@ -422,9 +422,13 @@ def test_constant_family_diverges_both_ways():
 
 
 def reference_prop51_dual(root, dual, v):
-    """The dual prop51 plugin term by term, for a fit it accepts: `root.p`
-    and `NeumaierSum.add` over the plugin's ranges.
-    (value, tail_bound, tail_window, K, residual)."""
+    """The dual prop51 plugin with every closed-form term up to l = n_terms
+    taken one by one, by `root.p` and `NeumaierSum.add`, for a fit it
+    accepts.  (value, tail_bound, tail_window, K, residual, n_terms,
+    allowance), where the allowance K * (R(upto + 1) + R(n_terms)) covers
+    the plugin's Euler–Maclaurin block from any start x_s >= upto + 1, since
+    R falls as its start grows, and the error bound of this loop's sum is
+    added once for each side's rounding."""
     n0, m0 = v
     upto = max(60, n0 + 24)
     terms = first_terms(dual, TQB, v, upto)
@@ -446,7 +450,9 @@ def reference_prop51_dual(root, dual, v):
         lambda x: k_fit * quadratic_tail_integral(a_tail, b_tail, x), n_terms - 1)
     value = acc.value + 0.5 * (upper + lower)
     tail_bound = 0.5 * (upper - lower) + acc.error_bound + rel_resid * value
-    return value, tail_bound, [lower, upper], k_fit, rel_resid
+    certified = sum(quadratic_tail_sum(a_tail, b_tail, x)[1] for x in (upto + 1, n_terms))
+    allowance = k_fit * certified + 2.0 * acc.error_bound
+    return value, tail_bound, [lower, upper], k_fit, rel_resid, n_terms, allowance
 
 
 # the prop51 rule pairs and vertices of the benchmark's analytic workload
@@ -467,13 +473,16 @@ def test_dual_prop51_plugin_matches_the_term_by_term_oracle(monkeypatch, a, b):
     monkeypatch.setattr(Prop51Weights, "p", None)
     for v in PROP51_VERTICES:
         out = _plugin_prop51(dual, TQB, v)
-        value, tail_bound, window, k_fit, rel_resid = expected[v]
+        value, tail_bound, window, k_fit, rel_resid, n_terms, allowance = expected[v]
         assert out.kind == "converged" and out.method == "analytic"
-        assert out.value.hex() == value.hex()
-        assert out.tail_bound.hex() == tail_bound.hex()
-        assert [x.hex() for x in out.evidence["tail_window"]] == [x.hex() for x in window]
         assert out.evidence["K"].hex() == k_fit.hex()
         assert out.evidence["fit_residual"].hex() == rel_resid.hex()
+        assert out.evidence["terms"] == out.n_used == n_terms
+        assert [x.hex() for x in out.evidence["tail_window"]] == [x.hex() for x in window]
+        # the Euler–Maclaurin block moves value and tail_bound only within
+        # its certified error and the rounding of the two sums
+        assert abs(out.value - value) <= allowance
+        assert tail_bound <= out.tail_bound <= tail_bound + allowance
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 closed-form sibling sets and rays with their vertex charge, the
 degenerate-norm guard on a lone child, on a ray and one at a time, the
 Prop. 5.1 ray rows that an operation keeps per coefficient pair, the
-stream's one budget, the command line's one parser per process, and the
-Jacobi rank of the coverage Gram.
+stream's one budget, the command line's one parser per process, the
+Jacobi rank of the coverage Gram, and the certified Euler–Maclaurin block
+of the Prop. 5.1 dual plugin with the tail integral under it.
 
     python tools/mutants.py
 
@@ -37,11 +38,14 @@ SERIES = "src/woldlab/series.py"
 WEIGHTS = "src/woldlab/weights.py"
 TREE = "src/woldlab/tree_core.py"
 CLI = "src/woldlab/cli.py"
+NUMERICS = "src/woldlab/numerics.py"
 TABLE = "tests/test_wold.py::test_outcome_of_each_finding"
 RULE = "tests/test_wold.py::test_outcome_rule_over_every_ingredient_state"
 WARM = "tests/test_weights.py::test_warm_ray_rows_are_the_log_weights_bit_for_bit"
 NUDGE = "tests/test_series.py::test_plugin_declines_a_nudged_weight[{}]"
 KNOWN_RANK = "tests/test_wold.py::test_rank_of_known_grams[{}]"
+EXACT_BLOCK = "tests/test_numerics.py::test_quadratic_tail_sum_certifies_exact_blocks[{}]"
+LAST_ULPS = "tests/test_numerics.py::test_quadratic_tail_integral_to_the_last_ulps[{}]"
 
 # (file, old text, new text, pytest node id)
 #
@@ -103,6 +107,28 @@ MUTANTS = [
     (WOLD, "abs(a[i][i]) > 1e-8", "abs(a[i][i]) >= 0.0", KNOWN_RANK.format("zero")),
     (WOLD, "a[k][p] = a[p][k] = c * akp - s * akq", "a[k][p] = a[p][k] = c * akp + s * akq",
      KNOWN_RANK.format("rank-one")),
+    # the tail integral takes pi/2 - atan as one atan2 and a log near 0 as
+    # log1p; the Euler–Maclaurin sum keeps its fifth correction, its full
+    # remainder and its rounding term, and the plugin's block starts where
+    # the explicit sum stops
+    (NUMERICS, "math.atan2(root, 2.0 * b * x0 + a)",
+     "(math.pi / 2.0 - math.atan((2.0 * b * x0 + a) / root))",
+     LAST_ULPS.format("complex-1-1-2000.0")),
+    (NUMERICS, "math.log1p(root / (b * (x0 - r1))) / root",
+     "math.log((x0 - (-a - root) / (2.0 * b)) / (x0 - r1)) / root",
+     LAST_ULPS.format("real-3-1-100000.0")),
+    (NUMERICS, "-1.0 / 1209600.0,\n                   1.0 / 47900160.0)", "-1.0 / 1209600.0)",
+     "tests/test_numerics.py::test_quadratic_tail_sum_errs_at_the_sixth_correction"
+     "[double-2-1-5]"),
+    (NUMERICS, "_EM_LAST_BERNOULLI / (b * d ** 11)", "_EM_LAST_BERNOULLI / (100.0 * b * d ** 11)",
+     EXACT_BLOCK.format("double-2-1-1")),
+    (NUMERICS, "_EM_LAST_BERNOULLI / (b * d ** 11)", "_EM_LAST_BERNOULLI / (b * d ** 13)",
+     EXACT_BLOCK.format("double-2-1-1")),
+    (NUMERICS, "rounding = 16.0 * EPS", "rounding = 0.0 * EPS",
+     EXACT_BLOCK.format("complex-1-1-911")),
+    (SERIES, "quadratic_tail_sum(a_tail, b_tail, x_s)", "quadratic_tail_sum(a_tail, b_tail, x_s - 1)",
+     "tests/test_series.py::test_dual_prop51_plugin_matches_the_term_by_term_oracle"
+     "[const:1-const:1]"),
 ]
 
 
