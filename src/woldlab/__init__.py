@@ -8,8 +8,8 @@ from .errors import (DegenerateNormError, DivergentSeriesError,
 from .tree_core import (AdjacencyKernel, BilateralPath, Budget, TkInfKernel,
                         TqbKernel, TreeKernel, Window, ZPathKernel, child_n,
                         descend, enum_A, load_adjacency, make_kernel,
-                        operation, par_n, same_generation, shell,
-                        window_depth_classes, window_vertices)
+                        operation, par_n, shell, window_depth_classes,
+                        window_vertices)
 from .weights import (CauchyDualWeights, ConstantWeights, CsvWeights,
                       FunctionWeights, PolyRule, Prop51Weights,
                       TkinfIsometricWeights, WeightSystem, boundedness_estimate,

@@ -165,7 +165,7 @@ def cmd_balanced(args) -> int:
             "classes": bal.class_count,
             "witness": ([k.format_vertex(bal.witness[0]), k.format_vertex(bal.witness[1]),
                          bal.witness[2], bal.witness[3]] if bal.witness else None),
-            "n_max": bal.n_max, "tol": bal.tol,
+            "tol": bal.tol,
         },
         "norm_increasing": {
             "verdict": ni.verdict,

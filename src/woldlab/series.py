@@ -34,7 +34,7 @@ ANALYTIC_TERMS = 2000   # closed-form terms summed by plugins
 PREMISE_TOL = 1e-9      # closed-form agreement required of plugins
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeriesConfig:
     n_max: int = 10_000          # generations examined by the heuristic
     use_plugins: bool = True
@@ -194,9 +194,8 @@ def alpha_verdict(ws: WeightSystem, kernel: TreeKernel, v,
     """
     cfg = config or SeriesConfig()
     # one decision per vertex and config in an operation: decomposition_report
-    # asks again at path vertices its wold_verdict has decided.  The config
-    # dataclass is unhashable, so the key holds its fields.
-    key = ("alpha", ws, kernel, v, cfg.n_max, cfg.use_plugins)
+    # asks again at path vertices its wold_verdict has decided
+    key = ("alpha", ws, kernel, v, cfg)
     memos = Budget.current().memos
     if key not in memos:
         memos[key] = _decide(ws, kernel, v, cfg)

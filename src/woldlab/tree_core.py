@@ -559,25 +559,6 @@ def enum_A(kernel: TreeKernel, v, n: int):
     return tuple(u for u, _ in shell(kernel, top, kernel.parent(top), n, Budget.current()))
 
 
-def same_generation(kernel: TreeKernel, u, v, n_max: int = 64) -> int | None:
-    """Least n with par^n(u) = par^n(v), or None if not found by n_max.
-
-    The relation is only semi-decidable on a lazy kernel, so the negative
-    answer is bounded.  On file-backed kernels a walk that crosses the
-    declared boundary also yields None: the data cannot certify a match.
-    """
-    a, b = u, v
-    for n in range(n_max + 1):
-        if a == b:
-            return n
-        try:
-            a = kernel.parent(a)
-            b = kernel.parent(b)
-        except UnknownVertexError:
-            return None
-    return None
-
-
 # ---------------------------------------------------------------------------
 # windows and paths
 
@@ -588,7 +569,9 @@ class Window:
 
     The vertex set is every u reachable as Chi^j(par^i(base)) with
     i <= depth_up and j <= i + depth_down, which works out to the full
-    subtree of depth depth_up + depth_down below par^depth_up(base).
+    subtree of depth depth_up + depth_down below the top anchor
+    T = par^depth_up(base).  Its level d, Chi^d(T), is the generation set
+    G_{u,d} = Chi^d(par^d(u)) of each of its members u.
     """
 
     base: object
@@ -601,10 +584,10 @@ class Window:
 
 
 def window_depth_classes(kernel: TreeKernel, w: Window):
-    """Window vertices grouped by depth below the top anchor.
+    """Window vertices grouped by depth below the top anchor T, top first.
 
-    Inside a window all members of one generation sit at equal depth, so
-    these classes refine generations exactly.
+    Class d is Chi^d(T), and every member u has par^d(u) = T, so the class
+    is the paper's generation set G_{u,d}, whole; no class mixes depths.
     """
     budget = Budget.current()
     levels = [[par_n(kernel, w.base, w.depth_up)]]

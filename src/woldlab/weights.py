@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateNormError, MissingWeightError
 from .tree_core import (Budget, TkInfKernel, TreeKernel, Window, descend,
-                        same_generation, window_depth_classes, window_vertices)
+                        window_depth_classes, window_vertices)
 
 NORM_FLOOR = 1e-12      # one-step norms below this: not left-invertible
 
@@ -431,37 +431,30 @@ def family_root(ws: WeightSystem) -> tuple[WeightSystem, int]:
 
 @dataclass(frozen=True)
 class BalancedReport:
-    verdict: str                 # "balanced" | "not_balanced" | "inconclusive"
+    verdict: str                 # "balanced" | "not_balanced"
     witness: tuple | None        # (u, v, norm_sq_u, norm_sq_v)
     class_count: int
-    n_max: int
     tol: float
 
 
 def is_balanced(ws: WeightSystem, kernel: TreeKernel, window: Window,
-                n_max: int = 64, tol: float = 1e-10) -> BalancedReport:
-    """Compare one-step norms within each generation class of the window.
+                tol: float = 1e-10) -> BalancedReport:
+    """Compare one-step norms within each depth class of the window.
 
-    Classes come from the window's depth structure and are certified pairwise
-    with `same_generation`; if the bound n_max is too small to certify the
-    window's deepest class, the positive answer degrades to "inconclusive"
-    (a negative witness is definitive either way).
+    Class d of `window_depth_classes` is the generation set G_{u,d} of each
+    of its members u, so the classes are the generations balancedness
+    compares.  Every norm of a class is held against the class's first, and
+    the first pair apart by more than `tol` is the witness.
     """
     classes = window_depth_classes(kernel, window)
-    certified = True
-    for cls in classes:
-        for u, v in zip(cls, cls[1:]):
-            if same_generation(kernel, u, v, n_max) is None:
-                certified = False
     norm_classes = [[(v, shift_norm_sq(ws, kernel, v, 1)) for v in cls] for cls in classes]
     for cls in norm_classes:
         lead_v, lead = cls[0]
-        for v, val in cls[1:]:
+        for v, val in cls:
             if abs(val - lead) > tol:
                 return BalancedReport("not_balanced", (lead_v, v, lead, val),
-                                      len(classes), n_max, tol)
-    verdict = "balanced" if certified else "inconclusive"
-    return BalancedReport(verdict, None, len(classes), n_max, tol)
+                                      len(classes), tol)
+    return BalancedReport("balanced", None, len(classes), tol)
 
 
 @dataclass(frozen=True)

@@ -142,10 +142,12 @@ def outcome_of(primal: SeriesVerdict, dual: SeriesVerdict | None, alphas: list,
     `primal` is the base series verdict and `dual` the base dual's (None
     unless the primal diverged); `alphas` holds every window verdict the
     case (ii) split read, and `relation` and `balance` are None unless all
-    of them converged.  `spots` pairs each pick's primal verdict with its
-    dual verdict or None.  A finding is analytic only when every ingredient
-    it read is definitive; a definitive pick that clashes with the base
-    downgrades a definitive answer, with the last such pick as witness.
+    of them converged.  Balancedness is always decided, so a convergent
+    window whose relation holds is unbalanced (NoWold) or else case (ii).
+    `spots` pairs each pick's primal verdict with its dual verdict or None.
+    A finding is analytic only when every ingredient it read is
+    definitive; a definitive pick that clashes with the base downgrades a
+    definitive answer, with the last such pick as witness.
     """
     def undecided(note, witnesses=()):
         return "Inconclusive", "heuristic", note, list(witnesses)
@@ -171,10 +173,8 @@ def outcome_of(primal: SeriesVerdict, dual: SeriesVerdict | None, alphas: list,
         elif balance.verdict == "not_balanced":
             finding = "unbalanced"
             witnesses.extend(balance.witness[:2])
-        elif balance.verdict == "balanced":
-            finding = "case ii"
         else:
-            return undecided("balancedness undecided")
+            finding = "case ii"
         read = alphas
     outcome, sure, hedged = FINDINGS[finding]
     if not all(a.definitive for a in read):
@@ -257,7 +257,7 @@ def wold_verdict(ws: WeightSystem, kernel: TreeKernel, window: Window,
                 "allowance": rel.max_allowance, "checked": rel.checked,
                 "witness": kernel.format_vertex(rel.witness) if rel.witness is not None else None,
             }
-            evidence["balanced"] = {"verdict": bal.verdict, "n_max": bal.n_max, "tol": bal.tol}
+            evidence["balanced"] = {"verdict": bal.verdict, "tol": bal.tol}
 
     rows = []
     for v in picks:

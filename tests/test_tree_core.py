@@ -15,8 +15,8 @@ from woldlab.errors import (MalformedTreeError, ResourceCapError,
 from woldlab.tree_core import (Budget, TkInfKernel, TqbKernel, TreeKernel, Window,
                                ZPathKernel, BilateralPath, child_n, enum_A,
                                load_adjacency, make_kernel, operation, par_n,
-                               same_generation, vertex_cap,
-                               window_depth_classes, window_vertices)
+                               vertex_cap, window_depth_classes,
+                               window_vertices)
 from woldlab.series import generation_stream
 from woldlab.weights import cauchy_dual, ex52_weights, shift_norm_sq
 
@@ -184,14 +184,6 @@ def test_generation_span():
     assert TK3.generation_span((-2, 0)) == 0
     assert TK3.generation_span((5, 2)) == 5
     assert TQB.generation_span((0, 0)) is None
-
-
-def test_same_generation():
-    assert same_generation(TQB, (0, 0), (0, 0)) == 0
-    assert same_generation(TQB, (1, 1), (0, 0)) == 1
-    assert same_generation(TK3, (3, 1), (3, 2)) == 3
-    assert same_generation(ZP, 0, 5) is None
-    assert same_generation(TK3, (2, 1), (3, 2), n_max=2) is None
 
 
 # ---------------------------------------------------------------------------

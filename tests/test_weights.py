@@ -469,9 +469,8 @@ def test_csv_weights_rejects():
 def test_is_balanced_flags_ex52():
     rep = is_balanced(EX52, TQB, Window((0, 0), 2, 2))
     assert rep.verdict == "not_balanced"
-    u, v, nu, nv = rep.witness
-    assert {round(nu), round(nv)} == {1, 2} or {round(nu, 6), round(nv, 6)} != set()
-    assert abs(nu - nv) > 0.5
+    assert rep.witness == ((0, 1), (1, 2), 2.0, 3.0000000000000004)
+    assert rep.class_count == 5
 
 
 def test_is_balanced_passes_uniform_trees():
@@ -479,12 +478,23 @@ def test_is_balanced_passes_uniform_trees():
     k = TkInfKernel(2)
     rep = is_balanced(TkinfIsometricWeights(2), k, Window((0, 0), 2, 2))
     assert rep.verdict == "balanced"
+    # 71 depth classes, each a whole generation set, however deep the window
+    rep = is_balanced(TkinfIsometricWeights(2), k, Window((0, 0), 0, 70))
+    assert (rep.verdict, rep.class_count) == ("balanced", 71)
 
 
-def test_is_balanced_inconclusive_without_certification():
-    # a single depth class can never certify same-generation membership
+def test_is_balanced_on_a_lone_vertex():
     rep = is_balanced(ConstantWeights(1.0), ZP, Window(0, 0, 0))
-    assert rep.verdict in ("balanced", "inconclusive")
+    assert (rep.verdict, rep.witness, rep.class_count) == ("balanced", None, 1)
+
+
+def test_is_balanced_never_compares_across_depths():
+    # on zpath every depth class is one vertex, so norms that grow with m
+    # are balanced however far apart two levels' norms lie
+    ws = FunctionWeights(lambda m: 1.0 + 0.1 * m, name="ramp")
+    assert shift_norm_sq(ws, ZP, -3) != shift_norm_sq(ws, ZP, 3)
+    rep = is_balanced(ws, ZP, Window(0, 3, 3))
+    assert (rep.verdict, rep.witness, rep.class_count) == ("balanced", None, 7)
 
 
 def test_is_norm_increasing():

@@ -4,8 +4,9 @@ closed-form sibling sets and rays with their vertex charge, the
 degenerate-norm guard on a lone child, on a ray and one at a time, the
 Prop. 5.1 ray rows that an operation keeps per coefficient pair, the
 stream's one budget, the command line's one parser per process, the
-Jacobi rank of the coverage Gram, and the certified Euler–Maclaurin block
-of the Prop. 5.1 dual plugin with the tail integral under it.
+Jacobi rank of the coverage Gram, the certified Euler–Maclaurin block
+of the Prop. 5.1 dual plugin with the tail integral under it, and
+balancedness compared within each depth class of a window.
 
     python tools/mutants.py
 
@@ -129,6 +130,10 @@ MUTANTS = [
     (SERIES, "quadratic_tail_sum(a_tail, b_tail, x_s)", "quadratic_tail_sum(a_tail, b_tail, x_s - 1)",
      "tests/test_series.py::test_dual_prop51_plugin_matches_the_term_by_term_oracle"
      "[const:1-const:1]"),
+    # balancedness holds each norm against its own depth class's first, never
+    # against another level's
+    (WEIGHTS, "lead_v, lead = cls[0]", "lead_v, lead = norm_classes[0][0]",
+     "tests/test_weights.py::test_is_balanced_never_compares_across_depths"),
 ]
 
 
