@@ -9,9 +9,13 @@ and vertices are produced on demand.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 from .errors import MalformedTreeError, ResourceCapError, UnknownVertexError
 
@@ -105,11 +109,12 @@ class TreeKernel:
     def ray(self, u, depth):
         """(chain, kids): the unary ray below u, at most `depth` levels of it.
 
-        `chain` lists the lone children below u, each the only child of the
-        vertex before it.  `kids` is the children tuple of the chain's last
-        vertex (u for an empty chain) when the ray branches before `depth`,
-        and None when it does not.  This default makes one `children` call
-        per vertex it passes, the branching one included.
+        `chain` is a sequence of the lone children below u, each the only
+        child of the vertex before it.  `kids` is the children tuple of the
+        chain's last vertex (u for an empty chain) when the ray branches
+        before `depth`, and None when it does not.  This default lists the
+        chain and makes one `children` call per vertex it passes, the
+        branching one included.
         """
         chain = []
         children = self.children
@@ -247,6 +252,47 @@ class TkInfKernel(TreeKernel):
         return 0 if m <= 0 else m
 
 
+class RayChain(Sequence):
+    """The vertices (start, m), (start + 1, m), ..., (stop - 1, m) of a tqb
+    ray, as `TqbKernel.ray` gives them: a sequence equal to the list the
+    default walk gives, with `in` and `index` in O(1).  Weight systems may
+    read the descriptor (start, stop, m) instead of the vertices."""
+
+    __slots__ = ("start", "stop", "m")
+
+    def __init__(self, start: int, stop: int, m: int) -> None:
+        self.start, self.stop, self.m = start, stop, m
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        return (range(self.start, self.stop)[i], self.m)
+
+    def __iter__(self):
+        return zip(range(self.start, self.stop), repeat(self.m))
+
+    def __contains__(self, v) -> bool:
+        return (isinstance(v, tuple) and len(v) == 2 and v[1] == self.m
+                and v[0] in range(self.start, self.stop))
+
+    def index(self, v, start: int = 0, stop: int | None = None) -> int:
+        ns = range(self.start, self.stop)[start:stop]
+        if v in self and v[0] in ns:
+            return ns.index(v[0]) + ns.start - self.start
+        raise ValueError(f"{v!r} is not in the chain")
+
+    def __eq__(self, other):
+        if isinstance(other, (list, RayChain)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RayChain({self.start}, {self.stop}, {self.m})"
+
+
 class TqbKernel(TreeKernel):
     """Bilateral spine (0, m) with a copy of the unary tree glued at each m.
 
@@ -299,7 +345,7 @@ class TqbKernel(TreeKernel):
         n, m = u
         if n == 0:
             return [], ((0, m - 1), (1, m))
-        return [(k, m) for k in range(n + 1, n + depth + 1)], None
+        return RayChain(n + 1, n + depth + 1, m), None
 
     def default_base(self):
         return (0, 0)
@@ -493,10 +539,10 @@ def descend(kernel: TreeKernel, frontier, depth: int, budget: Budget, ws=None):
         while True:
             chain, kids = kernel.ray(u, min(depth - level, RAY_PIECE,
                                             budget.cap - budget.used + 1))
-            # weights before the charge, as in the level loop
+            # weights before the charge, as in the level loop; reduce is
+            # the loop's left fold (sum compensates from Python 3.12)
             if ws is not None:
-                for lw in ws.ray_log_weights(chain):
-                    acc = acc + lw
+                acc = reduce(add, ws.ray_log_weights(chain), acc)
             charge(len(chain))
             level += len(chain)
             if chain:

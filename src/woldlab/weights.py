@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateNormError, MissingWeightError
-from .tree_core import (Budget, TkInfKernel, TreeKernel, Window, descend,
-                        window_depth_classes, window_vertices)
+from .tree_core import (Budget, RayChain, TkInfKernel, TreeKernel, Window,
+                        descend, window_depth_classes, window_vertices)
 
 NORM_FLOOR = 1e-12      # one-step norms below this: not left-invertible
 
@@ -219,39 +219,46 @@ class Prop51Weights(WeightSystem):
         return 0.0
 
     def ray_log_weights(self, chain) -> list:
-        return self._from_rows(chain, ("ray rows", self), self.log_weight)
+        if not isinstance(chain, RayChain) or chain.start < 2:
+            return super().ray_log_weights(chain)
+        return self._from_row(chain, ("ray rows", self), self.log_weight)
 
     def ray_dual_log_weights(self, chain, dual) -> list:
+        if not isinstance(chain, RayChain) or chain.start < 2:
+            return super().ray_dual_log_weights(chain, dual)
         lone, log_weight = dual.lone_child_log_weight, self.log_weight
-        return self._from_rows(chain, ("ray rows", self, dual),
-                               lambda v: lone(v, log_weight(v)))
+        return self._from_row(chain, ("ray rows", self, dual),
+                              lambda v: lone(v, log_weight(v)))
 
-    def _from_rows(self, chain, key, entry) -> list:
-        """[entry(v) for v in chain], where entry(v) depends only on
-        (a_m, b_m, n) once n >= 2, as log_weight and the dual's lone-child
-        map of it do.  Those values are kept in the operation's memos under
-        `key`, one row {n: entry} per coefficient pair, so each is taken
-        once per operation; every vertex's own (n, m) is read, a vertex with
-        n < 2 is entry(v) afresh, and the list returned is always new."""
+    def _from_row(self, chain, key, entry) -> list:
+        """[entry(v) for v in chain], a tqb ray from n >= 2 on, where entry(v)
+        depends only on (a_m, b_m, n), as log_weight and the dual's
+        lone-child map of it do.  The operation's memos keep those values
+        under `key`, one row [lo, values] per coefficient pair holding
+        entry((n, m)) for n in a run lo <= n < lo + len(values), so each is
+        taken once per operation and a chain inside the run is one slice,
+        always a new list.  A chain that leaves the run extends it, gap
+        included when the gap is no longer than the chain; a chain farther
+        off is taken without storing it, so a row never holds more than
+        twice the vertices walked.  A gap's entries belong to no chain
+        vertex; under positive finite rules no entry from n = 2 on raises,
+        so they raise nothing the walk would not."""
+        start, stop, m = chain.start, chain.stop, chain.m
         rows = Budget.current().memos.setdefault(key, {})
-        a_get, a_default = self.a.table.get, self.a.default
-        b_get, b_default = self.b.table.get, self.b.default
-        out = []
-        append = out.append
-        row_m = row = None
-        for v in chain:
-            n, m = v
-            if n < 2:
-                append(entry(v))
-                continue
-            if m != row_m:
-                row_m = m
-                row = rows.setdefault((a_get(m, a_default), b_get(m, b_default)), {})
-            lw = row.get(n)
-            if lw is None:
-                lw = row[n] = entry(v)
-            append(lw)
-        return out
+        pair = (self.a.table.get(m, self.a.default), self.b.table.get(m, self.b.default))
+        row = rows.get(pair)
+        if row is None:
+            row = rows[pair] = [start, []]
+        lo, values = row
+        hi = lo + len(values)
+        if start < lo or stop > hi:
+            if max(start - hi, lo - stop) > stop - start:
+                return [entry(v) for v in chain]
+            if start < lo:
+                values[:0] = [entry((n, m)) for n in range(start, lo)]
+                row[0] = lo = start
+            values.extend([entry((n, m)) for n in range(hi, stop)])
+        return values[start - lo:stop - lo]
 
 
 def ex52_weights() -> Prop51Weights:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import gc
 import math
+import sys
 import weakref
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -28,11 +30,12 @@ from woldlab.weights import (ConstantWeights, FunctionWeights, PolyRule,
                              Prop51Weights, TkinfIsometricWeights, cauchy_dual,
                              ex52_weights, shift_norm_sq)
 
-from oracles import enum_A_definitional, moment_log
+from oracles import enum_A_definitional, moment_log, prop51_tqb_exact_terms
 
 TQB = TqbKernel()
 EX52 = ex52_weights()
 DUAL = cauchy_dual(EX52, TQB)
+EPS = sys.float_info.epsilon
 
 
 def first_terms(ws, kernel, v, upto):
@@ -100,6 +103,26 @@ def test_all_ones_dual_terms_quadruple():
     terms = first_terms(dual, TQB, (0, 0), 12)
     for n in range(1, 13):
         assert terms[n] == pytest.approx(4.0 ** (n - 1), rel=1e-12)
+
+
+# (vertex, first l of the exact dual law t_l * p(l - 1) = K, K); p = 1 + x + x^2
+EXACT_LAWS = [((0, 0), 2, 4), ((1, -3), 6, 1024), ((0, -4), 6, 1024)]
+
+
+@pytest.mark.parametrize("v, law_from, K", EXACT_LAWS, ids=["0,0", "1,-3", "0,-4"])
+def test_ex52_terms_are_the_exact_oracles_within_rounding(v, law_from, K):
+    N = 60
+    for dual in (False, True):
+        exact = prop51_tqb_exact_terms(EX52.a, EX52.b, v, N, dual)
+        with operation():
+            ws = cauchy_dual(EX52, TQB) if dual else EX52
+            got = first_terms(ws, TQB, v, N)
+        # n log weights summed in log space, then exp: about n rounding errors
+        # (the worst seen is 1.8 n eps)
+        for n, (t, e) in enumerate(zip(got, exact)):
+            assert abs(Fraction(t) - e) <= 8 * max(n, 1) * EPS * e, (dual, n)
+    laws = [t * (1 + (l - 1) + (l - 1) ** 2) for l, t in enumerate(exact)]
+    assert laws[law_from:] == [K] * (N + 1 - law_from) and laws[law_from - 1] != K
 
 
 def test_partials_cross_a_thousand_at_fifteen():

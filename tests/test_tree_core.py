@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
+from collections.abc import Sequence
 from itertools import islice
 
 import pytest
@@ -13,12 +15,13 @@ from hypothesis import strategies as st
 from woldlab.errors import (MalformedTreeError, ResourceCapError,
                             UnknownVertexError)
 from woldlab.tree_core import (Budget, TkInfKernel, TqbKernel, TreeKernel, Window,
-                               ZPathKernel, BilateralPath, child_n, enum_A,
+                               ZPathKernel, BilateralPath, child_n, descend, enum_A,
                                load_adjacency, make_kernel, operation, par_n,
                                vertex_cap, window_depth_classes,
                                window_vertices)
 from woldlab.series import generation_stream
-from woldlab.weights import cauchy_dual, ex52_weights, shift_norm_sq
+from woldlab.weights import (FunctionWeights, cauchy_dual, ex52_weights,
+                             shift_norm_sq)
 
 from oracles import enum_A_definitional
 
@@ -473,6 +476,62 @@ def test_ray_is_the_unary_walk(case, depth):
         assert raised(lambda v: kernel.ray(v, depth), u) == str(exc)
         return
     assert kernel.ray(u, depth) == want == TreeKernel.ray(kernel, u, depth)
+
+
+def outcome(call, *args):
+    """call(*args) as ("value", result), or ("raises", exception type)."""
+    try:
+        return "value", call(*args)
+    except Exception as exc:             # the type is the answer compared
+        return "raises", type(exc)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 6), st.integers(-5, 5), st.integers(1, 12),
+       st.tuples(st.integers(-2, 20), st.integers(-7, 7)))
+@example(3, 1, 4, (8, 1))
+def test_tqb_ray_chain_is_a_sequence_like_the_walk(n, m, depth, drawn):
+    chain, kids = TQB.ray((n, m), depth)
+    want, _ = unary_walk(TQB, (n, m), depth)
+    assert isinstance(chain, Sequence) and kids is None
+    assert list(chain) == want and len(chain) == len(want) == depth
+    assert chain == want and want == chain and chain != tuple(want)
+    for i in range(-depth - 2, depth + 2):
+        assert outcome(chain.__getitem__, i) == outcome(want.__getitem__, i)
+    # on the ray, before it (u itself and above), past its end, on another
+    # m, and what is no vertex at all; the drawn pair falls anywhere
+    probes = [*want, (n, m), (n - 1, m), (0, m), (n + depth + 1, m), (n + depth + 2, m),
+              (n + 1, m + 1), (n + 1, m - 1), (float(n + 1), m), (n + 1.5, m),
+              None, "x", n + 1, (n + 1,), (n + 1, m, 0), [n + 1, m], drawn]
+    for v in probes:
+        assert (v in chain) == (v in want)
+        assert outcome(chain.index, v) == outcome(want.index, v)
+        assert outcome(chain.index, v, 1, -1) == outcome(want.index, v, 1, -1)
+
+
+class LogFunctionWeights(FunctionWeights):
+    """Log weights given by the function itself, so they may leave the
+    range a weight could have."""
+
+    def log_weight(self, v):
+        return self._fn(v)
+
+
+def test_ray_fold_is_the_level_loops_left_fold():
+    # a compensated sum (`sum` from Python 3.12 on, or math.fsum) keeps the
+    # 1.0 that the left fold loses to the ulp of 1e16
+    logs = {2: 1e16, 3: 1.0, 4: -1e16, 5: 0.5}
+    ws = LogFunctionWeights(lambda v: logs[v[0]])
+    want = 0.0
+    for n in range(2, 6):
+        want = want + logs[n]
+    assert want == 0.5 != math.fsum(logs.values())
+    ray = descend(TQB, [((1, 0), 0.0)], 4, Budget(), ws)
+    # a frontier of two vertices takes the level loop
+    level_loop = descend(TQB, [((1, 0), 0.0), ((1, 7), 0.0)], 4, Budget(), ws)
+    assert [(u, acc.hex()) for u, acc in ray] == [((5, 0), want.hex())]
+    assert [(u, acc.hex()) for u, acc in level_loop] == [((5, 0), want.hex()),
+                                                         ((5, 7), want.hex())]
 
 
 RAY_BAD = [

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from woldlab.cli import TamperedWeights
 from woldlab.errors import (DegenerateNormError, MissingWeightError,
                             UnknownVertexError)
-from woldlab.tree_core import (TkInfKernel, TqbKernel, Window, ZPathKernel,
-                               operation, par_n)
+from woldlab.tree_core import (RayChain, TkInfKernel, TqbKernel, Window,
+                               ZPathKernel, operation, par_n)
 from woldlab.weights import (CauchyDualWeights, ConstantWeights,
                              FunctionWeights, PolyRule, Prop51Weights,
                              TkinfIsometricWeights,
@@ -425,6 +425,54 @@ def test_ray_rows_are_never_aliased_and_die_with_the_operation():
     gc.collect()
     assert budget() is None              # the rows died with the operation
     assert vars(base) == attrs
+
+
+def row_runs(memos, key):
+    """[(lo, values)] of one operation's ray rows under `key`."""
+    return [tuple(row) for row in memos.get(key, {}).values()]
+
+
+# (chains as (start, stop, m), the run [lo, hi) the one ex52 row holds after them)
+ROW_RUNS = {
+    "extend": ([(2, 5, 0), (3, 4, 5), (4, 9, -3)], (2, 9)),
+    "short-gap": ([(2, 5, 0), (7, 10, 1)], (2, 10)),
+    "long-gap": ([(2, 5, 0), (9, 12, 1)], (2, 5)),
+    "before": ([(10, 13, 0), (5, 8, 2)], (5, 13)),
+    "long-before": ([(10, 13, 0), (2, 5, 2)], (10, 13)),
+}
+
+
+@pytest.mark.parametrize("layers", [0, 1])
+@pytest.mark.parametrize("case", sorted(ROW_RUNS))
+def test_ray_rows_are_runs_read_by_slice(case, layers):
+    chains, (lo, hi) = ROW_RUNS[case]
+    with operation() as op:
+        ws = cauchy_dual(EX52, TQB) if layers else EX52
+        for start, stop, m in chains:
+            chain = RayChain(start, stop, m)
+            assert ([lw.hex() for lw in ws.ray_log_weights(chain)]
+                    == [ws.log_weight(v).hex() for v in chain])
+        key = ("ray rows", EX52, ws) if layers else ("ray rows", EX52)
+        (got_lo, values), = row_runs(op.memos, key)
+        assert (got_lo, got_lo + len(values)) == (lo, hi)
+        assert [lw.hex() for lw in values] == [ws.log_weight((n, 0)).hex()
+                                               for n in range(lo, hi)]
+
+
+@pytest.mark.parametrize("layers", [0, 1])
+def test_a_deep_ray_keeps_rows_of_the_walked_length(layers):
+    # rows hold what walks reached, never a fill from n = 2: a walk a million
+    # levels down keeps a few entries, and a later one at the ray's top
+    # stores nothing beside them
+    with operation() as op:
+        ws = cauchy_dual(EX52, TQB) if layers else EX52
+        for u in [(10**6, 0), (1, 0), (10**6 + 2, 0)]:
+            acc = 0.0
+            for n in range(u[0] + 1, u[0] + 4):
+                acc = acc + ws.log_weight((n, 0))
+            assert shift_norm_sq(ws, TQB, u, 3).hex() == math.exp(2.0 * acc).hex()
+        key = ("ray rows", EX52, ws) if layers else ("ray rows", EX52)
+        assert [(lo, len(values)) for lo, values in row_runs(op.memos, key)] == [(10**6 + 1, 5)]
 
 
 def test_family_root_tracks_depth():

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Standing mutation check for the provenance rule, the plugin premises, the
-closed-form sibling sets and rays with their vertex charge, the
-degenerate-norm guard on a lone child, on a ray and one at a time, the
-Prop. 5.1 ray rows that an operation keeps per coefficient pair, the
-stream's one budget, the command line's one parser per process, the
-Jacobi rank of the coverage Gram, the certified Euler–Maclaurin block
+closed-form sibling sets and rays with their vertex charge, tqb's ray
+descriptor, the degenerate-norm guard on a lone child, on a ray and one at
+a time, the Prop. 5.1 ray rows that an operation keeps per coefficient
+pair as runs read by slice, the stream's one budget, the command line's
+one parser per process, the Jacobi rank of the coverage Gram, the certified Euler–Maclaurin block
 of the Prop. 5.1 dual plugin with the tail integral under it, and
 balancedness compared within each depth class of a window.
 
@@ -81,20 +81,27 @@ MUTANTS = [
      "tests/test_weights.py::test_dual_miss_charges_and_fills_its_sibling_set[v1-siblings1]"),
     (TREE, "if n >= 2:\n            return (v,)", "if n >= 1:\n            return (v,)",
      "tests/test_tree_core.py::test_tqb_siblings_switch_between_spine_and_rays[1]"),
-    # tqb's closed-form ray lists `depth` vertices, and a lone child's dual
-    # weight keeps the degenerate-norm guard, on a ray and one at a time
-    (TREE, "range(n + 1, n + depth + 1)", "range(n + 1, n + depth)",
+    # tqb's closed-form ray stands for `depth` vertices and holds exactly
+    # them, and a lone child's dual weight keeps the degenerate-norm guard,
+    # on a ray and one at a time
+    (TREE, "RayChain(n + 1, n + depth + 1, m)", "RayChain(n + 1, n + depth, m)",
      "tests/test_tree_core.py::test_ray_is_the_unary_walk"),
+    (TREE, "v[0] in range(self.start, self.stop))", "v[0] in range(self.start, self.stop + 1))",
+     "tests/test_tree_core.py::test_tqb_ray_chain_is_a_sequence_like_the_walk"),
     (WEIGHTS, "            if norm < NORM_FLOOR:\n                dual._degenerate(v)\n"
      "            append(", "            append(",
      "tests/test_series.py::test_stream_raises_on_a_degenerate_ray_norm"),
     (WEIGHTS, "        if norm < NORM_FLOOR:\n            self._degenerate(v)\n"
      "        return own", "        return own",
      "tests/test_weights.py::test_dual_degenerate_norm"),
-    # prop51's ray rows: one per coefficient pair (a_m, b_m), read at n
-    (WEIGHTS, "rows.setdefault((a_get(m, a_default), b_get(m, b_default)), {})",
-     "rows.setdefault(a_get(m, a_default), {})", WARM),
-    (WEIGHTS, "lw = row.get(n)", "lw = row.get(n - 1)", WARM),
+    # prop51's ray rows: one per coefficient pair (a_m, b_m), a run of n read
+    # by slice, and never filled across a gap longer than the chain
+    (WEIGHTS, "pair = (self.a.table.get(m, self.a.default), self.b.table.get(m, self.b.default))",
+     "pair = self.a.table.get(m, self.a.default)", WARM),
+    (WEIGHTS, "values[start - lo:stop - lo]", "values[start - lo + 1:stop - lo + 1]",
+     "tests/test_weights.py::test_ray_rows_are_runs_read_by_slice[extend-0]"),
+    (WEIGHTS, "if max(start - hi, lo - stop) > stop - start:", "if max(start - hi, lo - stop) > 10**9:",
+     "tests/test_weights.py::test_a_deep_ray_keeps_rows_of_the_walked_length[0]"),
     # a stream walks each generation with its own budget current, so a dual
     # miss charges its sibling there, in an operation or out of one
     (SERIES, "with budget:", "with Budget():",
