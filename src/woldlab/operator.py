@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .tree_core import Budget, TreeKernel, Window, operation, window_vertices
-from .weights import WeightSystem, is_balanced, shift_norm_sq
+from .tree_core import Budget, TreeKernel, Window, descend, operation, window_vertices
+from .weights import WeightSystem, is_balanced
 
 PRUNE = 1e-15
 
@@ -116,16 +116,22 @@ def defect_diagonal(ws: WeightSystem, kernel: TreeKernel, v, m: int) -> float:
 
     The m-th defect operator is diagonal on the vertex basis, so this scalar
     is its full content at v.  Binomials are exact integers; orders past 60
-    are refused rather than computed in floating point.
+    are refused rather than computed in floating point.  One walk down from
+    v gives every norm: level k of it is Chi^k(v) with the log moments that
+    `shift_norm_sq(ws, kernel, v, k)` sums, accumulated in the same order,
+    so the floats are its floats and each level is charged once.
     """
     if m < 1:
         raise ValueError("defect order m must be >= 1")
     if m > MAX_DEFECT_ORDER:
         raise ValueError(f"defect order {m} exceeds the exact-binomial limit {MAX_DEFECT_ORDER}")
-    terms = []
-    for k in range(m + 1):
+    budget = Budget.current()
+    terms = [1.0]           # ||S^0 e_v||^2, with sign and binomial 1
+    level = [(v, 0.0)]
+    for k in range(1, m + 1):
+        level = descend(kernel, level, 1, budget, ws)
         sign = -1.0 if k % 2 else 1.0
-        terms.append(sign * math.comb(m, k) * shift_norm_sq(ws, kernel, v, k))
+        terms.append(sign * math.comb(m, k) * math.fsum(math.exp(2.0 * acc) for _, acc in level))
     return math.fsum(terms)
 
 

@@ -21,8 +21,8 @@ from .errors import DivergentSeriesError, ResourceCapError, UndecidedSeriesError
 from .numerics import (NeumaierSum, bracket_decreasing_tail,
                        quadratic_tail_integral, quadratic_tail_sum)
 from .operator import SparseVector, apply_shift
-from .tree_core import (Budget, TqbKernel, TreeKernel, BilateralPath, descend,
-                        operation, shell)
+from .tree_core import (Budget, TqbKernel, TreeKernel, BilateralPath, bind_budget,
+                        descend, operation, shell, unbind_budget)
 from .weights import (ConstantWeights, Prop51Weights, WeightSystem, family_root,
                       shift_norm_sq)
 
@@ -44,7 +44,7 @@ class SeriesConfig:
 # term stream and partial sums
 
 
-def generation_stream(ws: WeightSystem, kernel: TreeKernel, v):
+def generation_stream(ws: WeightSystem, kernel: TreeKernel, v, build_from: int = 0):
     """Yield (n, [(u, rel_log)]) for n = 0, 1, 2, ...
 
     rel_log is log of the moment ratio lambda^(n)(u) / lambda^(n)(v) for
@@ -56,41 +56,66 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v):
     accumulating in the same order, so a miss descends the remaining n - j
     levels from the deepest stored rung j < n and walks down from the top
     only when no rung exists.  A stream at par(v) run before the one at v
-    thus leaves v one level per generation to walk.  The budget and its
-    memos are bound when iteration starts, so a stream outside any
-    operation keeps its own, and each generation is walked with that
-    budget current, so a dual weight's sibling charges land in it too:
-    the cap bounds the whole stream, in an operation or out of one.  A cap
+    thus leaves v one level per generation to walk.  The up-step of a top,
+    (log_weight(top), par(top)), is memoized beside the shells, so streams
+    through one top take its weight and parent once per operation.
+    Generations before `build_from` are not built: they yield (n, None),
+    and only the top and v's base log moment advance through them.  The
+    budget and its memos are bound when iteration starts, so a stream
+    outside any operation keeps its own, and each miss is taken with that
+    budget current, so a dual weight's sibling charges land in it too: the
+    cap bounds the whole stream, in an operation or out of one.  A cap
     tripped here names the generation being walked.
     """
-    yield 0, [(v, 0.0)]
+    yield 0, [(v, 0.0)] if build_from <= 0 else None
     budget = Budget.current()
-    ladders = budget.memos.setdefault(("shells", ws, kernel), {})
+    memos = budget.memos
+    ladders = memos.setdefault(("shells", ws, kernel), {})    # top -> {n: A(v, n)}
+    steps = memos.setdefault(("steps", ws, kernel), {})       # top -> (log weight, parent)
     top = v          # par^(n-1)(v) while producing generation n
     base_log = 0.0   # log moment of v at order n, updated incrementally
     n = 1
     try:
         while True:
-            with budget:     # sibling charges of dual misses land here too
-                base_log += ws.log_weight(top)
-                up = kernel.parent(top)
-                ladder = ladders.setdefault(top, {})     # n -> A(v, n) under this top
+            step = steps.get(top)
+            members = None
+            miss = False
+            if n >= build_from:
+                ladder = ladders.get(top)
+                if ladder is None:
+                    ladder = ladders[top] = {}
                 members = ladder.get(n)
-                if members is None:
-                    budget.charge()
-                    j = max((k for k in ladder if k < n), default=0)
-                    if j:
-                        members = descend(kernel, ladder[j], n - j, budget, ws)
-                    else:
-                        members = shell(kernel, top, up, n, budget, ws)
-                    ladder[n] = members
-            yield n, [(u, acc - base_log) for u, acc in members]
-            top = up
+                miss = members is None
+            if step is None or miss:
+                token = bind_budget(budget)   # sibling charges of dual misses land here too
+                try:
+                    if step is None:
+                        step = steps[top] = (ws.log_weight(top), kernel.parent(top))
+                    if miss:
+                        members = ladder[n] = _climb(kernel, ladder, top, step[1], n, budget, ws)
+                finally:
+                    unbind_budget(token)
+            lw, top = step
+            base_log += lw
+            yield n, None if members is None else [(u, acc - base_log) for u, acc in members]
             n += 1
     except ResourceCapError as exc:
         raise ResourceCapError(
             f"{exc} while walking generation {n} of the series term stream "
             "(WOLDLAB_MAX_VERTICES sets the cap)") from None
+
+
+def _climb(kernel: TreeKernel, ladder: dict, top, up, n: int, budget: Budget, ws):
+    """A(v, n) for top = par^(n-1)(v), a miss in top's ladder: descended from
+    the deepest rung j < n, or walked down from top when there is none."""
+    budget.charge()
+    j = 0
+    for k in ladder:
+        if j < k < n:
+            j = k
+    if j:
+        return descend(kernel, ladder[j], n - j, budget, ws)
+    return shell(kernel, top, up, n, budget, ws)
 
 
 def _term_value(members) -> float:
@@ -101,10 +126,11 @@ def _term_value(members) -> float:
     return total
 
 
-def alpha_terms(ws: WeightSystem, kernel: TreeKernel, v):
-    """Yield (n, t_n) with t_n the n-th generation's squared-ratio sum."""
-    for n, members in generation_stream(ws, kernel, v):
-        yield n, _term_value(members)
+def alpha_terms(ws: WeightSystem, kernel: TreeKernel, v, build_from: int = 0):
+    """Yield (n, t_n) with t_n the n-th generation's squared-ratio sum, and
+    None for a generation before `build_from`, which is not built."""
+    for n, members in generation_stream(ws, kernel, v, build_from):
+        yield n, None if members is None else _term_value(members)
 
 
 @dataclass
@@ -120,9 +146,11 @@ class AlphaPartial:
         return [(n, self.terms[n], self.partials[n]) for n in range(self.N + 1)]
 
 
-def _first_terms(ws: WeightSystem, kernel: TreeKernel, v, upto: int) -> list:
-    """t_0, ..., t_upto; generation upto + 1 is never walked."""
-    return [t for _, t in islice(alpha_terms(ws, kernel, v), upto + 1)]
+def _first_terms(ws: WeightSystem, kernel: TreeKernel, v, upto: int,
+                 build_from: int = 0) -> list:
+    """t_0, ..., t_upto, None before `build_from`; generation upto + 1 is
+    never walked."""
+    return [t for _, t in islice(alpha_terms(ws, kernel, v, build_from), upto + 1)]
 
 
 @operation()
@@ -290,11 +318,10 @@ def _heuristic_verdict(ws, kernel, v, n_max: int) -> SeriesVerdict:
 # analytic plugins: exact term laws, verified against the stream before use
 
 
-def _fit_k(root: Prop51Weights, v, terms: list, upto: int, dual: bool):
+def _fit_k(root: Prop51Weights, v, terms: list, lo: int, upto: int, dual: bool):
     """(k_fit, rel_resid) of t_l / p_mu(l-1), or t_l * p_mu(l-1) on the dual, over the
-    last 17 sampled generations; None if non-finite, nonpositive or over PREMISE_TOL."""
+    sampled generations lo..upto; None if non-finite, nonpositive or over PREMISE_TOL."""
     n0, m0 = v
-    lo = max(n0 + 1, upto - 16)
     ps = root.p_row(m0 + lo - n0, lo - 1, upto + 1 - lo)
     ks = [terms[l] * p if dual else terms[l] / p for l, p in zip(range(lo, upto + 1), ps)]
     k_fit = math.fsum(ks) / len(ks)
@@ -325,8 +352,10 @@ def _plugin_prop51(ws, kernel, v):
         return None
     n0, m0 = v
     upto = max(60 if depth else 40, n0 + 24)
-    terms = _first_terms(ws, kernel, v, upto)
-    fit = _fit_k(root, v, terms, upto, depth == 1)
+    lo = max(n0 + 1, upto - 16)     # the fit reads the last 17 generations
+    # the primal verdict reads the fitted terms only, the dual's sums them all
+    terms = _first_terms(ws, kernel, v, upto, 0 if depth else lo)
+    fit = _fit_k(root, v, terms, lo, upto, depth == 1)
     if fit is None:
         return None
     k_fit, rel_resid = fit

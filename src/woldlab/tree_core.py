@@ -21,6 +21,11 @@ from .errors import MalformedTreeError, ResourceCapError, UnknownVertexError
 
 DEFAULT_VERTEX_CAP = 10**6
 _operation_budget = ContextVar("woldlab_operation_budget", default=None)
+# `token = bind_budget(b)` makes b the current budget for the walks that
+# follow, until `unbind_budget(token)`: a generator that bound a budget when
+# iteration started charges it wherever it is resumed this way.  A binding
+# may nest but must not span a yield.
+bind_budget, unbind_budget = _operation_budget.set, _operation_budget.reset
 
 
 def vertex_cap() -> int:
@@ -41,24 +46,13 @@ def vertex_cap() -> int:
 
 class Budget:
     """Counts vertices touched by one logical operation against the cap, and
-    holds the operation's memos (shell ladders, Cauchy duals), which die
-    with it."""
+    holds the operation's memos (shell ladders, up-steps, Cauchy duals),
+    which die with it."""
 
     def __init__(self) -> None:
         self.cap = vertex_cap()
         self.used = 0
         self.memos: dict = {}
-        self._tokens: list = []
-
-    def __enter__(self) -> Budget:
-        """Make this budget the current one for the walks in the block: a
-        generator that bound it when iteration started charges it wherever
-        it is resumed.  Blocks may nest but must not span a yield."""
-        self._tokens.append(_operation_budget.set(self))
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _operation_budget.reset(self._tokens.pop())
 
     def charge(self, k: int = 1) -> None:
         self.used += k

@@ -13,9 +13,10 @@ from woldlab.operator import (MAX_DEFECT_ORDER, SparseVector, apply_adjoint,
                               ker_adjoint_local_basis,
                               wandering_orthogonality_check)
 from woldlab.tree_core import (TkInfKernel, TqbKernel, Window, ZPathKernel,
-                               child_n, window_vertices)
-from woldlab.weights import (ConstantWeights, TkinfIsometricWeights,
-                             ex52_weights, shift_norm_sq)
+                               child_n, operation, window_vertices)
+from woldlab.weights import (ConstantWeights, FunctionWeights,
+                             TkinfIsometricWeights, cauchy_dual, ex52_weights,
+                             shift_norm_sq)
 
 TQB = TqbKernel()
 ZP = ZPathKernel()
@@ -136,6 +137,51 @@ def test_defect_matches_path_oracle():
                 for k in range(m + 1))
             assert defect_diagonal(ws, kernel, v, m) == pytest.approx(
                 expect, abs=1e-10)
+
+
+def binomial_defect(ws, kernel, v, m):
+    """d_m(v) as the alternating binomial combination of m + 1 separate
+    `shift_norm_sq` walks, each from v."""
+    return math.fsum([(-1.0 if k % 2 else 1.0) * math.comb(m, k) * shift_norm_sq(ws, kernel, v, k)
+                      for k in range(m + 1)])
+
+
+def wavy(v):
+    """A positive weight that differs from vertex to vertex."""
+    x, y = v if isinstance(v, tuple) else (v, 0)
+    return 1.0 + 0.25 * math.sin(1.3 * x + 0.7 * y)
+
+
+# (weight system, kernel) per case; each walks the window of depth 2 and 2
+# around the kernel's default base
+DEFECT_CASES = {
+    **{f"tkinf-{k}-{name}": (ws, TkInfKernel(k))
+       for k in range(2, 6)
+       for name, ws in (("isometric", TkinfIsometricWeights(k)),
+                        ("wavy", FunctionWeights(wavy)))},
+    "tqb-ex52": (EX52, TQB),
+    "tqb-ex52-dual": (cauchy_dual(EX52, TQB), TQB),
+    "zpath-wavy": (FunctionWeights(wavy), ZP),
+}
+
+
+@pytest.mark.parametrize("case", DEFECT_CASES)
+def test_defect_is_the_binomial_combination_bit_for_bit(case):
+    ws, kernel = DEFECT_CASES[case]
+    for v in window_vertices(kernel, Window(kernel.default_base(), 2, 2)):
+        for m in range(1, 9):
+            assert defect_diagonal(ws, kernel, v, m).hex() == binomial_defect(
+                ws, kernel, v, m).hex(), (v, m)
+
+
+@pytest.mark.parametrize("v", [(0, 0), (1, 3), (0, -2)])
+def test_defect_charges_each_level_once(v):
+    m = 8
+    with operation() as budget:
+        defect_diagonal(EX52, TQB, v, m)
+    # levels 1..m of the one walk down from v; the m separate walks of the
+    # binomial combination charge level j once for each k >= j
+    assert budget.used == sum(len(child_n(TQB, v, k)) for k in range(1, m + 1))
 
 
 def test_defect_order_limits():

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from woldlab.cli import TamperedWeights
@@ -123,6 +123,41 @@ def test_ex52_terms_are_the_exact_oracles_within_rounding(v, law_from, K):
             assert abs(Fraction(t) - e) <= 8 * max(n, 1) * EPS * e, (dual, n)
     laws = [t * (1 + (l - 1) + (l - 1) ** 2) for l, t in enumerate(exact)]
     assert laws[law_from:] == [K] * (N + 1 - law_from) and laws[law_from - 1] != K
+
+
+# coefficients k / 4: exact in binary, so the oracle reads the rules' own values
+QUARTERS = st.integers(1, 16).map(lambda k: k / 4)
+POLY_RULES = st.builds(PolyRule, QUARTERS,
+                       st.dictionaries(st.integers(-6, 8), QUARTERS, max_size=3))
+ORACLE_N = 20
+
+
+# an example takes about 0.1 s of exact arithmetic, so a failure is
+# reported as drawn, without the minutes a shrink would take
+@settings(max_examples=25, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(a=POLY_RULES, b=POLY_RULES,
+       v=st.tuples(st.integers(0, 5), st.integers(-5, 5)))
+@example(a=PolyRule(0.5, {2: 3.0}), b=PolyRule(1.25), v=(5, 1))
+def test_random_prop51_terms_are_the_exact_oracles_within_rounding(a, b, v):
+    # one operation: par(v) first, so v's stream descends from the rungs it
+    # leaves, then par^2(v), whose misses meet rungs above their own n; the
+    # primal and its dual take their up-steps from memos of their own.  From
+    # (n, m) with n >= 4, par(v) walks a shell from the spine vertex
+    # (0, m - 1) down two levels or more: the ray call that branches at once
+    # and the level loop after it
+    order = [TQB.parent(v), v, TQB.parent(TQB.parent(v))]
+    got = {}
+    with operation():
+        primal = Prop51Weights(a, b)
+        dual = cauchy_dual(primal, TQB)
+        for u in order:
+            for ws in (primal, dual):
+                got[u, ws is dual] = first_terms(ws, TQB, u, ORACLE_N)
+    for (u, is_dual), terms in got.items():
+        exact = prop51_tqb_exact_terms(a, b, u, ORACLE_N, is_dual)
+        for n, (t, e) in enumerate(zip(terms, exact)):
+            assert abs(Fraction(t) - e) <= 8 * max(n, 1) * EPS * e, (u, is_dual, n)
 
 
 def test_partials_cross_a_thousand_at_fifteen():
@@ -243,6 +278,35 @@ def test_stream_takes_one_parent_step_per_generation():
     k = CountingTqb()
     list(islice(generation_stream(ex52_weights(), k, (0, 0)), 41))
     assert k.parent_calls == 40
+
+
+def test_streams_through_one_top_take_its_up_step_once():
+    k = CountingTqb()
+    with operation():
+        ws = ex52_weights()
+        for v in ((0, 1), (0, 0), (1, 1)):
+            list(islice(generation_stream(ws, k, v), 41))
+    # tops (0, 1) ... (0, 40), then (0, 0), then (1, 1): one parent step each
+    assert k.parent_calls == 42
+
+
+def test_generations_before_build_from_are_skipped_not_zero():
+    with operation() as op:
+        terms = [t for _, t in islice(alpha_terms(EX52, TQB, (0, 0), 5), 9)]
+        built = sorted(n for ladder in op.memos["shells", EX52, TQB].values() for n in ladder)
+        assert op.used == 4 + sum(range(5, 9))    # a miss and n vertices per built shell
+    assert terms[:5] == [None] * 5
+    assert [t.hex() for t in terms[5:]] == [t.hex() for t in first_terms(EX52, TQB, (0, 0), 8)[5:]]
+    assert built == [5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("v, lo, upto", [((0, 0), 24, 40), ((30, 2), 38, 54)])
+def test_primal_plugin_builds_only_the_shells_it_fits(v, lo, upto):
+    with operation() as op:
+        out = _plugin_prop51(EX52, TQB, v)
+        built = sorted(n for ladder in op.memos["shells", EX52, TQB].values() for n in ladder)
+    assert out.evidence["sampled_upto"] == upto
+    assert built == list(range(lo, upto + 1))
 
 
 def test_memo_hits_are_free_and_dual_misses_charge_their_siblings(monkeypatch):
@@ -544,6 +608,45 @@ def test_plugin_declines_a_nudged_weight(case):
             if dual:
                 ws = cauchy_dual(ws, TQB)
             assert (plugin(ws, TQB, (0, 0)) is not None) == accepted
+
+
+class BlownProp51(Prop51Weights):
+    """Prop. 5.1 weights with ones, and a non-finite log weight at one vertex."""
+
+    def __init__(self, at, log_weight):
+        super().__init__(PolyRule(1.0), PolyRule(1.0))
+        self.at, self.blown = at, log_weight
+
+    def log_weight(self, v):
+        return self.blown if v == self.at else super().log_weight(v)
+
+
+@pytest.mark.parametrize("blown", [math.nan, math.inf])
+@pytest.mark.parametrize("dual, at", [(False, (2, 30)), (True, (2, 50))])
+def test_plugin_declines_a_non_finite_fit(blown, dual, at):
+    # the blown vertex sits in the generations the fit reads from (0, 0)
+    with operation():
+        ws = BlownProp51(at, blown)
+        if dual:
+            ws = cauchy_dual(ws, TQB)
+        assert _plugin_prop51(ws, TQB, (0, 0)) is None
+
+
+def test_a_rejected_primal_plugin_leaves_the_heuristic_every_term():
+    N = 60
+
+    def run(use_plugins):
+        with operation():
+            ws = nudged(Prop51Weights, (2, 30), PolyRule(1.0), PolyRule(1.0))
+            verdict = alpha_verdict(ws, TQB, (0, 0), SeriesConfig(N, use_plugins))
+            walked = [bits(m) for _, m in islice(generation_stream(ws, TQB, (0, 0)), N + 1)]
+        return verdict, walked
+
+    # the plugin built generations 24 to 40 alone; the heuristic after it
+    # reads the whole walk, as it does with no plugin tried
+    verdict, walked = run(True)
+    assert verdict.method == "heuristic"
+    assert (verdict, walked) == run(False)
 
 
 def test_dual_of_a_dual_gets_no_analytic_verdict():

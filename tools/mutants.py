@@ -3,10 +3,13 @@
 closed-form sibling sets and rays with their vertex charge, tqb's ray
 descriptor, the degenerate-norm guard on a lone child, on a ray and one at
 a time, the Prop. 5.1 ray rows that an operation keeps per coefficient
-pair as runs read by slice, the stream's one budget, the command line's
-one parser per process, the Jacobi rank of the coverage Gram, the certified Euler–Maclaurin block
-of the Prop. 5.1 dual plugin with the tail integral under it, and
-balancedness compared within each depth class of a window.
+pair as runs read by slice, the stream's one budget, its rungs, up-steps
+and base moment against the exact oracle, the shells it builds only where
+a verdict reads them, the command line's one parser per process, the
+Jacobi rank of the coverage Gram, the certified Euler–Maclaurin block of
+the Prop. 5.1 dual plugin with the tail integral under it, balancedness
+compared within each depth class of a window, and the defect diagonal's
+one walk.
 
     python tools/mutants.py
 
@@ -40,6 +43,7 @@ WEIGHTS = "src/woldlab/weights.py"
 TREE = "src/woldlab/tree_core.py"
 CLI = "src/woldlab/cli.py"
 NUMERICS = "src/woldlab/numerics.py"
+OPERATOR = "src/woldlab/operator.py"
 TABLE = "tests/test_wold.py::test_outcome_of_each_finding"
 RULE = "tests/test_wold.py::test_outcome_rule_over_every_ingredient_state"
 WARM = "tests/test_weights.py::test_warm_ray_rows_are_the_log_weights_bit_for_bit"
@@ -47,6 +51,7 @@ NUDGE = "tests/test_series.py::test_plugin_declines_a_nudged_weight[{}]"
 KNOWN_RANK = "tests/test_wold.py::test_rank_of_known_grams[{}]"
 EXACT_BLOCK = "tests/test_numerics.py::test_quadratic_tail_sum_certifies_exact_blocks[{}]"
 LAST_ULPS = "tests/test_numerics.py::test_quadratic_tail_integral_to_the_last_ulps[{}]"
+ORACLE = "tests/test_series.py::test_random_prop51_terms_are_the_exact_oracles_within_rounding"
 
 # (file, old text, new text, pytest node id)
 #
@@ -102,11 +107,32 @@ MUTANTS = [
      "tests/test_weights.py::test_ray_rows_are_runs_read_by_slice[extend-0]"),
     (WEIGHTS, "if max(start - hi, lo - stop) > stop - start:", "if max(start - hi, lo - stop) > 10**9:",
      "tests/test_weights.py::test_a_deep_ray_keeps_rows_of_the_walked_length[0]"),
-    # a stream walks each generation with its own budget current, so a dual
-    # miss charges its sibling there, in an operation or out of one
-    (SERIES, "with budget:", "with Budget():",
+    # a stream takes each miss with its own budget current, so a dual miss
+    # charges its sibling there, in an operation or out of one
+    (SERIES, "token = bind_budget(budget)", "token = bind_budget(Budget())",
      "tests/test_tree_core.py::test_stream_budget_is_bound_once_in_or_out_of_an_operation"
      "[True-9]"),
+    # the term stream against the exact oracle: the deepest rung below n, the
+    # base moment's update, the up-steps kept per weight system, the dual's
+    # sibling-set norm, and the level that descend's ray hands the level loop
+    (SERIES, "if j < k < n:", "if j < k:", ORACLE),
+    (SERIES, "base_log += lw", "base_log = lw", ORACLE),
+    (SERIES, '("steps", ws, kernel)', '("steps", kernel)', ORACLE),
+    (WEIGHTS, "if len(kids) == 1:", "if len(kids) <= 2:", ORACLE),
+    (TREE, "        level += 1\n    for _ in range(level, depth):",
+     "    for _ in range(level, depth):", ORACLE),
+    # the stream builds generations from build_from on, the primal plugin
+    # from the first one its fit reads, and the fit declines a non-finite K
+    (SERIES, "if n >= build_from:", "if n > build_from:",
+     "tests/test_series.py::test_generations_before_build_from_are_skipped_not_zero"),
+    (SERIES, "0 if depth else lo)", "0 if depth else lo - 1)",
+     "tests/test_series.py::test_primal_plugin_builds_only_the_shells_it_fits[v0-24-40]"),
+    (SERIES, "if k_fit <= 0.0 or not math.isfinite(k_fit):", "if k_fit <= 0.0:",
+     "tests/test_series.py::test_plugin_declines_a_non_finite_fit[False-at0-nan]"),
+    # a defect diagonal walks down from v once, charging each level once
+    (OPERATOR, "level = descend(kernel, level, 1, budget, ws)",
+     "level = descend(kernel, [(v, 0.0)], k, budget, ws)",
+     "tests/test_operator.py::test_defect_charges_each_level_once[v0]"),
     # main reuses the parser it built first instead of building one per call
     (CLI, "@functools.cache\ndef _build_parser", "def _build_parser",
      "tests/test_cli.py::test_main_builds_its_parser_once"),
