@@ -23,8 +23,8 @@ from .operator import classify, defect_diagonal
 from .series import SeriesConfig, alpha_partial, alpha_verdict, g_vector
 from .tree_core import (BilateralPath, TqbKernel, Window, load_adjacency, make_kernel,
                         operation, window_depth_classes, window_vertices)
-from .weights import (Prop51Weights, PolyRule, WeightSystem, cauchy_dual,
-                      ex52_weights, is_balanced, is_norm_increasing,
+from .weights import (Prop51Weights, PolyRule, WeightSystem, boundedness_estimate,
+                      cauchy_dual, ex52_weights, is_balanced, is_norm_increasing,
                       make_weights, shift_norm_sq)
 from .wold import wold_verdict
 
@@ -238,18 +238,10 @@ class TamperedWeights(WeightSystem):
         lw = self.base.log_weight(v)
         return lw + _TAMPER_LOG if v == _TAMPER_VERTEX else lw
 
-    def ray_log_weights(self, chain) -> list:
-        out = self.base.ray_log_weights(chain)
-        if _TAMPER_VERTEX in chain:
-            out[chain.index(_TAMPER_VERTEX)] += _TAMPER_LOG
-        return out
-
-    def ray_dual_log_weights(self, chain, dual) -> list:
-        out = self.base.ray_dual_log_weights(chain, dual)
-        if _TAMPER_VERTEX in chain:
-            out[chain.index(_TAMPER_VERTEX)] = dual.lone_child_log_weight(
-                _TAMPER_VERTEX, self.base.log_weight(_TAMPER_VERTEX) + _TAMPER_LOG)
-        return out
+    def row_key(self, m):
+        # the tampered ray keeps a row of its own
+        key = self.base.row_key(m)
+        return None if key is None else (key, m == _TAMPER_VERTEX[1])
 
 
 def _spine_norm(m: int) -> float:
@@ -301,7 +293,7 @@ def _repro_rows(base: Prop51Weights, tampered: bool):
     # 1. boundedness: machinery one-step norms against the closed-form sup
     ms = sorted({v[1] for v in window_vertices(kernel, window)})
     ratio_sup = max(p(m, x + 1) / p(m, x) for m in ms for x in range(0, 200))
-    cert = max(shift_norm_sq(ws, kernel, v) for v in window_vertices(kernel, window))
+    cert = boundedness_estimate(ws, kernel, window)
     _check(rows, "boundedness-certificate", cert <= max(2.0, ratio_sup) + 1e-12,
            window_sup=cert, closed_form_sup=max(2.0, ratio_sup))
 

@@ -1,5 +1,6 @@
-"""Small numerical helpers: compensated summation, the integral and the
-Euler–Maclaurin sum of an inverse-quadratic tail, and integral tail brackets."""
+"""Small numerical helpers: compensated summation, a NaN-dominant maximum,
+the integral and the Euler–Maclaurin sum of an inverse-quadratic tail, and
+integral tail brackets."""
 
 from __future__ import annotations
 
@@ -48,6 +49,17 @@ class NeumaierSum:
         # First-order bound on accumulated rounding; compensated summation
         # actually does much better, so this is safely conservative.
         return 2.0 * EPS * self.abs_total
+
+
+def worst(pairs) -> tuple:
+    """(value, witness) of the largest of nonnegative (value, witness) pairs,
+    (0.0, None) if none exceeds 0; the first NaN wins and stays, so a check
+    that tests `not value <= tol` fails closed on it."""
+    best, witness = 0.0, None
+    for value, w in pairs:
+        if not (math.isnan(best) or value <= best):
+            best, witness = value, w
+    return best, witness
 
 
 def quadratic_tail_integral(a: float, b: float, x0: float) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .numerics import worst
 from .tree_core import Budget, TreeKernel, Window, descend, operation, window_vertices
 from .weights import WeightSystem, is_balanced
 
@@ -15,13 +16,14 @@ class SparseVector:
     """Finite real-valued map on vertices; zero elsewhere.
 
     Entries with magnitude below 1e-15 are dropped on construction so that
-    supports stay honest about what is numerically present.
+    supports stay honest about what is numerically present; a NaN is kept,
+    since nothing shows it small.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries=None) -> None:
-        self.entries = {v: x for v, x in dict(entries or {}).items() if abs(x) >= PRUNE}
+        self.entries = {v: x for v, x in dict(entries or {}).items() if not abs(x) < PRUNE}
 
     @classmethod
     def basis(cls, v) -> "SparseVector":
@@ -281,20 +283,12 @@ def wandering_orthogonality_check(ws: WeightSystem, kernel: TreeKernel, window: 
                                note=f"weights not balanced on window ({bal.verdict})")
     verts = window_vertices(kernel, window)
     family = [(j, vec) for _, _, j, vec in shifted_kernel_vectors(ws, kernel, verts, n_max)]
-    max_pair = 0.0
-    witness = None
-    for a in range(len(family)):
-        for b in range(a + 1, len(family)):
-            val = abs(inner(family[a][1], family[b][1]))
-            if val > max_pair:
-                max_pair, witness = val, (a, b)
-    max_comp = 0.0
+    n = len(family)
+    max_pair, witness = worst((abs(inner(family[a][1], family[b][1])), (a, b))
+                              for a in range(n) for b in range(a + 1, n))
     shifted = [apply_power(ws, kernel, SparseVector.basis(u), n_max) for u in verts]
-    for j, vec in family:
-        if j >= n_max:
-            continue
-        for g in shifted:
-            max_comp = max(max_comp, abs(inner(vec, g)))
-    verdict = "pass" if max_pair <= tol and max_comp <= tol else "fail"
-    return WanderingReport(verdict, max_pair, max_comp, len(family), n_max, tol,
+    max_comp, _ = worst((abs(inner(vec, g)), None)
+                        for j, vec in family if j < n_max for g in shifted)
+    verdict = "fail" if not max_pair <= tol or not max_comp <= tol else "pass"
+    return WanderingReport(verdict, max_pair, max_comp, n, n_max, tol,
                            witness=witness if verdict == "fail" else None)

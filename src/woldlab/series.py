@@ -405,7 +405,8 @@ def _plugin_constant(ws, kernel, v):
         return None
     n0, _ = v
     upto = max(30, n0 + 12)
-    terms = _first_terms(ws, kernel, v, upto)
+    # both verdicts read the terms past the vertex's ray depth only
+    terms = _first_terms(ws, kernel, v, upto, n0 + 1)
     tail = terms[n0 + 1:]
 
     if depth == 0:

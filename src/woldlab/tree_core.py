@@ -249,8 +249,8 @@ class TkInfKernel(TreeKernel):
 class RayChain(Sequence):
     """The vertices (start, m), (start + 1, m), ..., (stop - 1, m) of a tqb
     ray, as `TqbKernel.ray` gives them: a sequence equal to the list the
-    default walk gives, with `in` and `index` in O(1).  Weight systems may
-    read the descriptor (start, stop, m) instead of the vertices."""
+    default walk gives.  Weight systems may read the descriptor (start,
+    stop, m) instead of the vertices."""
 
     __slots__ = ("start", "stop", "m")
 
@@ -268,23 +268,10 @@ class RayChain(Sequence):
     def __iter__(self):
         return zip(range(self.start, self.stop), repeat(self.m))
 
-    def __contains__(self, v) -> bool:
-        return (isinstance(v, tuple) and len(v) == 2 and v[1] == self.m
-                and v[0] in range(self.start, self.stop))
-
-    def index(self, v, start: int = 0, stop: int | None = None) -> int:
-        ns = range(self.start, self.stop)[start:stop]
-        if v in self and v[0] in ns:
-            return ns.index(v[0]) + ns.start - self.start
-        raise ValueError(f"{v!r} is not in the chain")
-
     def __eq__(self, other):
         if isinstance(other, (list, RayChain)):
             return list(self) == list(other)
         return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"RayChain({self.start}, {self.stop}, {self.m})"
 
 
 class TqbKernel(TreeKernel):

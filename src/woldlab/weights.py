@@ -23,10 +23,10 @@ class WeightSystem:
     """Positive weight per vertex, plus family metadata.
 
     Subclasses implement `weight`; `log_weight` may be overridden when a
-    closed form in log space is cheaper or more accurate, and
-    `ray_log_weights` and `ray_dual_log_weights` when a ray's log weights,
-    or its Cauchy dual's, are cheaper taken together.  A subclass that
-    overrides `log_weight` alone gets the per-vertex forms of both.
+    closed form in log space is cheaper or more accurate, and `row_key`
+    when a tqb ray's log weights read its m only through a key, so that
+    one row serves every m with that key.  Overriding `log_weight` without
+    `row_key` resets the key to None: one `log_weight` call per ray vertex.
     """
 
     name = "custom"
@@ -35,11 +35,9 @@ class WeightSystem:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # an inherited batch form would bypass a new log_weight
-        if "log_weight" in vars(cls):
-            for name in ("ray_log_weights", "ray_dual_log_weights"):
-                if name not in vars(cls):
-                    setattr(cls, name, getattr(WeightSystem, name))
+        # an inherited key would vouch for rows a new log_weight breaks
+        if "log_weight" in vars(cls) and "row_key" not in vars(cls):
+            cls.row_key = WeightSystem.row_key
 
     def weight(self, v) -> float:
         raise NotImplementedError
@@ -50,29 +48,49 @@ class WeightSystem:
             raise ValueError(f"weight at {v!r} must be positive and finite, got {w!r}")
         return math.log(w)
 
+    def row_key(self, m):
+        """A key k such that, on tqb from n = 2 on, log_weight((n, m))
+        depends on (k, n) alone; None when there is none."""
+        return None
+
     def ray_log_weights(self, chain) -> list:
-        """[log_weight(v) for v in chain], where each vertex of `chain` is
-        its parent's only child: a `TreeKernel.ray` chain, or part of one.
-        Overrides give the same floats."""
+        """[log_weight(v) for v in chain], each vertex of `chain` its
+        parent's only child (a `TreeKernel.ray` chain, or part of one); a
+        `RayChain` from n = 2 on whose m has a `row_key` reads rows."""
+        if isinstance(chain, RayChain) and chain.start >= 2:
+            key = self.row_key(chain.m)
+            if key is not None:
+                return self._from_row(chain, key)
         return [self.log_weight(v) for v in chain]
 
-    def ray_dual_log_weights(self, chain, dual) -> list:
-        """`dual.ray_log_weights(chain)` for `dual`, a Cauchy dual of this
-        system: every vertex is its parent's only child, so each is the
-        dual's lone-child map of its log weight here, taken from one
-        `ray_log_weights` call; no sibling set, no charge, no memo, and
-        the guard runs in chain order."""
-        # the map inlined: a call per vertex would slow every stream of a
-        # family without its own form (tkinf, constant, csv)
-        exp, log = math.exp, math.log
-        out = []
-        append = out.append
-        for v, own in zip(chain, self.ray_log_weights(chain)):
-            norm = exp(2.0 * own)
-            if norm < NORM_FLOOR:
-                dual._degenerate(v)
-            append(own - log(norm))
-        return out
+    def _from_row(self, chain, key) -> list:
+        """[log_weight(v) for v in chain], a tqb ray from n >= 2 on whose
+        m has the row key `key`.  The operation's memos keep those values
+        under ("ray rows", self), one row [lo, values] per key holding
+        log_weight((n, m)) for n in a run lo <= n < lo + len(values), so
+        each is taken once per operation and a chain inside the run is one
+        slice, always a new list.  A chain that leaves the run extends it,
+        gap included when the gap is no longer than the chain; a chain
+        farther off is taken without storing it, so a row never holds more
+        than twice the vertices walked.  A gap's entries belong to no chain
+        vertex; a key vouches for the whole row, so under positive finite
+        weights they raise nothing the walk would not."""
+        start, stop, m = chain.start, chain.stop, chain.m
+        log_weight = self.log_weight
+        rows = Budget.current().memos.setdefault(("ray rows", self), {})
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = [start, []]
+        lo, values = row
+        hi = lo + len(values)
+        if start < lo or stop > hi:
+            if max(start - hi, lo - stop) > stop - start:
+                return [log_weight(v) for v in chain]
+            if start < lo:
+                values[:0] = [log_weight((n, m)) for n in range(start, lo)]
+                row[0] = lo = start
+            values.extend([log_weight((n, m)) for n in range(hi, stop)])
+        return values[start - lo:stop - lo]
 
 
 class ConstantWeights(WeightSystem):
@@ -91,6 +109,9 @@ class ConstantWeights(WeightSystem):
 
     def log_weight(self, v) -> float:
         return self._log
+
+    def row_key(self, m):
+        return ()
 
 
 class FunctionWeights(WeightSystem):
@@ -218,47 +239,9 @@ class Prop51Weights(WeightSystem):
             return -0.5 * math.log(m)
         return 0.0
 
-    def ray_log_weights(self, chain) -> list:
-        if not isinstance(chain, RayChain) or chain.start < 2:
-            return super().ray_log_weights(chain)
-        return self._from_row(chain, ("ray rows", self), self.log_weight)
-
-    def ray_dual_log_weights(self, chain, dual) -> list:
-        if not isinstance(chain, RayChain) or chain.start < 2:
-            return super().ray_dual_log_weights(chain, dual)
-        lone, log_weight = dual.lone_child_log_weight, self.log_weight
-        return self._from_row(chain, ("ray rows", self, dual),
-                              lambda v: lone(v, log_weight(v)))
-
-    def _from_row(self, chain, key, entry) -> list:
-        """[entry(v) for v in chain], a tqb ray from n >= 2 on, where entry(v)
-        depends only on (a_m, b_m, n), as log_weight and the dual's
-        lone-child map of it do.  The operation's memos keep those values
-        under `key`, one row [lo, values] per coefficient pair holding
-        entry((n, m)) for n in a run lo <= n < lo + len(values), so each is
-        taken once per operation and a chain inside the run is one slice,
-        always a new list.  A chain that leaves the run extends it, gap
-        included when the gap is no longer than the chain; a chain farther
-        off is taken without storing it, so a row never holds more than
-        twice the vertices walked.  A gap's entries belong to no chain
-        vertex; under positive finite rules no entry from n = 2 on raises,
-        so they raise nothing the walk would not."""
-        start, stop, m = chain.start, chain.stop, chain.m
-        rows = Budget.current().memos.setdefault(key, {})
-        pair = (self.a.table.get(m, self.a.default), self.b.table.get(m, self.b.default))
-        row = rows.get(pair)
-        if row is None:
-            row = rows[pair] = [start, []]
-        lo, values = row
-        hi = lo + len(values)
-        if start < lo or stop > hi:
-            if max(start - hi, lo - stop) > stop - start:
-                return [entry(v) for v in chain]
-            if start < lo:
-                values[:0] = [entry((n, m)) for n in range(start, lo)]
-                row[0] = lo = start
-            values.extend([entry((n, m)) for n in range(hi, stop)])
-        return values[start - lo:stop - lo]
+    def row_key(self, m):
+        # from n = 2 on, log_weight reads m only through (a_m, b_m)
+        return (self.a.table.get(m, self.a.default), self.b.table.get(m, self.b.default))
 
 
 def ex52_weights() -> Prop51Weights:
@@ -350,14 +333,13 @@ class CauchyDualWeights(WeightSystem):
     """The dual system: each weight divided by the one-step squared norm at
     its parent.
 
-    A lone child's norm is exp(2 own) of its own primal log weight `own`,
-    so its dual log weight is own - log(exp(2 own)), taken afresh on each
-    read and never stored here (a primal's `ray_dual_log_weights` may keep
-    it).  Sibling sets of two or more need a
-    `math.fsum` over their primal weights: a miss fills the whole set
-    from the one parent norm it computes, and `_log_cache` memoizes those
-    entries per vertex, which is sound because weight systems and kernels
-    are pure.  `weight` reads the same values."""
+    A lone child's dual log weight is own - log(exp(2 own)) of its primal
+    log weight `own` alone: never stored here, and keyed like the primal's
+    on a tqb ray, where the dual's own rows keep it.  Sibling sets of two
+    or more need a `math.fsum` over their primal weights: a miss fills the
+    whole set from the one parent norm it computes, and `_log_cache`
+    memoizes those entries per vertex, which is sound because weight
+    systems and kernels are pure.  `weight` reads the same values."""
 
     def __init__(self, primal: WeightSystem, kernel: TreeKernel) -> None:
         self.primal = primal
@@ -380,33 +362,27 @@ class CauchyDualWeights(WeightSystem):
         kids = self.kernel.siblings(v)
         if len(kids) == 1:
             # the lone sibling is v (the kernel contract puts v in
-            # children(par v))
-            return self.lone_child_log_weight(v, own)
-        # the walk that reached v charged it; charge the others
-        Budget.current().charge(len(kids) - 1)
-        logs = [own if c == v else self.primal.log_weight(c) for c in kids]
-        norm = math.fsum([math.exp(2.0 * lw) for lw in logs])
+            # children(par v)), and math.fsum of one norm is that norm
+            logs, norm = None, math.exp(2.0 * own)
+        else:
+            # the walk that reached v charged it; charge the others
+            Budget.current().charge(len(kids) - 1)
+            logs = [own if c == v else self.primal.log_weight(c) for c in kids]
+            norm = math.fsum([math.exp(2.0 * lw) for lw in logs])
         if norm < NORM_FLOOR:
-            self._degenerate(v)
+            raise DegenerateNormError(f"one-step norm at {self.kernel.parent(v)!r} "
+                                      f"fell below {NORM_FLOOR}; dual undefined")
         log_norm = math.log(norm)
+        if logs is None:
+            return own - log_norm
         for c, lw in zip(kids, logs):
             self._log_cache[c] = lw - log_norm
         return self._log_cache[v]
 
-    def lone_child_log_weight(self, v, own) -> float:
-        """The dual log weight of v, its parent's only child, whose primal
-        log weight is `own`: math.fsum of the one norm is that norm."""
-        norm = math.exp(2.0 * own)
-        if norm < NORM_FLOOR:
-            self._degenerate(v)
-        return own - math.log(norm)
-
-    def ray_log_weights(self, chain) -> list:
-        return self.primal.ray_dual_log_weights(chain, self)
-
-    def _degenerate(self, v):
-        raise DegenerateNormError(f"one-step norm at {self.kernel.parent(v)!r} "
-                                  f"fell below {NORM_FLOOR}; dual undefined")
+    def row_key(self, m):
+        # from n = 2 on a tqb vertex is a lone child: its dual log weight
+        # is a function of its primal one
+        return self.primal.row_key(m)
 
 
 def cauchy_dual(ws: WeightSystem, kernel: TreeKernel) -> CauchyDualWeights:

@@ -1,4 +1,5 @@
-"""Compensated summation, inverse-quadratic tails and tail-integral brackets."""
+"""Compensated summation, the NaN-dominant maximum, inverse-quadratic tails
+and tail-integral brackets."""
 
 from __future__ import annotations
 
@@ -12,7 +13,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from woldlab.numerics import (EPS, NeumaierSum, bracket_decreasing_tail,
-                              quadratic_tail_integral, quadratic_tail_sum)
+                              quadratic_tail_integral, quadratic_tail_sum, worst)
+
+
+def test_worst_keeps_the_first_nan():
+    assert worst([]) == (0.0, None)
+    assert worst([(0.0, "a"), (2.0, "b"), (2.0, "c"), (1.0, "d")]) == (2.0, "b")
+    assert worst([(math.inf, "a"), (3.0, "b")]) == (math.inf, "a")
+    for pairs in ([(1.0, "a"), (math.nan, "b"), (2.0, "c"), (math.nan, "d")],
+                  [(math.nan, "b"), (math.inf, "c")]):
+        value, witness = worst(pairs)
+        assert math.isnan(value) and witness == "b"
 
 
 def test_neumaier_matches_fsum():

@@ -268,6 +268,18 @@ def test_wandering_check_isometric_tree():
     assert rep.vector_count > 0
 
 
+@pytest.mark.parametrize("c", ["nan", "inf"])
+def test_wandering_check_fails_closed_on_non_finite_weights(c):
+    # the kernel vectors carry NaN entries; a NaN residual must win both
+    # running maxima and fail the verdict
+    k = TkInfKernel(2)
+    rep = wandering_orthogonality_check(ConstantWeights(float(c)), k,
+                                        Window((0, 0), 1, 1), n_max=2)
+    assert rep.verdict == "fail" and rep.vector_count == 3
+    assert math.isnan(rep.max_pair_residual) and math.isnan(rep.max_complement_residual)
+    assert rep.witness is not None
+
+
 def test_wandering_check_requires_balanced():
     rep = wandering_orthogonality_check(EX52, TQB, Window((0, 0), 2, 2))
     assert rep.verdict == "precondition_violation"

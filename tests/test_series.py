@@ -309,6 +309,20 @@ def test_primal_plugin_builds_only_the_shells_it_fits(v, lo, upto):
     assert built == list(range(lo, upto + 1))
 
 
+@pytest.mark.parametrize("layers", [0, 1])
+@pytest.mark.parametrize("v, upto", [((0, 0), 30), ((30, 2), 42)])
+def test_constant_plugin_builds_only_the_shells_past_the_ray_depth(v, upto, layers):
+    # both verdicts read the terms past n0 alone, so shells 1..n0 are not built
+    with operation() as op:
+        ws = ConstantWeights(1.0)
+        if layers:
+            ws = cauchy_dual(ws, TQB)
+        out = _plugin_constant(ws, TQB, v)
+        built = sorted(n for ladder in op.memos["shells", ws, TQB].values() for n in ladder)
+    assert out.kind == "diverged" and out.evidence["sampled_upto"] == upto
+    assert built == list(range(v[0] + 1, upto + 1))
+
+
 def test_memo_hits_are_free_and_dual_misses_charge_their_siblings(monkeypatch):
     charged = []
     real = Budget.charge

@@ -367,11 +367,16 @@ def test_a_new_log_weight_gets_the_per_vertex_ray_form():
     ws = Shifted(PolyRule(1.0), PolyRule(1.0))
     chain = [(n, 0) for n in range(1, 6)]
     assert ws.ray_log_weights(chain) == [ws.log_weight(v) for v in chain]
-    # two rays, ray (n, 0) and ray (n, 1), both unary from n = 2
-    lone = [(n, m) for m in (0, 1) for n in range(2, 7)]
-    dual = cauchy_dual(ws, TQB)
-    assert type(ws).ray_dual_log_weights is WeightSystem.ray_dual_log_weights
-    assert dual.ray_log_weights(lone) == [dual.log_weight(v) for v in lone]
+    assert type(ws).row_key is WeightSystem.row_key
+    # two rays, ray (n, 0) and ray (n, 1), both unary from n = 2, in one
+    # operation: rows shared by m = 0 and m = 1 would give the second the
+    # first's floats
+    with operation():
+        dual = cauchy_dual(ws, TQB)
+        for m in (0, 1):
+            lone = RayChain(2, 7, m)
+            for g in (ws, dual):
+                assert g.ray_log_weights(lone) == [g.log_weight(v) for v in lone]
 
 
 # Rules whose coefficient pairs agree on some m and differ on others: with
@@ -381,8 +386,28 @@ TABLED = PolyRule.parse("table:0=2,1=3,default=1")
 warm_rule = st.sampled_from([PolyRule(1.0), TABLED, PolyRule.parse("table:-1=3,2=2,default=1.5")])
 
 
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(["prop51", "constant", "tampered"]),
+       a=st.one_of(warm_rule, rule), b=st.one_of(warm_rule, rule), layers=st.integers(0, 2),
+       ms=st.lists(st.integers(-4, 8), min_size=2, max_size=8), n=st.integers(2, 60))
+@example(family="tampered", a=PolyRule(1.0), b=PolyRule(1.0), layers=0, ms=[2, 3, 4], n=2)
+@example(family="prop51", a=PolyRule(1.0), b=TABLED, layers=2, ms=[0, 1, 2, 3], n=2)
+def test_equal_row_keys_give_equal_log_weights_bit_for_bit(family, a, b, layers, ms, n):
+    # a row key vouches that log_weight((n, m)) on tqb from n = 2 on depends
+    # on the key and n alone, so one row serves every m with that key
+    ws = RAY_WEIGHTS[family](a, b)
+    for _ in range(layers):
+        ws = cauchy_dual(ws, TQB)
+    by_key: dict = {}
+    for m in ms:
+        key = ws.row_key(m)
+        assert key is not None
+        by_key.setdefault(key, set()).add(ws.log_weight((n, m)).hex())
+    assert all(len(bits) == 1 for bits in by_key.values())
+
+
 @settings(max_examples=60, deadline=None)
-@given(family=st.sampled_from(["prop51", "tampered"]), a=warm_rule, b=warm_rule,
+@given(family=st.sampled_from(["prop51", "constant", "tampered"]), a=warm_rule, b=warm_rule,
        layers=st.integers(0, 2),
        starts=st.lists(ray_start, min_size=2, max_size=6), depth=st.integers(1, 12))
 @example(family="prop51", a=PolyRule(1.0), b=TABLED, layers=0,
@@ -452,7 +477,7 @@ def test_ray_rows_are_runs_read_by_slice(case, layers):
             chain = RayChain(start, stop, m)
             assert ([lw.hex() for lw in ws.ray_log_weights(chain)]
                     == [ws.log_weight(v).hex() for v in chain])
-        key = ("ray rows", EX52, ws) if layers else ("ray rows", EX52)
+        key = ("ray rows", ws)
         (got_lo, values), = row_runs(op.memos, key)
         assert (got_lo, got_lo + len(values)) == (lo, hi)
         assert [lw.hex() for lw in values] == [ws.log_weight((n, 0)).hex()
@@ -471,7 +496,7 @@ def test_a_deep_ray_keeps_rows_of_the_walked_length(layers):
             for n in range(u[0] + 1, u[0] + 4):
                 acc = acc + ws.log_weight((n, 0))
             assert shift_norm_sq(ws, TQB, u, 3).hex() == math.exp(2.0 * acc).hex()
-        key = ("ray rows", EX52, ws) if layers else ("ray rows", EX52)
+        key = ("ray rows", ws)
         assert [(lo, len(values)) for lo, values in row_runs(op.memos, key)] == [(10**6 + 1, 5)]
 
 

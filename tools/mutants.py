@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Standing mutation check for the provenance rule, the plugin premises, the
 closed-form sibling sets and rays with their vertex charge, tqb's ray
-descriptor, the degenerate-norm guard on a lone child, on a ray and one at
-a time, the Prop. 5.1 ray rows that an operation keeps per coefficient
-pair as runs read by slice, the stream's one budget, its rungs, up-steps
+descriptor, the dual's one degenerate-norm guard, met on a ray, at a lone
+child and on a sibling set, the ray rows that an operation keeps per row
+key as runs read by slice, the stream's one budget, its rungs, up-steps
 and base moment against the exact oracle, the shells it builds only where
 a verdict reads them, the command line's one parser per process, the
 Jacobi rank of the coverage Gram, the certified Euler–Maclaurin block of
 the Prop. 5.1 dual plugin with the tail integral under it, balancedness
-compared within each depth class of a window, and the defect diagonal's
-one walk.
+compared within each depth class of a window, the defect diagonal's one
+walk, and the wandering check's NaN residuals.
 
     python tools/mutants.py
 
@@ -52,6 +52,7 @@ KNOWN_RANK = "tests/test_wold.py::test_rank_of_known_grams[{}]"
 EXACT_BLOCK = "tests/test_numerics.py::test_quadratic_tail_sum_certifies_exact_blocks[{}]"
 LAST_ULPS = "tests/test_numerics.py::test_quadratic_tail_integral_to_the_last_ulps[{}]"
 ORACLE = "tests/test_series.py::test_random_prop51_terms_are_the_exact_oracles_within_rounding"
+WANDER = "tests/test_operator.py::test_wandering_check_fails_closed_on_non_finite_weights[{}]"
 
 # (file, old text, new text, pytest node id)
 #
@@ -87,22 +88,23 @@ MUTANTS = [
     (TREE, "if n >= 2:\n            return (v,)", "if n >= 1:\n            return (v,)",
      "tests/test_tree_core.py::test_tqb_siblings_switch_between_spine_and_rays[1]"),
     # tqb's closed-form ray stands for `depth` vertices and holds exactly
-    # them, and a lone child's dual weight keeps the degenerate-norm guard,
-    # on a ray and one at a time
+    # them, and the dual's one degenerate-norm guard holds for a lone child,
+    # on a ray and one at a time, and for a sibling set
     (TREE, "RayChain(n + 1, n + depth + 1, m)", "RayChain(n + 1, n + depth, m)",
      "tests/test_tree_core.py::test_ray_is_the_unary_walk"),
-    (TREE, "v[0] in range(self.start, self.stop))", "v[0] in range(self.start, self.stop + 1))",
-     "tests/test_tree_core.py::test_tqb_ray_chain_is_a_sequence_like_the_walk"),
-    (WEIGHTS, "            if norm < NORM_FLOOR:\n                dual._degenerate(v)\n"
-     "            append(", "            append(",
+    (WEIGHTS, "if norm < NORM_FLOOR:", "if False:",
      "tests/test_series.py::test_stream_raises_on_a_degenerate_ray_norm"),
-    (WEIGHTS, "        if norm < NORM_FLOOR:\n            self._degenerate(v)\n"
-     "        return own", "        return own",
-     "tests/test_weights.py::test_dual_degenerate_norm"),
-    # prop51's ray rows: one per coefficient pair (a_m, b_m), a run of n read
-    # by slice, and never filled across a gap longer than the chain
-    (WEIGHTS, "pair = (self.a.table.get(m, self.a.default), self.b.table.get(m, self.b.default))",
-     "pair = self.a.table.get(m, self.a.default)", WARM),
+    (WEIGHTS, "if norm < NORM_FLOOR:", "if False:", "tests/test_weights.py::test_dual_degenerate_norm"),
+    (WEIGHTS, "if norm < NORM_FLOOR:", "if False:",
+     "tests/test_weights.py::test_sibling_filled_miss_raises_on_a_degenerate_norm"),
+    # ray rows: one per row key (prop51's (a_m, b_m), the tampered ray's own),
+    # none for a subclass with a new log_weight, a run of n read by slice,
+    # and never filled across a gap longer than the chain
+    (WEIGHTS, "return (self.a.table.get(m, self.a.default), self.b.table.get(m, self.b.default))",
+     "return self.a.table.get(m, self.a.default)", WARM),
+    (CLI, "m == _TAMPER_VERTEX[1]", "False", WARM),
+    (WEIGHTS, "cls.row_key = WeightSystem.row_key", "pass",
+     "tests/test_weights.py::test_a_new_log_weight_gets_the_per_vertex_ray_form"),
     (WEIGHTS, "values[start - lo:stop - lo]", "values[start - lo + 1:stop - lo + 1]",
      "tests/test_weights.py::test_ray_rows_are_runs_read_by_slice[extend-0]"),
     (WEIGHTS, "if max(start - hi, lo - stop) > stop - start:", "if max(start - hi, lo - stop) > 10**9:",
@@ -127,6 +129,9 @@ MUTANTS = [
      "tests/test_series.py::test_generations_before_build_from_are_skipped_not_zero"),
     (SERIES, "0 if depth else lo)", "0 if depth else lo - 1)",
      "tests/test_series.py::test_primal_plugin_builds_only_the_shells_it_fits[v0-24-40]"),
+    (SERIES, "_first_terms(ws, kernel, v, upto, n0 + 1)", "_first_terms(ws, kernel, v, upto)",
+     "tests/test_series.py::test_constant_plugin_builds_only_the_shells_past_the_ray_depth"
+     "[v1-42-0]"),
     (SERIES, "if k_fit <= 0.0 or not math.isfinite(k_fit):", "if k_fit <= 0.0:",
      "tests/test_series.py::test_plugin_declines_a_non_finite_fit[False-at0-nan]"),
     # a defect diagonal walks down from v once, charging each level once
@@ -167,6 +172,13 @@ MUTANTS = [
     # against another level's
     (WEIGHTS, "lead_v, lead = cls[0]", "lead_v, lead = norm_classes[0][0]",
      "tests/test_weights.py::test_is_balanced_never_compares_across_depths"),
+    # the wandering check fails closed: kernel vectors keep their NaN
+    # entries, and a NaN residual wins each running maximum it meets
+    (OPERATOR, "if not abs(x) < PRUNE}", "if abs(x) >= PRUNE}", WANDER.format("nan")),
+    (NUMERICS, "if not (math.isnan(best) or value <= best):", "if value > best:",
+     WANDER.format("nan")),
+    (NUMERICS, "if not (math.isnan(best) or value <= best):", "if not value <= best:",
+     "tests/test_numerics.py::test_worst_keeps_the_first_nan"),
 ]
 
 
