@@ -32,9 +32,6 @@ class SparseVector:
     def get(self, v) -> float:
         return self.entries.get(v, 0.0)
 
-    def support(self):
-        return self.entries.keys()
-
     def items(self):
         return self.entries.items()
 
@@ -64,9 +61,6 @@ class SparseVector:
     def to_json(self, kernel: TreeKernel) -> dict:
         rows = sorted((kernel.format_vertex(v), x) for v, x in self.entries.items())
         return {"entries": [[tok, x] for tok, x in rows]}
-
-    def __repr__(self) -> str:
-        return f"SparseVector({self.entries!r})"
 
 
 def inner(f: SparseVector, g: SparseVector) -> float:

@@ -9,12 +9,10 @@ and vertices are produced on demand.
 from __future__ import annotations
 
 import os
-from collections.abc import Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
 from operator import add
 
 from .errors import MalformedTreeError, ResourceCapError, UnknownVertexError
@@ -83,8 +81,9 @@ class TreeKernel:
 
     Subclasses implement `children` (finite, ordered, deterministic) and
     `parent`.  Both must be pure: same vertex in, same answer out, so that
-    kernels can be shared freely.  `siblings` and `ray` may be overridden by
-    closed forms that give the same answers.
+    kernels can be shared freely.  `siblings` may be overridden by a closed
+    form that gives the same answers, and `ray` by a closed form of the
+    kernel's unary rays.
     """
 
     name = "abstract"
@@ -103,22 +102,14 @@ class TreeKernel:
     def ray(self, u, depth):
         """(chain, kids): the unary ray below u, at most `depth` levels of it.
 
-        `chain` is a sequence of the lone children below u, each the only
-        child of the vertex before it.  `kids` is the children tuple of the
-        chain's last vertex (u for an empty chain) when the ray branches
-        before `depth`, and None when it does not.  This default lists the
-        chain and makes one `children` call per vertex it passes, the
-        branching one included.
+        `chain` is a `RayChain` of the lone children below u, each the only
+        child of the vertex before it, or empty.  `kids` is the children
+        tuple of the chain's last vertex (u for an empty chain) when the
+        ray branches before `depth`, and None when it does not.  This
+        default knows no closed form: no chain, and u's children, so that
+        `descend` walks on with its level loop.
         """
-        chain = []
-        children = self.children
-        for _ in range(depth):
-            kids = children(u)
-            if len(kids) != 1:
-                return chain, kids
-            u, = kids
-            chain.append(u)
-        return chain, None
+        return (), self.children(u)
 
     def default_base(self):
         raise NotImplementedError
@@ -246,11 +237,10 @@ class TkInfKernel(TreeKernel):
         return 0 if m <= 0 else m
 
 
-class RayChain(Sequence):
+class RayChain:
     """The vertices (start, m), (start + 1, m), ..., (stop - 1, m) of a tqb
-    ray, as `TqbKernel.ray` gives them: a sequence equal to the list the
-    default walk gives.  Weight systems may read the descriptor (start,
-    stop, m) instead of the vertices."""
+    ray, as `TqbKernel.ray` gives them, by descriptor: weight systems read
+    (start, stop, m), and `descend` the length and the last vertex."""
 
     __slots__ = ("start", "stop", "m")
 
@@ -260,18 +250,9 @@ class RayChain(Sequence):
     def __len__(self) -> int:
         return self.stop - self.start
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
-        return (range(self.start, self.stop)[i], self.m)
-
-    def __iter__(self):
-        return zip(range(self.start, self.stop), repeat(self.m))
-
-    def __eq__(self, other):
-        if isinstance(other, (list, RayChain)):
-            return list(self) == list(other)
-        return NotImplemented
+    @property
+    def last(self):
+        return (self.stop - 1, self.m)
 
 
 class TqbKernel(TreeKernel):
@@ -320,12 +301,12 @@ class TqbKernel(TreeKernel):
 
     def ray(self, u, depth):
         if depth <= 0:
-            return [], None
+            return (), None
         if not (isinstance(u, tuple) and len(u) == 2) or u[0] < 0:
             self._check(u)
         n, m = u
         if n == 0:
-            return [], ((0, m - 1), (1, m))
+            return (), ((0, m - 1), (1, m))
         return RayChain(n + 1, n + depth + 1, m), None
 
     def default_base(self):
@@ -501,13 +482,15 @@ def descend(kernel: TreeKernel, frontier, depth: int, budget: Budget, ws=None):
     plus the log weight of the child under the weight system `ws`; an
     unweighted walk (`ws` None) adds a zero weight, which keeps the loop
     free of per-vertex branches.  A one-vertex frontier more than one
-    level deep takes its unary ray in pieces of at most RAY_PIECE
-    vertices, each with one `kernel.ray` call, one `ws.ray_log_weights`
-    call and one charge, and adds the weights in ray order, so floats and
-    trip points are those of the level loop.  A piece asks for at most one
-    vertex past the cap, so memory stays bounded by the piece and a huge
-    `depth` trips at the cap.  Where the ray branches, and for a single
-    level, the level loop that wide frontiers take does the work.
+    level deep asks the kernel for its unary ray in pieces of at most
+    RAY_PIECE vertices.  A piece's `RayChain` takes one `ws.ray_log_weights`
+    call and one charge, and adds the weights in ray order, so floats,
+    trip points and the error a bad weight raises are those of the level
+    loop.  A piece asks for at most one vertex past the cap, so memory
+    stays bounded by the piece and a huge `depth` trips at the cap.  Where
+    the ray branches, where the kernel knows no closed form (no chain),
+    and for a single level, the level loop that wide frontiers take does
+    the work.
     Iterated children, shells, shift-power norms and the series term
     stream all descend here; windows, which keep every level, take one
     plain pass in `window_depth_classes`.
@@ -520,14 +503,14 @@ def descend(kernel: TreeKernel, frontier, depth: int, budget: Budget, ws=None):
         while True:
             chain, kids = kernel.ray(u, min(depth - level, RAY_PIECE,
                                             budget.cap - budget.used + 1))
-            # weights before the charge, as in the level loop; reduce is
-            # the loop's left fold (sum compensates from Python 3.12)
-            if ws is not None:
-                acc = reduce(add, ws.ray_log_weights(chain), acc)
-            charge(len(chain))
-            level += len(chain)
             if chain:
-                u = chain[-1]
+                # weights before the charge, as in the level loop; reduce
+                # is the loop's left fold (sum compensates from Python 3.12)
+                if ws is not None:
+                    acc = reduce(add, ws.ray_log_weights(chain), acc)
+                charge(len(chain))
+                level += len(chain)
+                u = chain.last
             if kids is not None:
                 break
             if level == depth:
@@ -639,17 +622,16 @@ class BilateralPath:
     parents.  Vertices are memoized as the path grows.
     """
 
-    def __init__(self, kernel: TreeKernel, anchor, chooser=None):
+    def __init__(self, kernel: TreeKernel, anchor):
         self.kernel = kernel
         self.anchor = anchor
-        self._chooser = chooser or min
         self._fwd = [anchor]
         self._back: list = []
 
     def __getitem__(self, m: int):
         if m >= 0:
             while len(self._fwd) <= m:
-                self._fwd.append(self._chooser(self.kernel.children(self._fwd[-1])))
+                self._fwd.append(min(self.kernel.children(self._fwd[-1])))
             return self._fwd[m]
         while len(self._back) < -m:
             prev = self._back[-1] if self._back else self.anchor

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateNormError, MissingWeightError
+from .numerics import worst
 from .tree_core import (Budget, RayChain, TkInfKernel, TreeKernel, Window,
                         descend, window_depth_classes, window_vertices)
 
@@ -53,44 +54,35 @@ class WeightSystem:
         depends on (k, n) alone; None when there is none."""
         return None
 
-    def ray_log_weights(self, chain) -> list:
-        """[log_weight(v) for v in chain], each vertex of `chain` its
-        parent's only child (a `TreeKernel.ray` chain, or part of one); a
-        `RayChain` from n = 2 on whose m has a `row_key` reads rows."""
-        if isinstance(chain, RayChain) and chain.start >= 2:
-            key = self.row_key(chain.m)
-            if key is not None:
-                return self._from_row(chain, key)
-        return [self.log_weight(v) for v in chain]
-
-    def _from_row(self, chain, key) -> list:
-        """[log_weight(v) for v in chain], a tqb ray from n >= 2 on whose
-        m has the row key `key`.  The operation's memos keep those values
-        under ("ray rows", self), one row [lo, values] per key holding
+    def ray_log_weights(self, chain: RayChain) -> list:
+        """[log_weight((n, m)) for n in range(start, stop)] for a tqb
+        `RayChain` (start, stop, m), which starts at n >= 2.  When m has a
+        row key, the operation's memos keep those values under
+        ("ray rows", self), one row [lo, values] per key holding
         log_weight((n, m)) for n in a run lo <= n < lo + len(values), so
         each is taken once per operation and a chain inside the run is one
         slice, always a new list.  A chain that leaves the run extends it,
         gap included when the gap is no longer than the chain; a chain
-        farther off is taken without storing it, so a row never holds more
-        than twice the vertices walked.  A gap's entries belong to no chain
+        farther off, or one whose m has no key, is taken one `log_weight`
+        call per vertex without storing it, so a row never holds more than
+        twice the vertices walked.  A gap's entries belong to no chain
         vertex; a key vouches for the whole row, so under positive finite
         weights they raise nothing the walk would not."""
         start, stop, m = chain.start, chain.stop, chain.m
         log_weight = self.log_weight
-        rows = Budget.current().memos.setdefault(("ray rows", self), {})
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = [start, []]
-        lo, values = row
-        hi = lo + len(values)
-        if start < lo or stop > hi:
-            if max(start - hi, lo - stop) > stop - start:
-                return [log_weight(v) for v in chain]
-            if start < lo:
-                values[:0] = [log_weight((n, m)) for n in range(start, lo)]
-                row[0] = lo = start
-            values.extend([log_weight((n, m)) for n in range(hi, stop)])
-        return values[start - lo:stop - lo]
+        key = self.row_key(m)
+        if key is not None:
+            rows = Budget.current().memos.setdefault(("ray rows", self), {})
+            row = rows.setdefault(key, [start, []])
+            lo, values = row
+            hi = lo + len(values)
+            if max(start - hi, lo - stop) <= stop - start:
+                if start < lo:
+                    values[:0] = [log_weight((n, m)) for n in range(start, lo)]
+                    row[0] = lo = start
+                values.extend([log_weight((n, m)) for n in range(hi, stop)])
+                return values[start - lo:stop - lo]
+        return [log_weight((n, m)) for n in range(start, stop)]
 
 
 class ConstantWeights(WeightSystem):
@@ -462,12 +454,14 @@ def is_norm_increasing(ws: WeightSystem, kernel: TreeKernel, window: Window,
 
 
 def boundedness_estimate(ws: WeightSystem, kernel: TreeKernel, window: Window) -> float:
-    """Largest one-step squared norm over the window.
+    """Largest one-step squared norm over the window; a NaN norm wins, so
+    a check that reads the estimate fails closed on it.
 
     A boundedness certificate for the sampled window only; nothing global
     can be concluded from a finite sample.
     """
-    return max(shift_norm_sq(ws, kernel, v, 1) for v in window_vertices(kernel, window))
+    return worst((shift_norm_sq(ws, kernel, v, 1), v)
+                 for v in window_vertices(kernel, window))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def test_sparse_vector_algebra():
     assert f.get((0, 0)) == 2.0 and f.get((1, 1)) == -3.0 and f.get((9, 9)) == 0.0
     assert len(f) == 2
     assert f.norm_sq() == pytest.approx(13.0)
-    assert f.restrict([(1, 1)]).support() == {(1, 1)}
+    assert f.restrict([(1, 1)]).entries.keys() == {(1, 1)}
 
 
 def test_sparse_vector_prunes_dust():
@@ -80,12 +80,12 @@ def test_shift_on_basis_vectors():
     assert out.get((1, 5)) == pytest.approx(1.0 / math.sqrt(5.0))
     assert len(out) == 2
     ray = apply_shift(EX52, TQB, SparseVector.basis((2, 3)))
-    assert ray.support() == {(3, 3)}
+    assert ray.entries.keys() == {(3, 3)}
 
 
 def test_adjoint_on_basis_vectors():
     out = apply_adjoint(EX52, TQB, SparseVector.basis((1, 5)))
-    assert out.support() == {(0, 5)}
+    assert out.entries.keys() == {(0, 5)}
     assert out.get((0, 5)) == pytest.approx(1.0 / math.sqrt(5.0))
 
 

@@ -254,7 +254,7 @@ def test_charges_do_not_depend_on_earlier_operations():
 class CountingTqb(TqbKernel):
     """Counts kernel steps down the tree: a `children` call, or one vertex of
     a `ray` (its chain, and its branching children tuple), as many steps as
-    the default `ray` makes `children` calls."""
+    the level loop makes `children` calls."""
 
     def __init__(self):
         self.steps = 0
@@ -853,9 +853,11 @@ def test_g_vector_is_path_independent_up_to_scale():
     k = TkInfKernel(3)
     ws = FunctionWeights(lambda v: 1.0 + v[1] / 10.0 if v[0] >= 1 else 1.0,
                          name="tilted")
+    # g_1 at (1, 1) on the least-child path, and at (1, 3) as g_0 of a path
+    # anchored there
     lo = BilateralPath(k, (0, 0))
-    hi = BilateralPath(k, (0, 0), chooser=max)
+    hi = BilateralPath(k, (1, 3))
     ga = g_vector(ws, k, lo, 1, 6).vector
-    gb = g_vector(ws, k, hi, 1, 6).vector
+    gb = g_vector(ws, k, hi, 0, 6).vector
     assert ga.entries != gb.entries
     assert abs(inner(ga, gb)) == pytest.approx(ga.norm() * gb.norm(), rel=1e-12)

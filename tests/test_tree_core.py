@@ -5,23 +5,22 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
-from collections.abc import Sequence
 from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from woldlab.errors import (MalformedTreeError, ResourceCapError,
-                            UnknownVertexError)
-from woldlab.tree_core import (Budget, TkInfKernel, TqbKernel, TreeKernel, Window,
+from woldlab.errors import (MalformedTreeError, MissingWeightError,
+                            ResourceCapError, UnknownVertexError)
+from woldlab.tree_core import (Budget, RayChain, TkInfKernel, TqbKernel, TreeKernel, Window,
                                ZPathKernel, BilateralPath, child_n, descend, enum_A,
                                load_adjacency, make_kernel, operation, par_n,
                                vertex_cap, window_depth_classes,
                                window_vertices)
 from woldlab.series import generation_stream
 from woldlab.weights import (FunctionWeights, cauchy_dual, ex52_weights,
-                             shift_norm_sq)
+                             load_weight_csv, shift_norm_sq)
 
 from oracles import enum_A_definitional
 
@@ -245,11 +244,11 @@ def test_bilateral_path_tqb_spine():
 
 
 def test_bilateral_path_choosers():
+    # forward steps take the least child
     lo = BilateralPath(TK3, (0, 0))
-    hi = BilateralPath(TK3, (0, 0), chooser=max)
-    assert lo[1] == (1, 1) and hi[1] == (1, 3)
-    assert lo[2] == (2, 1) and hi[2] == (2, 3)
-    assert lo[-3] == hi[-3] == (-3, 0)
+    assert lo[1] == (1, 1)
+    assert lo[2] == (2, 1)
+    assert lo[-3] == (-3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +448,9 @@ def test_siblings_are_the_children_of_the_parent(case):
 
 
 def unary_walk(kernel, u, depth):
-    """`TreeKernel.ray` spelled out: children calls until a vertex does not
-    have exactly one child, or `depth` lone children are listed."""
+    """The lone-child walk that tqb's `ray` answers in closed form:
+    children calls until a vertex does not have exactly one child, or
+    `depth` lone children are listed."""
     chain = []
     for _ in range(depth):
         kids = kernel.children(u)
@@ -461,52 +461,64 @@ def unary_walk(kernel, u, depth):
     return chain, None
 
 
+def chain_vertices(chain):
+    """The vertices a `RayChain` stands for; none for an empty chain."""
+    return [(n, chain.m) for n in range(chain.start, chain.stop)] if chain else []
+
+
 @settings(max_examples=300)
-@given(kernel_and_vertex, st.integers(0, 12))
-@example((TQB, (3, 1)), 4)
-@example((TQB, (0, 2)), 1)
-@example((TkInfKernel(1), (-2, 0)), 5)
-@example((TkInfKernel(4), (-2, 0)), 5)
-@example((ZP, 0), 0)
-def test_ray_is_the_unary_walk(case, depth):
-    kernel, u = case
-    try:
-        want = unary_walk(kernel, u, depth)
-    except UnknownVertexError as exc:      # a walk past a file's boundary
-        assert raised(lambda v: kernel.ray(v, depth), u) == str(exc)
-        return
-    assert kernel.ray(u, depth) == want == TreeKernel.ray(kernel, u, depth)
-
-
-def outcome(call, *args):
-    """call(*args) as ("value", result), or ("raises", exception type)."""
-    try:
-        return "value", call(*args)
-    except Exception as exc:             # the type is the answer compared
-        return "raises", type(exc)
+@given(st.tuples(st.integers(0, 6), st.integers(-12, 12)), st.integers(0, 12))
+@example((3, 1), 4)
+@example((0, 2), 1)
+@example((1, 0), 0)
+def test_ray_is_the_unary_walk(u, depth):
+    chain, kids = TQB.ray(u, depth)
+    want, want_kids = unary_walk(TQB, u, depth)
+    assert (chain_vertices(chain), kids) == (want, want_kids)
+    assert len(chain) == len(want)
 
 
 @settings(max_examples=200)
-@given(st.integers(1, 6), st.integers(-5, 5), st.integers(1, 12),
-       st.tuples(st.integers(-2, 20), st.integers(-7, 7)))
-@example(3, 1, 4, (8, 1))
-def test_tqb_ray_chain_is_a_sequence_like_the_walk(n, m, depth, drawn):
+@given(st.integers(1, 6), st.integers(-5, 5), st.integers(1, 12))
+@example(3, 1, 4)
+def test_tqb_ray_chain_describes_the_walk(n, m, depth):
+    # below n >= 1 the ray never branches: a descriptor of `depth` vertices
+    # whose last vertex is the walk's
     chain, kids = TQB.ray((n, m), depth)
     want, _ = unary_walk(TQB, (n, m), depth)
-    assert isinstance(chain, Sequence) and kids is None
-    assert list(chain) == want and len(chain) == len(want) == depth
-    assert chain == want and want == chain and chain != tuple(want)
-    for i in range(-depth - 2, depth + 2):
-        assert outcome(chain.__getitem__, i) == outcome(want.__getitem__, i)
-    # on the ray, before it (u itself and above), past its end, on another
-    # m, and what is no vertex at all; the drawn pair falls anywhere
-    probes = [*want, (n, m), (n - 1, m), (0, m), (n + depth + 1, m), (n + depth + 2, m),
-              (n + 1, m + 1), (n + 1, m - 1), (float(n + 1), m), (n + 1.5, m),
-              None, "x", n + 1, (n + 1,), (n + 1, m, 0), [n + 1, m], drawn]
-    for v in probes:
-        assert (v in chain) == (v in want)
-        assert outcome(chain.index, v) == outcome(want.index, v)
-        assert outcome(chain.index, v, 1, -1) == outcome(want.index, v, 1, -1)
+    assert isinstance(chain, RayChain) and kids is None
+    assert (chain.start, chain.stop, chain.m) == (n + 1, n + depth + 1, m)
+    assert len(chain) == len(want) == depth
+    assert chain.last == want[-1] == (n + depth, m)
+
+
+@given(kernel_and_vertex.filter(lambda case: case[0] is not TQB), st.integers(0, 12))
+@example((TkInfKernel(3), (0, 0)), 5)
+@example((TkInfKernel(1), (-2, 0)), 5)
+@example((ZP, 0), 0)
+@example((ADJ, "c"), 3)
+@example((ADJ, "z1"), 2)
+def test_default_ray_is_no_chain_and_the_children(case, depth):
+    # no closed form: no chain, and u's children for descend's level loop
+    kernel, u = case
+    assert type(kernel).ray is TreeKernel.ray
+    try:
+        want = (), kernel.children(u)
+    except UnknownVertexError as exc:      # a boundary vertex of a file
+        assert raised(lambda v: kernel.ray(v, depth), u) == str(exc)
+        return
+    assert kernel.ray(u, depth) == want
+
+
+def test_a_walk_without_a_closed_form_raises_the_level_loops_error():
+    # r -> a -> b -> c -> z with no weight on file for a: one vertex or two,
+    # the walk stops at a's weight, before any children call past it
+    kernel = load_adjacency("#boundary: r z\nr: a\na: b\nb: c\nc: z\n")
+    ws = load_weight_csv("b,1.0\nc,2.0\nz,0.5\n", kernel)
+    with pytest.raises(MissingWeightError, match="'a'"):
+        shift_norm_sq(ws, kernel, "r", 5)
+    with pytest.raises(MissingWeightError, match="'a'"):
+        descend(kernel, [("r", 0.0), ("r", 0.0)], 5, Budget(), ws)
 
 
 class LogFunctionWeights(FunctionWeights):
@@ -547,7 +559,11 @@ RAY_BAD = [
 def test_ray_rejects_what_children_rejects(kernel, v):
     for depth in (1, 3):
         assert raised(lambda u: kernel.ray(u, depth), v) == raised(kernel.children, v)
-    assert kernel.ray(v, 0) == ([], None)
+    # depth 0 asks tqb for no vertex; the default asks for v's children at any depth
+    if kernel is TQB:
+        assert kernel.ray(v, 0) == ((), None)
+    else:
+        assert raised(lambda u: kernel.ray(u, 0), v) == raised(kernel.children, v)
 
 
 @pytest.mark.parametrize("kernel, v", [case for case in RAY_BAD if case[0] is not ADJ])

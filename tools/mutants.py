@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Standing mutation check for the provenance rule, the plugin premises, the
 closed-form sibling sets and rays with their vertex charge, tqb's ray
-descriptor, the dual's one degenerate-norm guard, met on a ray, at a lone
+descriptor and its last vertex, the default ray that hands the walk to the
+level loop, the dual's one degenerate-norm guard, met on a ray, at a lone
 child and on a sibling set, the ray rows that an operation keeps per row
 key as runs read by slice, the stream's one budget, its rungs, up-steps
 and base moment against the exact oracle, the shells it builds only where
@@ -88,10 +89,15 @@ MUTANTS = [
     (TREE, "if n >= 2:\n            return (v,)", "if n >= 1:\n            return (v,)",
      "tests/test_tree_core.py::test_tqb_siblings_switch_between_spine_and_rays[1]"),
     # tqb's closed-form ray stands for `depth` vertices and holds exactly
-    # them, and the dual's one degenerate-norm guard holds for a lone child,
-    # on a ray and one at a time, and for a sibling set
+    # them, a walk goes on from its last vertex, and a kernel without a
+    # closed form hands the level loop u's children; the dual's one
+    # degenerate-norm guard holds for a lone child, on a ray and one at a
+    # time, and for a sibling set
     (TREE, "RayChain(n + 1, n + depth + 1, m)", "RayChain(n + 1, n + depth, m)",
-     "tests/test_tree_core.py::test_ray_is_the_unary_walk"),
+     "tests/test_tree_core.py::test_tqb_ray_chain_describes_the_walk"),
+    (TREE, "(self.stop - 1, self.m)", "(self.stop, self.m)", ORACLE),
+    (TREE, "return (), self.children(u)", "return (), None",
+     "tests/test_tree_core.py::test_default_ray_is_no_chain_and_the_children"),
     (WEIGHTS, "if norm < NORM_FLOOR:", "if False:",
      "tests/test_series.py::test_stream_raises_on_a_degenerate_ray_norm"),
     (WEIGHTS, "if norm < NORM_FLOOR:", "if False:", "tests/test_weights.py::test_dual_degenerate_norm"),
@@ -107,7 +113,8 @@ MUTANTS = [
      "tests/test_weights.py::test_a_new_log_weight_gets_the_per_vertex_ray_form"),
     (WEIGHTS, "values[start - lo:stop - lo]", "values[start - lo + 1:stop - lo + 1]",
      "tests/test_weights.py::test_ray_rows_are_runs_read_by_slice[extend-0]"),
-    (WEIGHTS, "if max(start - hi, lo - stop) > stop - start:", "if max(start - hi, lo - stop) > 10**9:",
+    (WEIGHTS, "if max(start - hi, lo - stop) <= stop - start:",
+     "if max(start - hi, lo - stop) <= 10**9:",
      "tests/test_weights.py::test_a_deep_ray_keeps_rows_of_the_walked_length[0]"),
     # a stream takes each miss with its own budget current, so a dual miss
     # charges its sibling there, in an operation or out of one
