@@ -14,9 +14,10 @@ class NeumaierSum:
 
     Tracks the running sum, the correction term, and the sum of absolute
     values, from which a conservative first-order rounding bound follows.
-    `extend` holds the one spelling of the compensated step and takes many
-    values in one pass; `add` is `extend` of a single value, for callers
-    that read the running sum after each term.
+    `add` takes one value, for callers that read the running sum after each
+    term; `extend` takes many in one pass, with the running state held in
+    locals.  Each spells out the same compensated step, and a test holds
+    the two to bit-identical states.
     """
 
     def __init__(self) -> None:
@@ -25,10 +26,17 @@ class NeumaierSum:
         self.abs_total = 0.0
 
     def add(self, value: float) -> None:
-        self.extend((value,))
+        total = self.total
+        t = total + value
+        if abs(total) >= abs(value):
+            self.compensation += (total - t) + value
+        else:
+            self.compensation += (value - t) + total
+        self.total = t
+        self.abs_total += abs(value)
 
     def extend(self, values) -> None:
-        """Add each value in turn, with the running state held in locals."""
+        """Add each value in turn, as `add` does."""
         total, comp, abs_total = self.total, self.compensation, self.abs_total
         for value in values:
             abs_total += abs(value)

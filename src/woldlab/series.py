@@ -45,29 +45,32 @@ class SeriesConfig:
 
 
 def generation_stream(ws: WeightSystem, kernel: TreeKernel, v, build_from: int = 0):
-    """Yield (n, [(u, rel_log)]) for n = 0, 1, 2, ...
+    """Yield (n, base_log, members) for n = 0, 1, 2, ...
 
-    rel_log is log of the moment ratio lambda^(n)(u) / lambda^(n)(v) for
-    u in A(v, n).  A(v, n) and its (u, log moment) pairs depend on v only
-    through top = par^(n-1)(v), so each shell is memoized per top and n,
-    in the operation's memos for (ws, kernel), and shared by every
-    same-generation vertex; memo hits are free.  Shells under one top form
-    a ladder: A(v, n) = Chi^(n-j)(A(par^(n-j)(v), j)), with the logs
-    accumulating in the same order, so a miss descends the remaining n - j
-    levels from the deepest stored rung j < n and walks down from the top
-    only when no rung exists.  A stream at par(v) run before the one at v
-    thus leaves v one level per generation to walk.  The up-step of a top,
+    base_log is the log moment of v at order n, and members the shell
+    A(v, n) as its list of (u, log moment) pairs, so that acc - base_log
+    is the log of the moment ratio lambda^(n)(u) / lambda^(n)(v) for each
+    pair (u, acc).  A(v, n) and its pairs depend on v only through
+    top = par^(n-1)(v), so each shell is memoized per top and n, in the
+    operation's memos for (ws, kernel), and shared by every same-generation
+    vertex; memo hits are free.  The list yielded is that memo entry itself:
+    readers must not change it.  Shells under one top form a ladder:
+    A(v, n) = Chi^(n-j)(A(par^(n-j)(v), j)), with the logs accumulating in
+    the same order, so a miss descends the remaining n - j levels from the
+    deepest stored rung j < n and walks down from the top only when no rung
+    exists.  A stream at par(v) run before the one at v thus leaves v one
+    level per generation to walk.  The up-step of a top,
     (log_weight(top), par(top)), is memoized beside the shells, so streams
     through one top take its weight and parent once per operation.
-    Generations before `build_from` are not built: they yield (n, None),
-    and only the top and v's base log moment advance through them.  The
-    budget and its memos are bound when iteration starts, so a stream
-    outside any operation keeps its own, and each miss is taken with that
-    budget current, so a dual weight's sibling charges land in it too: the
-    cap bounds the whole stream, in an operation or out of one.  A cap
-    tripped here names the generation being walked.
+    Generations before `build_from` are not built: they yield
+    (n, base_log, None), and only the top and v's base log moment advance
+    through them.  The budget and its memos are bound when iteration
+    starts, so a stream outside any operation keeps its own, and each miss
+    is taken with that budget current, so a dual weight's sibling charges
+    land in it too: the cap bounds the whole stream, in an operation or out
+    of one.  A cap tripped here names the generation being walked.
     """
-    yield 0, [(v, 0.0)] if build_from <= 0 else None
+    yield 0, 0.0, [(v, 0.0)] if build_from <= 0 else None
     budget = Budget.current()
     memos = budget.memos
     ladders = memos.setdefault(("shells", ws, kernel), {})    # top -> {n: A(v, n)}
@@ -92,12 +95,20 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v, build_from: int =
                     if step is None:
                         step = steps[top] = (ws.log_weight(top), kernel.parent(top))
                     if miss:
-                        members = ladder[n] = _climb(kernel, ladder, top, step[1], n, budget, ws)
+                        # descend from the deepest rung j < n, or walk down from top
+                        budget.charge()
+                        j = 0
+                        for k in ladder:
+                            if j < k < n:
+                                j = k
+                        members = ladder[n] = (
+                            descend(kernel, ladder[j], n - j, budget, ws) if j
+                            else shell(kernel, top, step[1], n, budget, ws))
                 finally:
                     unbind_budget(token)
             lw, top = step
             base_log += lw
-            yield n, None if members is None else [(u, acc - base_log) for u, acc in members]
+            yield n, base_log, members
             n += 1
     except ResourceCapError as exc:
         raise ResourceCapError(
@@ -105,32 +116,20 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v, build_from: int =
             "(WOLDLAB_MAX_VERTICES sets the cap)") from None
 
 
-def _climb(kernel: TreeKernel, ladder: dict, top, up, n: int, budget: Budget, ws):
-    """A(v, n) for top = par^(n-1)(v), a miss in top's ladder: descended from
-    the deepest rung j < n, or walked down from top when there is none."""
-    budget.charge()
-    j = 0
-    for k in ladder:
-        if j < k < n:
-            j = k
-    if j:
-        return descend(kernel, ladder[j], n - j, budget, ws)
-    return shell(kernel, top, up, n, budget, ws)
-
-
-def _term_value(members) -> float:
-    total = 0.0
-    for _, rel_log in members:
-        e = 2.0 * rel_log
-        total += math.inf if e > 700.0 else math.exp(e)
-    return total
-
-
 def alpha_terms(ws: WeightSystem, kernel: TreeKernel, v, build_from: int = 0):
     """Yield (n, t_n) with t_n the n-th generation's squared-ratio sum, and
-    None for a generation before `build_from`, which is not built."""
-    for n, members in generation_stream(ws, kernel, v, build_from):
-        yield n, None if members is None else _term_value(members)
+    None for a generation before `build_from`, which is not built.  Each
+    term is summed in place from the stream's members and base log."""
+    exp, inf = math.exp, math.inf
+    for n, base_log, members in generation_stream(ws, kernel, v, build_from):
+        if members is None:
+            yield n, None
+            continue
+        total = 0.0
+        for _, acc in members:
+            e = 2.0 * (acc - base_log)
+            total += inf if e > 700.0 else exp(e)
+        yield n, total
 
 
 @dataclass
@@ -253,14 +252,15 @@ def _finite_generation_verdict(ws, kernel, v, span) -> SeriesVerdict:
 def _heuristic_verdict(ws, kernel, v, n_max: int) -> SeriesVerdict:
     acc = NeumaierSum()
     recent: deque = deque(maxlen=WINDOW)   # (n, t) for nonzero t
+    add, keep, isfinite = acc.add, recent.append, math.isfinite
     empty_run = 0
     n_seen = 0
     for n, t in alpha_terms(ws, kernel, v):
         n_seen = n
-        if not math.isfinite(t):
+        if not isfinite(t):
             return SeriesVerdict.diverged(
                 v, "heuristic", {"rule": "overflow", "n": n}, n)
-        acc.add(t)
+        add(t)
         if acc.value > THRESHOLD:
             return SeriesVerdict.diverged(
                 v, "heuristic",
@@ -277,7 +277,7 @@ def _heuristic_verdict(ws, kernel, v, n_max: int) -> SeriesVerdict:
                     {"rule": "empty-run", "run": empty_run, "n": n}, n)
         else:
             empty_run = 0
-            recent.append((n, t))
+            keep((n, t))
         if n >= n_max:
             break
 
@@ -464,10 +464,10 @@ def g_vector(ws: WeightSystem, kernel: TreeKernel, path: BilateralPath, m: int,
             f"series verdict at {v!r} is inconclusive; cannot build g_{m}")
     entries: dict = {}
     gen_support = []
-    for _, members in islice(generation_stream(ws, kernel, v), N + 1):
+    for _, base_log, members in islice(generation_stream(ws, kernel, v), N + 1):
         gen_support.append(tuple(u for u, _ in members))
-        for u, rel_log in members:
-            entries[u] = math.exp(rel_log)
+        for u, acc in members:
+            entries[u] = math.exp(acc - base_log)
     vector = SparseVector(entries)
     # the mass of the vector actually returned, after SparseVector's pruning
     tail_mass = max(verdict.value - vector.norm_sq(), 0.0) + verdict.tail_bound

@@ -508,8 +508,9 @@ def descend(kernel: TreeKernel, frontier, depth: int, budget: Budget, ws=None):
                 # is the loop's left fold (sum compensates from Python 3.12)
                 if ws is not None:
                     acc = reduce(add, ws.ray_log_weights(chain), acc)
-                charge(len(chain))
-                level += len(chain)
+                size = len(chain)
+                charge(size)
+                level += size
                 u = chain.last
             if kids is not None:
                 break

@@ -73,7 +73,9 @@ class WeightSystem:
         key = self.row_key(m)
         if key is not None:
             rows = Budget.current().memos.setdefault(("ray rows", self), {})
-            row = rows.setdefault(key, [start, []])
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [start, []]
             lo, values = row
             hi = lo + len(values)
             if max(start - hi, lo - stop) <= stop - start:
@@ -442,15 +444,18 @@ class NormIncreasingReport:
 
 def is_norm_increasing(ws: WeightSystem, kernel: TreeKernel, window: Window,
                        tol: float = 1e-9) -> NormIncreasingReport:
-    """Check 1 - ||S e_v||^2 <= tol at every window vertex."""
-    worst_v, worst = None, math.inf
+    """Check 1 - ||S e_v||^2 <= tol at every window vertex.
+
+    The least norm is its witness; the first NaN norm wins and stays, so
+    the check fails closed on it."""
+    worst_v, least = None, math.inf
     for v in window_vertices(kernel, window):
         val = shift_norm_sq(ws, kernel, v, 1)
-        if val < worst:
-            worst_v, worst = v, val
-    if worst < 1.0 - tol:
-        return NormIncreasingReport("not_norm_increasing", (worst_v, worst), worst, tol)
-    return NormIncreasingReport("norm_increasing", None, worst, tol)
+        if not (math.isnan(least) or val >= least):
+            worst_v, least = v, val
+    if not least >= 1.0 - tol:
+        return NormIncreasingReport("not_norm_increasing", (worst_v, least), least, tol)
+    return NormIncreasingReport("norm_increasing", None, least, tol)
 
 
 def boundedness_estimate(ws: WeightSystem, kernel: TreeKernel, window: Window) -> float:

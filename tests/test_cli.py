@@ -7,6 +7,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -169,6 +170,16 @@ def test_balanced_json(capsys):
     assert obj["balanced"]["witness"] is not None
     assert obj["norm_increasing"]["verdict"] == "norm_increasing"
     assert obj["norm_increasing"]["min_norm_sq"] == pytest.approx(1.0)
+
+
+def test_balanced_is_not_norm_increasing_on_nan_weights(capsys):
+    # a NaN norm fails the check; it once read "norm_increasing" with an
+    # infinite least norm
+    code, out, _ = run(capsys, "balanced", "--tree", "tkinf:k=2", "--weights", "constant:nan")
+    assert code == 0
+    ni = json.loads(out)["norm_increasing"]
+    assert ni["verdict"] == "not_norm_increasing"
+    assert math.isnan(ni["min_norm_sq"]) and math.isnan(ni["witness"][1])
 
 
 # ---------------------------------------------------------------------------

@@ -65,14 +65,25 @@ def neumaier_reference(values):
     return tuple(y.hex() for y in (total, compensation, abs_total))
 
 
-@given(st.lists(st.floats()), st.lists(st.floats()))
+# signed values from subnormal to near overflow, and the non-finite ones
+MIXED_FLOATS = st.one_of(
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023)),
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0]),
+)
+
+
+@given(st.lists(MIXED_FLOATS), st.lists(MIXED_FLOATS))
 @example([], [])
+@example([], [1e300, 1.0, -1e300, 1e-300])
 @example([0.0], [-0.0])
 @example([-0.0], [-0.0, 0.0])
 @example([1e300, 1.0], [-1e300, 1e-300, 3.5e-17])
 @example([math.inf], [-math.inf, 1.0])
 @example([1.0], [math.nan, 2.0])
 def test_add_and_extend_take_the_neumaier_steps(prefix, values):
+    # `add` spells the step out on the attributes, `extend` on locals: one
+    # add per value, and adds then one extend, must reach the same state
     one, many = NeumaierSum(), NeumaierSum()
     for x in prefix + values:
         one.add(x)

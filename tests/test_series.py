@@ -20,7 +20,7 @@ from woldlab.numerics import (NeumaierSum, bracket_decreasing_tail,
                               quadratic_tail_integral, quadratic_tail_sum)
 from woldlab.operator import inner
 from woldlab.series import (ANALYTIC_TERMS, SeriesConfig, SeriesVerdict,
-                            _plugin_constant, _plugin_prop51, _term_value,
+                            _plugin_constant, _plugin_prop51,
                             alpha_partial, alpha_terms, alpha_verdict, g_vector,
                             generation_stream, hyperrange_recurrence_check)
 from woldlab import tree_core
@@ -76,11 +76,39 @@ def test_stream_matches_shells_and_moments():
     # the production stream against the definitional oracle, member by member
     for kernel, ws, vertices in STREAM_CASES:
         for v in vertices:
-            for n, members in islice(generation_stream(ws, kernel, v), 7):
+            for n, base_log, members in islice(generation_stream(ws, kernel, v), 7):
                 assert tuple(u for u, _ in members) == enum_A_definitional(kernel, v, n)
-                for u, rel in members:
+                for u, acc in members:
+                    rel = acc - base_log
                     expect = moment_log(ws, kernel, u, n) - moment_log(ws, kernel, v, n)
                     assert rel == pytest.approx(expect, abs=1e-12)
+
+
+# every case moves the base log moment off 0 from generation 2 on, so a
+# term that dropped it would differ; the last one's first shell overflows
+IN_PLACE_CASES = {
+    "ex52": (EX52, (0, 0)),
+    "ex52-branch": (EX52, (2, 5)),
+    "dual": (DUAL, (0, 0)),
+    "constant": (ConstantWeights(3.0), (1, 2)),
+    "overflow": (FunctionWeights(lambda v: 1e200 if v[0] >= 1 else 0.5, name="big"), (0, 0)),
+}
+
+
+@pytest.mark.parametrize("case", IN_PLACE_CASES)
+def test_alpha_terms_sum_the_stream_entries_in_place(case):
+    ws, v = IN_PLACE_CASES[case]
+    with operation():
+        expected = []
+        for _, base_log, members in islice(generation_stream(ws, TQB, v), 12):
+            total = 0.0
+            for _, acc in members:
+                rel_log = acc - base_log
+                total += math.inf if 2.0 * rel_log > 700.0 else math.exp(2.0 * rel_log)
+            expected.append(total)
+        got = [t for _, t in islice(alpha_terms(ws, TQB, v), 12)]
+    assert [t.hex() for t in got] == [t.hex() for t in expected]
+    assert (math.inf in got) == (case == "overflow")
 
 
 def test_ex52_primal_terms_follow_the_quadratic():
@@ -160,6 +188,40 @@ def test_random_prop51_terms_are_the_exact_oracles_within_rounding(a, b, v):
             assert abs(Fraction(t) - e) <= 8 * max(n, 1) * EPS * e, (u, is_dual, n)
 
 
+# an example takes about 0.2 s of exact arithmetic, mostly the dual's 60
+# generations
+@settings(max_examples=10, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(a=POLY_RULES, b=POLY_RULES,
+       v=st.tuples(st.integers(0, 5), st.integers(-5, 5)))
+@example(a=PolyRule(1.0), b=PolyRule(1.0), v=(0, 0))
+def test_prop51_plugins_fit_the_exact_k(a, b, v):
+    # the primal law is t_l / p(l - 1) = K and the dual's t_l * p(l - 1) = K,
+    # with p = p_mu and mu = m0 + l - n0, over the generations the fit reads
+    n0, m0 = v
+
+    def p(l):
+        mu, x = m0 + l - n0, l - 1
+        return 1 + Fraction(a(mu)) * x + Fraction(b(mu)) * x * x
+
+    for dual in (False, True):
+        with operation():
+            root = Prop51Weights(a, b)
+            out = _plugin_prop51(cauchy_dual(root, TQB) if dual else root, TQB, v)
+        upto = max(60 if dual else 40, n0 + 24)
+        exact = prop51_tqb_exact_terms(a, b, v, upto, dual)
+        laws = {exact[l] * p(l) if dual else exact[l] / p(l)
+                for l in range(max(n0 + 1, upto - 16), upto + 1)}
+        assert len(laws) == 1, dual        # the law holds exactly there
+        k_exact = laws.pop()
+        # each fitted term is within 8 l eps of its exact value (the oracle
+        # tests' bound), p(l - 1) is exact in binary for coefficients k / 4,
+        # and the product and the mean add a few ulps (worst seen 38.5 eps)
+        tol = (8 * upto + 4) * EPS
+        assert out is not None and out.method == "analytic", dual
+        assert abs(Fraction(out.evidence["K"]) - k_exact) <= tol * k_exact, dual
+
+
 def test_partials_cross_a_thousand_at_fifteen():
     part = alpha_partial(EX52, TQB, (0, 0), 20)
     assert part.partials[14] <= 1000.0 < part.partials[15]
@@ -185,8 +247,7 @@ def fresh_system(kind):
 
 def stream_terms(kind, v, upto):
     """Terms straight from a fresh stream on fresh objects: nothing shared."""
-    return [_term_value(members)
-            for _, members in islice(generation_stream(fresh_system(kind), TQB, v), upto)]
+    return [t for _, t in islice(alpha_terms(fresh_system(kind), TQB, v), upto)]
 
 
 REFERENCE_TERMS = {(kind, v): stream_terms(kind, v, MEMO_DEPTH)
@@ -399,7 +460,7 @@ def test_stream_raises_on_a_degenerate_ray_norm():
     # spine norms are 2; from n = 3 a ray weight is 1e-7, its norm 1e-14
     dual = cauchy_dual(FunctionWeights(lambda v: 1e-7 if v[0] >= 3 else 1.0), TQB)
     stream = generation_stream(dual, TQB, (0, 0))
-    assert [n for n, _ in islice(stream, 3)] == [0, 1, 2]
+    assert [n for n, _, _ in islice(stream, 3)] == [0, 1, 2]
     # generation 3 takes the ray (2, 3), (3, 3) below (1, 3) in one call
     with pytest.raises(DegenerateNormError, match=r"norm at \(2, 3\) fell below"):
         next(stream)
@@ -411,15 +472,16 @@ def test_stream_raises_on_a_degenerate_ray_norm():
     assert sorted(dual._log_cache) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3)]
 
 
-def bits(members):
-    return [(u, rel_log.hex()) for u, rel_log in members]
+def bits(base_log, members):
+    """A generation's (u, rel_log) pairs, rel_log = acc - base_log in hex."""
+    return [(u, (acc - base_log).hex()) for u, acc in members]
 
 
 def test_ray_pieces_keep_floats_and_charges(monkeypatch):
     def walk():
         with operation() as budget:
             dual = cauchy_dual(ex52_weights(), TQB)
-            terms = [bits(m) for _, m in islice(generation_stream(dual, TQB, (0, 0)), 30)]
+            terms = [bits(b, m) for _, b, m in islice(generation_stream(dual, TQB, (0, 0)), 30)]
             norm = shift_norm_sq(dual, TQB, (1, 2), 25).hex()
             return terms, norm, sorted(cache_items(dual)), budget.used
 
@@ -440,10 +502,10 @@ def test_parent_stream_leaves_rungs_the_child_descends_from():
         calls = k.steps
         # par^(n-1)(0, 0) = par^(n-2)(0, 1): generation n descends one level
         # from the stored A((0, 1), n - 1)
-        laddered = [bits(m) for _, m in islice(generation_stream(dual, k, (0, 0)), N + 1)]
+        laddered = [bits(b, m) for _, b, m in islice(generation_stream(dual, k, (0, 0)), N + 1)]
         assert k.steps - calls == 40       # a fresh walk makes 820
         fresh = cauchy_dual(ex52_weights(), TQB)
-        assert laddered == [bits(m) for _, m in
+        assert laddered == [bits(b, m) for _, b, m in
                             islice(generation_stream(fresh, TQB, (0, 0)), N + 1)]
 
 
@@ -653,7 +715,7 @@ def test_a_rejected_primal_plugin_leaves_the_heuristic_every_term():
         with operation():
             ws = nudged(Prop51Weights, (2, 30), PolyRule(1.0), PolyRule(1.0))
             verdict = alpha_verdict(ws, TQB, (0, 0), SeriesConfig(N, use_plugins))
-            walked = [bits(m) for _, m in islice(generation_stream(ws, TQB, (0, 0)), N + 1)]
+            walked = [bits(b, m) for _, b, m in islice(generation_stream(ws, TQB, (0, 0)), N + 1)]
         return verdict, walked
 
     # the plugin built generations 24 to 40 alone; the heuristic after it

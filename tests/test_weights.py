@@ -606,6 +606,21 @@ def test_boundedness_estimate_is_nan_on_a_nan_norm(kernel, window, bad):
     assert math.isnan(boundedness_estimate(NanAt(bad), kernel, window))
 
 
+@pytest.mark.parametrize("kernel, window, bad", [
+    (ZP, Window(0, 2, 2), 0),
+    (ZP, Window(0, 2, 2), 2),
+    (TkInfKernel(2), Window((0, 0), 1, 1), (1, 2)),
+])
+def test_is_norm_increasing_fails_closed_on_a_nan_norm(kernel, window, bad):
+    # with unit weights every norm is at least 1, so only the NaN one fails
+    assert is_norm_increasing(NanAt(None), kernel, window).verdict == "norm_increasing"
+    rep = is_norm_increasing(NanAt(bad), kernel, window)
+    assert rep.verdict == "not_norm_increasing"
+    assert math.isnan(rep.min_norm_sq)
+    witness, norm = rep.witness
+    assert math.isnan(norm) and math.isnan(shift_norm_sq(NanAt(bad), kernel, witness, 1))
+
+
 # ---------------------------------------------------------------------------
 # the spec-string factory
 

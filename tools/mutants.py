@@ -6,11 +6,13 @@ level loop, the dual's one degenerate-norm guard, met on a ray, at a lone
 child and on a sibling set, the ray rows that an operation keeps per row
 key as runs read by slice, the stream's one budget, its rungs, up-steps
 and base moment against the exact oracle, the shells it builds only where
-a verdict reads them, the command line's one parser per process, the
-Jacobi rank of the coverage Gram, the certified Euler–Maclaurin block of
-the Prop. 5.1 dual plugin with the tail integral under it, balancedness
-compared within each depth class of a window, the defect diagonal's one
-walk, and the wandering check's NaN residuals.
+a verdict reads them, each term summed in place from the stream's entries,
+the compensated step that `NeumaierSum.add` spells out beside `extend`,
+the command line's one parser per process, the Jacobi rank of the
+coverage Gram, the certified Euler–Maclaurin block of the Prop. 5.1 dual
+plugin with the tail integral under it, balancedness compared within each
+depth class of a window, the defect diagonal's one walk, the wandering
+check's NaN residuals and the norm-increase check's NaN-dominant minimum.
 
     python tools/mutants.py
 
@@ -121,9 +123,10 @@ MUTANTS = [
     (SERIES, "token = bind_budget(budget)", "token = bind_budget(Budget())",
      "tests/test_tree_core.py::test_stream_budget_is_bound_once_in_or_out_of_an_operation"
      "[True-9]"),
-    # the term stream against the exact oracle: the deepest rung below n, the
-    # base moment's update, the up-steps kept per weight system, the dual's
-    # sibling-set norm, and the level that descend's ray hands the level loop
+    # the term stream against the exact oracle: the deepest rung below n in
+    # the stream's inline rung search, the base moment's update, the
+    # up-steps kept per weight system, the dual's sibling-set norm, and the
+    # level that descend's ray hands the level loop
     (SERIES, "if j < k < n:", "if j < k:", ORACLE),
     (SERIES, "base_log += lw", "base_log = lw", ORACLE),
     (SERIES, '("steps", ws, kernel)', '("steps", kernel)', ORACLE),
@@ -141,6 +144,14 @@ MUTANTS = [
      "[v1-42-0]"),
     (SERIES, "if k_fit <= 0.0 or not math.isfinite(k_fit):", "if k_fit <= 0.0:",
      "tests/test_series.py::test_plugin_declines_a_non_finite_fit[False-at0-nan]"),
+    # each term is summed in place from the stream's log moments relative to
+    # the base, and `add` takes the compensated step that `extend` takes
+    (SERIES, "e = 2.0 * (acc - base_log)", "e = 2.0 * acc",
+     "tests/test_series.py::test_alpha_terms_sum_the_stream_entries_in_place[constant]"),
+    (NUMERICS, "            self.compensation += (total - t) + value\n        else:\n"
+     "            self.compensation += (value - t) + total\n",
+     "            pass\n        else:\n            pass\n",
+     "tests/test_numerics.py::test_add_and_extend_take_the_neumaier_steps"),
     # a defect diagonal walks down from v once, charging each level once
     (OPERATOR, "level = descend(kernel, level, 1, budget, ws)",
      "level = descend(kernel, [(v, 0.0)], k, budget, ws)",
@@ -186,6 +197,9 @@ MUTANTS = [
      WANDER.format("nan")),
     (NUMERICS, "if not (math.isnan(best) or value <= best):", "if not value <= best:",
      "tests/test_numerics.py::test_worst_keeps_the_first_nan"),
+    (WEIGHTS, "if not (math.isnan(least) or val >= least):", "if val < least:",
+     "tests/test_weights.py::test_is_norm_increasing_fails_closed_on_a_nan_norm"
+     "[kernel2-window2-bad2]"),
 ]
 
 
