@@ -121,11 +121,10 @@ def defect_diagonal(ws: WeightSystem, kernel: TreeKernel, v, m: int) -> float:
         raise ValueError("defect order m must be >= 1")
     if m > MAX_DEFECT_ORDER:
         raise ValueError(f"defect order {m} exceeds the exact-binomial limit {MAX_DEFECT_ORDER}")
-    budget = Budget.current()
     terms = [1.0]           # ||S^0 e_v||^2, with sign and binomial 1
     level = [(v, 0.0)]
     for k in range(1, m + 1):
-        level = descend(kernel, level, 1, budget, ws)
+        level = descend(kernel, level, 1, ws)
         sign = -1.0 if k % 2 else 1.0
         terms.append(sign * math.comb(m, k) * math.fsum(math.exp(2.0 * acc) for _, acc in level))
     return math.fsum(terms)

@@ -102,8 +102,8 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v, build_from: int =
                             if j < k < n:
                                 j = k
                         members = ladder[n] = (
-                            descend(kernel, ladder[j], n - j, budget, ws) if j
-                            else shell(kernel, top, step[1], n, budget, ws))
+                            descend(kernel, ladder[j], n - j, ws) if j
+                            else shell(kernel, top, step[1], n, ws))
                 finally:
                     unbind_budget(token)
             lw, top = step

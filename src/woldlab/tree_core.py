@@ -100,16 +100,12 @@ class TreeKernel:
         return self.children(self.parent(v))
 
     def ray(self, u, depth):
-        """(chain, kids): the unary ray below u, at most `depth` levels of it.
-
-        `chain` is a `RayChain` of the lone children below u, each the only
-        child of the vertex before it, or empty.  `kids` is the children
-        tuple of the chain's last vertex (u for an empty chain) when the
-        ray branches before `depth`, and None when it does not.  This
-        default knows no closed form: no chain, and u's children, so that
-        `descend` walks on with its level loop.
+        """The unary ray below u, `depth` >= 1 levels of it, as a `RayChain`
+        of lone children, each the only child of the vertex before it; or
+        None where the kernel knows no closed form, and `descend` walks on
+        with its level loop.  This default knows none.
         """
-        return (), self.children(u)
+        return None
 
     def default_base(self):
         raise NotImplementedError
@@ -300,14 +296,12 @@ class TqbKernel(TreeKernel):
         return ((0, m - 1), (1, m))
 
     def ray(self, u, depth):
-        if depth <= 0:
-            return (), None
         if not (isinstance(u, tuple) and len(u) == 2) or u[0] < 0:
             self._check(u)
         n, m = u
         if n == 0:
-            return (), ((0, m - 1), (1, m))
-        return RayChain(n + 1, n + depth + 1, m), None
+            return None     # the spine branches
+        return RayChain(n + 1, n + depth + 1, m)
 
     def default_base(self):
         return (0, 0)
@@ -403,8 +397,6 @@ def load_adjacency(text: str) -> AdjacencyKernel:
                     f"line {lineno}: {c!r} already has a parent (trees have unique parents)"
                 )
             parent_of[c] = v
-        if len(set(kids)) != len(kids):
-            raise MalformedTreeError(f"line {lineno}: repeated child under {v!r}")
         children_map[v] = kids
         order.update(dict.fromkeys((v, *kids)))     # a known token keeps its place
 
@@ -475,50 +467,45 @@ def _no_weight(v) -> float:
     return 0.0
 
 
-def descend(kernel: TreeKernel, frontier, depth: int, budget: Budget, ws=None):
+def descend(kernel: TreeKernel, frontier, depth: int, ws=None):
     """Expand a frontier of (vertex, log) pairs `depth` levels down.
 
-    Each level is charged to `budget`.  A child's entry is its parent's log
-    plus the log weight of the child under the weight system `ws`; an
-    unweighted walk (`ws` None) adds a zero weight, which keeps the loop
-    free of per-vertex branches.  A one-vertex frontier more than one
-    level deep asks the kernel for its unary ray in pieces of at most
-    RAY_PIECE vertices.  A piece's `RayChain` takes one `ws.ray_log_weights`
-    call and one charge, and adds the weights in ray order, so floats,
-    trip points and the error a bad weight raises are those of the level
-    loop.  A piece asks for at most one vertex past the cap, so memory
-    stays bounded by the piece and a huge `depth` trips at the cap.  Where
-    the ray branches, where the kernel knows no closed form (no chain),
-    and for a single level, the level loop that wide frontiers take does
-    the work.
+    Each level is charged to the current budget (`Budget.current()`, read
+    once per call).  A child's entry is its parent's log plus the log
+    weight of the child under the weight system `ws`; an unweighted walk
+    (`ws` None) adds a zero weight, which keeps the loop free of
+    per-vertex branches.  A one-vertex frontier more than one level deep
+    asks the kernel for its unary ray in pieces of at most RAY_PIECE
+    vertices.  A piece's `RayChain` takes one `ws.ray_log_weights` call
+    and one charge, and adds the weights in ray order, so floats, trip
+    points and the error a bad weight raises are those of the level loop.
+    A piece asks for at most one vertex past the cap, so memory stays
+    bounded by the piece and a huge `depth` trips at the cap.  Where the
+    kernel knows no closed form (None), and for a single level, the level
+    loop that wide frontiers take does the work.
     Iterated children, shells, shift-power norms and the series term
     stream all descend here; windows, which keep every level, take one
     plain pass in `window_depth_classes`.
     """
+    budget = Budget.current()
     children, charge = kernel.children, budget.charge
     log_weight = _no_weight if ws is None else ws.log_weight
     level = 0
     if len(frontier) == 1 and depth > 1:
         (u, acc), = frontier
-        while True:
-            chain, kids = kernel.ray(u, min(depth - level, RAY_PIECE,
-                                            budget.cap - budget.used + 1))
-            if chain:
-                # weights before the charge, as in the level loop; reduce
-                # is the loop's left fold (sum compensates from Python 3.12)
-                if ws is not None:
-                    acc = reduce(add, ws.ray_log_weights(chain), acc)
-                size = len(chain)
-                charge(size)
-                level += size
-                u = chain.last
-            if kids is not None:
+        while level < depth:
+            chain = kernel.ray(u, min(depth - level, RAY_PIECE, budget.cap - budget.used + 1))
+            if chain is None:
                 break
-            if level == depth:
-                return [(u, acc)]
-        frontier = [(c, acc + log_weight(c)) for c in kids]
-        charge(len(frontier))
-        level += 1
+            # weights before the charge, as in the level loop; reduce is
+            # the loop's left fold (sum compensates from Python 3.12)
+            if ws is not None:
+                acc = reduce(add, ws.ray_log_weights(chain), acc)
+            size = len(chain)
+            charge(size)
+            level += size
+            u = chain.last
+        frontier = [(u, acc)]
     for _ in range(level, depth):
         nxt = []
         append = nxt.append
@@ -530,25 +517,26 @@ def descend(kernel: TreeKernel, frontier, depth: int, budget: Budget, ws=None):
     return frontier
 
 
-def shell(kernel: TreeKernel, top, up, n: int, budget: Budget, ws=None):
+def shell(kernel: TreeKernel, top, up, n: int, ws=None):
     """The shell A(v, n), n >= 1, as (u, log) pairs, from top = par^(n-1)(v).
 
     A(v, 1) = Chi(par(v)) minus v, and A(v, n) = Chi(A(par(v), n-1)); the
     unrolled form drops the one child of up = par(top) leading back to v and
     expands the rest n-1 levels.  Logs accumulate from the shell's first
-    level under the weight system `ws`, as in `descend`.
+    level under the weight system `ws`, as in `descend`, and every level is
+    charged to the current budget.
     """
     log_weight = _no_weight if ws is None else ws.log_weight
     first = [(c, log_weight(c)) for c in kernel.children(up) if c != top]
-    budget.charge(len(first))
-    return descend(kernel, first, n - 1, budget, ws)
+    Budget.current().charge(len(first))
+    return descend(kernel, first, n - 1, ws)
 
 
 def child_n(kernel: TreeKernel, v, n: int):
     """Chi^n(v) as an ordered tuple; n = 0 gives (v,)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(u for u, _ in descend(kernel, [(v, 0.0)], n, Budget.current()))
+    return tuple(u for u, _ in descend(kernel, [(v, 0.0)], n))
 
 
 def par_n(kernel: TreeKernel, v, n: int):
@@ -560,14 +548,15 @@ def par_n(kernel: TreeKernel, v, n: int):
     return v
 
 
+@operation()
 def enum_A(kernel: TreeKernel, v, n: int):
-    """The shell A(v, n) as an ordered tuple, via `shell`."""
+    """The shell A(v, n) as an ordered tuple, via `shell`, in one operation."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return (v,)
     top = par_n(kernel, v, n - 1)
-    return tuple(u for u, _ in shell(kernel, top, kernel.parent(top), n, Budget.current()))
+    return tuple(u for u, _ in shell(kernel, top, kernel.parent(top), n))
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ class Prop51Weights(WeightSystem):
         Both `m` and `x` step along the row, so this is not a pair of `p`
         values at one `m` as `weight` needs. The expression mirrors `p` (and
         `log_weight`) term for term, so the floats are the same;
-        `test_p_row_is_p_along_the_diagonal` holds the two together.
+        `test_p_row_is_p_along_the_diagonal` holds the three together.
         """
         a_get, a_default = self.a.table.get, self.a.default
         b_get, b_default = self.b.table.get, self.b.default
@@ -211,10 +211,7 @@ class Prop51Weights(WeightSystem):
     def weight(self, v) -> float:
         n, m = v
         if n >= 2:
-            # p(m, x) inlined, as in log_weight; same expression order
-            ra, rb, x1, x2 = self.a, self.b, n - 1, n - 2
-            a, b = ra.table.get(m, ra.default), rb.table.get(m, rb.default)
-            return math.sqrt((1.0 + a * x1 + b * x1 * x1) / (1.0 + a * x2 + b * x2 * x2))
+            return math.sqrt(self.p(m, n - 1) / self.p(m, n - 2))
         if m >= 1:
             return math.sqrt(m / (m + 1.0)) if n == 0 else 1.0 / math.sqrt(m)
         return 1.0
@@ -315,7 +312,7 @@ def shift_norm_sq(ws: WeightSystem, kernel: TreeKernel, u, n: int = 1) -> float:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1.0
-    leaves = descend(kernel, [(u, 0.0)], n, Budget.current(), ws)
+    leaves = descend(kernel, [(u, 0.0)], n, ws)
     return math.fsum(math.exp(2.0 * acc) for _, acc in leaves)
 
 

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from woldlab import tree_core
-from woldlab.cli import main
+from woldlab.cli import _repro_rows, main
+from woldlab.weights import PolyRule, Prop51Weights
 
 SRC = Path(tree_core.__file__).resolve().parents[1]
 
@@ -380,6 +381,48 @@ def test_repro_tamper_pinpoints(capsys):
                      ["[FAIL]", "wold-verdict"]]
 
 
+class NudgedSpine(Prop51Weights):
+    """ex52 with the spine weight at (0, 2) scaled by 1.01, in both forms."""
+
+    def log_weight(self, v):
+        lw = super().log_weight(v)
+        return lw + math.log(1.01) if v == (0, 2) else lw
+
+    def weight(self, v):
+        w = super().weight(v)
+        return w * 1.01 if v == (0, 2) else w
+
+
+class SkewedWeight(Prop51Weights):
+    """ex52 whose `weight` at the window vertex (0, 1) is not exp(log_weight)."""
+
+    def weight(self, v):
+        w = super().weight(v)
+        return w * 1.01 if v == (0, 1) else w
+
+
+def failed_repro_rows(ws):
+    return {row["check"]: row["detail"] for row in _repro_rows(ws, False) if not row["passed"]}
+
+
+def test_repro_fails_the_spine_rows_on_a_nudged_spine_weight():
+    failed = failed_repro_rows(NudgedSpine(PolyRule(1.0), PolyRule(1.0)))
+    assert sorted(failed) == ["dual-closed-forms", "norm-closed-forms", "three-expansion"]
+    # ||S e_(0,3)||^2 = w(0,2)^2 + w(1,3)^2 moves, and so do the duals of
+    # both children of (0, 3)
+    assert failed["norm-closed-forms"]["mismatches"][0][:2] == ["S", "0,3"]
+    assert ([row[:2] for row in failed["dual-closed-forms"]["mismatches"]]
+            == [["dual", "0,2"], ["dual", "1,3"]])
+
+
+def test_repro_fails_the_involution_where_weight_is_not_exp_log_weight():
+    # the dual of the dual reads log weights, and the check compares it
+    # with `weight`
+    failed = failed_repro_rows(SkewedWeight(PolyRule(1.0), PolyRule(1.0)))
+    assert list(failed) == ["dual-closed-forms"]
+    assert [row[:2] for row in failed["dual-closed-forms"]["mismatches"]] == [["involution", "0,1"]]
+
+
 # ---------------------------------------------------------------------------
 # argument errors
 
@@ -390,6 +433,10 @@ def test_repro_tamper_pinpoints(capsys):
     ("alpha", "--window", "nope"),
     ("alpha", "--N", "0"),
     ("alpha", "--weights", "csv:/does/not/exist.csv"),
+    ("alpha", "--weights", "csv:"),
+    ("alpha", "--weights", "constant:"),
+    ("alpha", "--weights", "tkinf-isometric"),
+    ("alpha", "--tree", "tkinf:k=2", "--weights", "tkinf-isometric:k=0"),
 ])
 def test_bad_inputs_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -217,6 +217,11 @@ def test_classify_labels():
     assert mixed.label == "neither"
     assert "expansion" in mixed.witnesses and "concave" in mixed.witnesses
 
+    # d_1 = 1 - 0.5^2 > 0 at every vertex of the path
+    concave = classify(ConstantWeights(0.5), ZP, Window(0, 1, 1), 1)
+    assert concave.label == "1-concave"
+    assert concave.flags == {"m_expansion": False, "m_concave": True, "m_isometry": False}
+
 
 def test_defect_report_json():
     rep = classify(EX52, TQB, Window((0, 0), 1, 1), 3, tol=1e-9)
@@ -266,6 +271,10 @@ def test_wandering_check_isometric_tree():
     assert rep.max_pair_residual <= 1e-10
     assert rep.max_complement_residual <= 1e-10
     assert rep.vector_count > 0
+    assert rep.to_json() == {"verdict": "pass", "max_pair_residual": rep.max_pair_residual,
+                             "max_complement_residual": rep.max_complement_residual,
+                             "vector_count": rep.vector_count, "n_max": 3, "tol": 1e-10,
+                             "note": ""}
 
 
 @pytest.mark.parametrize("c", ["nan", "inf"])

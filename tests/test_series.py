@@ -314,8 +314,7 @@ def test_charges_do_not_depend_on_earlier_operations():
 
 class CountingTqb(TqbKernel):
     """Counts kernel steps down the tree: a `children` call, or one vertex of
-    a `ray` (its chain, and its branching children tuple), as many steps as
-    the level loop makes `children` calls."""
+    a `ray` chain, as many steps as the level loop makes `children` calls."""
 
     def __init__(self):
         self.steps = 0
@@ -326,9 +325,10 @@ class CountingTqb(TqbKernel):
         return super().children(v)
 
     def ray(self, u, depth):
-        chain, kids = super().ray(u, depth)
-        self.steps += len(chain) + (kids is not None)
-        return chain, kids
+        chain = super().ray(u, depth)
+        if chain is not None:
+            self.steps += len(chain)
+        return chain
 
     def parent(self, v):
         self.parent_calls += 1

@@ -392,6 +392,8 @@ def test_load_adjacency_roundtrip():
     ("a: b b\n#boundary: a b", "already has a parent"),
     ("a: b\na: c\n#boundary: a b c", "duplicate declaration"),
     ("a: b\n#boundary: a", "leaf detected"),
+    ("r: a\na:\n#boundary: r", "leaf detected"),
+    (": b\n#boundary: b", "empty vertex token"),
     ("a: b\nb: a2\n#boundary: b a2", "no parent"),
     ("a: b\nb: c\nc: a\n", "cycle"),
     ("", "no vertices"),
@@ -462,20 +464,25 @@ def unary_walk(kernel, u, depth):
 
 
 def chain_vertices(chain):
-    """The vertices a `RayChain` stands for; none for an empty chain."""
-    return [(n, chain.m) for n in range(chain.start, chain.stop)] if chain else []
+    """The vertices a `RayChain` stands for."""
+    return [(n, chain.m) for n in range(chain.start, chain.stop)]
 
 
 @settings(max_examples=300)
-@given(st.tuples(st.integers(0, 6), st.integers(-12, 12)), st.integers(0, 12))
+@given(st.tuples(st.integers(0, 6), st.integers(-12, 12)), st.integers(1, 12))
 @example((3, 1), 4)
 @example((0, 2), 1)
-@example((1, 0), 0)
+@example((1, 0), 1)
 def test_ray_is_the_unary_walk(u, depth):
-    chain, kids = TQB.ray(u, depth)
-    want, want_kids = unary_walk(TQB, u, depth)
-    assert (chain_vertices(chain), kids) == (want, want_kids)
-    assert len(chain) == len(want)
+    # a chain where the walk lists `depth` lone children, and None where it
+    # branches first, which on tqb is the spine, at once
+    chain = TQB.ray(u, depth)
+    want, kids = unary_walk(TQB, u, depth)
+    if chain is None:
+        assert want == [] and len(kids) == 2
+    else:
+        assert (chain_vertices(chain), kids) == (want, None)
+        assert len(chain) == len(want)
 
 
 @settings(max_examples=200)
@@ -484,30 +491,34 @@ def test_ray_is_the_unary_walk(u, depth):
 def test_tqb_ray_chain_describes_the_walk(n, m, depth):
     # below n >= 1 the ray never branches: a descriptor of `depth` vertices
     # whose last vertex is the walk's
-    chain, kids = TQB.ray((n, m), depth)
+    chain = TQB.ray((n, m), depth)
     want, _ = unary_walk(TQB, (n, m), depth)
-    assert isinstance(chain, RayChain) and kids is None
+    assert isinstance(chain, RayChain)
     assert (chain.start, chain.stop, chain.m) == (n + 1, n + depth + 1, m)
     assert len(chain) == len(want) == depth
     assert chain.last == want[-1] == (n + depth, m)
 
 
-@given(kernel_and_vertex.filter(lambda case: case[0] is not TQB), st.integers(0, 12))
+@given(kernel_and_vertex.filter(lambda case: case[0] is not TQB), st.integers(1, 12))
 @example((TkInfKernel(3), (0, 0)), 5)
 @example((TkInfKernel(1), (-2, 0)), 5)
-@example((ZP, 0), 0)
+@example((ZP, 0), 1)
 @example((ADJ, "c"), 3)
 @example((ADJ, "z1"), 2)
-def test_default_ray_is_no_chain_and_the_children(case, depth):
-    # no closed form: no chain, and u's children for descend's level loop
+def test_default_ray_knows_no_closed_form(case, depth):
+    # no chain, so descend's level loop walks from u, level by level, and
+    # raises children's error at a boundary vertex of a file
     kernel, u = case
     assert type(kernel).ray is TreeKernel.ray
+    assert kernel.ray(u, depth) is None
     try:
-        want = (), kernel.children(u)
-    except UnknownVertexError as exc:      # a boundary vertex of a file
-        assert raised(lambda v: kernel.ray(v, depth), u) == str(exc)
+        level = [u]
+        for _ in range(depth):
+            level = [c for w in level for c in kernel.children(w)]
+    except UnknownVertexError as exc:
+        assert raised(lambda v: descend(kernel, [(v, 0.0)], depth), u) == str(exc)
         return
-    assert kernel.ray(u, depth) == want
+    assert descend(kernel, [(u, 0.0)], depth) == [(c, 0.0) for c in level]
 
 
 def test_a_walk_without_a_closed_form_raises_the_level_loops_error():
@@ -518,7 +529,7 @@ def test_a_walk_without_a_closed_form_raises_the_level_loops_error():
     with pytest.raises(MissingWeightError, match="'a'"):
         shift_norm_sq(ws, kernel, "r", 5)
     with pytest.raises(MissingWeightError, match="'a'"):
-        descend(kernel, [("r", 0.0), ("r", 0.0)], 5, Budget(), ws)
+        descend(kernel, [("r", 0.0), ("r", 0.0)], 5, ws)
 
 
 class LogFunctionWeights(FunctionWeights):
@@ -538,9 +549,9 @@ def test_ray_fold_is_the_level_loops_left_fold():
     for n in range(2, 6):
         want = want + logs[n]
     assert want == 0.5 != math.fsum(logs.values())
-    ray = descend(TQB, [((1, 0), 0.0)], 4, Budget(), ws)
+    ray = descend(TQB, [((1, 0), 0.0)], 4, ws)
     # a frontier of two vertices takes the level loop
-    level_loop = descend(TQB, [((1, 0), 0.0), ((1, 7), 0.0)], 4, Budget(), ws)
+    level_loop = descend(TQB, [((1, 0), 0.0), ((1, 7), 0.0)], 4, ws)
     assert [(u, acc.hex()) for u, acc in ray] == [((5, 0), want.hex())]
     assert [(u, acc.hex()) for u, acc in level_loop] == [((5, 0), want.hex()),
                                                          ((5, 7), want.hex())]
@@ -557,18 +568,20 @@ RAY_BAD = [
 
 @pytest.mark.parametrize("kernel, v", RAY_BAD)
 def test_ray_rejects_what_children_rejects(kernel, v):
+    # tqb's ray checks v itself; the default knows no ray, so a walk from v
+    # raises children's error in the level loop
     for depth in (1, 3):
-        assert raised(lambda u: kernel.ray(u, depth), v) == raised(kernel.children, v)
-    # depth 0 asks tqb for no vertex; the default asks for v's children at any depth
-    if kernel is TQB:
-        assert kernel.ray(v, 0) == ((), None)
-    else:
-        assert raised(lambda u: kernel.ray(u, 0), v) == raised(kernel.children, v)
+        if kernel is TQB:
+            assert raised(lambda u: kernel.ray(u, depth), v) == raised(kernel.children, v)
+        else:
+            assert kernel.ray(v, depth) is None
+        walk = raised(lambda u: descend(kernel, [(u, 0.0)], depth), v)
+        assert walk == raised(kernel.children, v)
 
 
 @pytest.mark.parametrize("kernel, v", [case for case in RAY_BAD if case[0] is not ADJ])
 def test_inline_vertex_tests_raise_what_check_raises(kernel, v):
-    for step in (kernel.children, kernel.parent, lambda u: kernel.ray(u, 2)):
+    for step in (kernel.children, kernel.parent, lambda u: descend(kernel, [(u, 0.0)], 2)):
         assert raised(step, v) == raised(kernel._check, v)
 
 

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Standing mutation check for the provenance rule, the plugin premises, the
 closed-form sibling sets and rays with their vertex charge, tqb's ray
-descriptor and its last vertex, the default ray that hands the walk to the
-level loop, the dual's one degenerate-norm guard, met on a ray, at a lone
-child and on a sibling set, the ray rows that an operation keeps per row
-key as runs read by slice, the stream's one budget, its rungs, up-steps
-and base moment against the exact oracle, the shells it builds only where
-a verdict reads them, each term summed in place from the stream's entries,
+descriptor and its last vertex, the default ray that knows no chain, the
+walk's piece loop going on from each piece's last vertex and leaving the
+level loop only the levels it did not walk, the dual's one degenerate-norm
+guard, met on a ray, at a lone child and on a sibling set, the ray rows
+that an operation keeps per row key as runs read by slice, the stream's
+one budget, its rungs, up-steps and base moment against the exact oracle,
+the shells it builds only where a verdict reads them, each term summed in
+place from the stream's entries,
 the compensated step that `NeumaierSum.add` spells out beside `extend`,
 the command line's one parser per process, the Jacobi rank of the
 coverage Gram, the certified Euler–Maclaurin block of the Prop. 5.1 dual
@@ -91,15 +93,17 @@ MUTANTS = [
     (TREE, "if n >= 2:\n            return (v,)", "if n >= 1:\n            return (v,)",
      "tests/test_tree_core.py::test_tqb_siblings_switch_between_spine_and_rays[1]"),
     # tqb's closed-form ray stands for `depth` vertices and holds exactly
-    # them, a walk goes on from its last vertex, and a kernel without a
-    # closed form hands the level loop u's children; the dual's one
+    # them, a walk goes on from its last vertex, piece after piece, and a
+    # kernel without a closed form returns no chain; the dual's one
     # degenerate-norm guard holds for a lone child, on a ray and one at a
     # time, and for a sibling set
     (TREE, "RayChain(n + 1, n + depth + 1, m)", "RayChain(n + 1, n + depth, m)",
      "tests/test_tree_core.py::test_tqb_ray_chain_describes_the_walk"),
     (TREE, "(self.stop - 1, self.m)", "(self.stop, self.m)", ORACLE),
-    (TREE, "return (), self.children(u)", "return (), None",
-     "tests/test_tree_core.py::test_default_ray_is_no_chain_and_the_children"),
+    (TREE, "u = chain.last\n", "\n",
+     "tests/test_series.py::test_ray_pieces_keep_floats_and_charges"),
+    (TREE, 'knows none.\n        """\n        return None', 'knows none.\n        """\n        return ()',
+     "tests/test_tree_core.py::test_default_ray_knows_no_closed_form"),
     (WEIGHTS, "if norm < NORM_FLOOR:", "if False:",
      "tests/test_series.py::test_stream_raises_on_a_degenerate_ray_norm"),
     (WEIGHTS, "if norm < NORM_FLOOR:", "if False:", "tests/test_weights.py::test_dual_degenerate_norm"),
@@ -126,13 +130,12 @@ MUTANTS = [
     # the term stream against the exact oracle: the deepest rung below n in
     # the stream's inline rung search, the base moment's update, the
     # up-steps kept per weight system, the dual's sibling-set norm, and the
-    # level that descend's ray hands the level loop
+    # levels that descend's ray leaves the level loop
     (SERIES, "if j < k < n:", "if j < k:", ORACLE),
     (SERIES, "base_log += lw", "base_log = lw", ORACLE),
     (SERIES, '("steps", ws, kernel)', '("steps", kernel)', ORACLE),
     (WEIGHTS, "if len(kids) == 1:", "if len(kids) <= 2:", ORACLE),
-    (TREE, "        level += 1\n    for _ in range(level, depth):",
-     "    for _ in range(level, depth):", ORACLE),
+    (TREE, "for _ in range(level, depth):", "for _ in range(depth):", ORACLE),
     # the stream builds generations from build_from on, the primal plugin
     # from the first one its fit reads, and the fit declines a non-finite K
     (SERIES, "if n >= build_from:", "if n > build_from:",
@@ -153,8 +156,8 @@ MUTANTS = [
      "            pass\n        else:\n            pass\n",
      "tests/test_numerics.py::test_add_and_extend_take_the_neumaier_steps"),
     # a defect diagonal walks down from v once, charging each level once
-    (OPERATOR, "level = descend(kernel, level, 1, budget, ws)",
-     "level = descend(kernel, [(v, 0.0)], k, budget, ws)",
+    (OPERATOR, "level = descend(kernel, level, 1, ws)",
+     "level = descend(kernel, [(v, 0.0)], k, ws)",
      "tests/test_operator.py::test_defect_charges_each_level_once[v0]"),
     # main reuses the parser it built first instead of building one per call
     (CLI, "@functools.cache\ndef _build_parser", "def _build_parser",
