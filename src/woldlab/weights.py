@@ -201,7 +201,7 @@ class Prop51Weights(WeightSystem):
         Both `m` and `x` step along the row, so this is not a pair of `p`
         values at one `m` as `weight` needs. The expression mirrors `p` (and
         `log_weight`) term for term, so the floats are the same;
-        `test_p_row_is_p_along_the_diagonal` holds the three together.
+        `test_p_row_is_p_along_the_diagonal` holds the two together.
         """
         a_get, a_default = self.a.table.get, self.a.default
         b_get, b_default = self.b.table.get, self.b.default

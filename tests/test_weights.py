@@ -43,12 +43,6 @@ def test_p_row_is_p_along_the_diagonal(a, b, m, x, count):
     ws = Prop51Weights(a, b)
     row = ws.p_row(m, x, count)
     assert [q.hex() for q in row] == [ws.p(m + i, x + i).hex() for i in range(count)]
-    # the weight at (n, m + i), n = x + i + 1 >= 2, is the root of the ratio
-    # of two rows' entries: p(m + i, n - 1) / p(m + i, n - 2)
-    if x >= 1:
-        below = ws.p_row(m, x - 1, count)
-        assert ([ws.weight((x + i + 1, m + i)).hex() for i in range(count)]
-                == [math.sqrt(q / r).hex() for q, r in zip(row, below)])
 
 
 @given(rule, rule, st.integers(2, 60), st.integers(-25, 45))
@@ -56,6 +50,16 @@ def test_log_weight_is_half_the_log_ratio_of_p(a, b, n, m):
     ws = Prop51Weights(a, b)
     want = 0.5 * (math.log(ws.p(m, n - 1)) - math.log(ws.p(m, n - 2)))
     assert ws.log_weight((n, m)).hex() == want.hex()
+
+
+@given(rule, rule, st.integers(2, 60), st.integers(-25, 45))
+def test_weight_is_the_root_of_the_ratio_of_p(a, b, n, m):
+    # p_m(x) = 1 + a_m x + b_m x^2 spelled out from the rules, not read from `p`
+    ws = Prop51Weights(a, b)
+    am, bm = a(m), b(m)
+    want = math.sqrt((1.0 + am * (n - 1) + bm * (n - 1) * (n - 1))
+                     / (1.0 + am * (n - 2) + bm * (n - 2) * (n - 2)))
+    assert ws.weight((n, m)).hex() == want.hex()
 
 
 def test_polyrule_basics():
