@@ -1,6 +1,6 @@
 """Small numerical helpers: compensated summation, a NaN-dominant maximum,
-the integral and the Euler–Maclaurin sum of an inverse-quadratic tail, and
-integral tail brackets."""
+and the integral and the Euler–Maclaurin sum of an inverse-quadratic
+tail."""
 
 from __future__ import annotations
 
@@ -14,10 +14,9 @@ class NeumaierSum:
 
     Tracks the running sum, the correction term, and the sum of absolute
     values, from which a conservative first-order rounding bound follows.
-    `add` takes one value, for callers that read the running sum after each
-    term; `extend` takes many in one pass, with the running state held in
-    locals.  Each spells out the same compensated step, and a test holds
-    the two to bit-identical states.
+    `add` takes one compensated step and returns the running sum, the same
+    float as `value`, for callers that read it after each term; `extend`
+    calls `add` once per value.
     """
 
     def __init__(self) -> None:
@@ -25,7 +24,7 @@ class NeumaierSum:
         self.compensation = 0.0
         self.abs_total = 0.0
 
-    def add(self, value: float) -> None:
+    def add(self, value: float) -> float:
         total = self.total
         t = total + value
         if abs(total) >= abs(value):
@@ -34,19 +33,12 @@ class NeumaierSum:
             self.compensation += (value - t) + total
         self.total = t
         self.abs_total += abs(value)
+        return t + self.compensation
 
     def extend(self, values) -> None:
-        """Add each value in turn, as `add` does."""
-        total, comp, abs_total = self.total, self.compensation, self.abs_total
+        add = self.add
         for value in values:
-            abs_total += abs(value)
-            t = total + value
-            if abs(total) >= abs(value):
-                comp += (total - t) + value
-            else:
-                comp += (value - t) + total
-            total = t
-        self.total, self.compensation, self.abs_total = total, comp, abs_total
+            add(value)
 
     @property
     def value(self) -> float:
@@ -146,16 +138,3 @@ def quadratic_tail_sum(a: float, b: float, x0: int) -> tuple[float, float]:
     rounding = 16.0 * EPS * (integral + f + sum(map(abs, corrections)))
     return total, remainder + rounding
 
-
-def bracket_decreasing_tail(term_at: "callable", n_from: int) -> tuple[float, float]:
-    """Bracket sum_{n > n_from} f(n) for f positive and decreasing.
-
-    `term_at(x)` must be the integral of f over [x, infinity). Returns
-    (lower, upper) with lower = integral from n_from+1 and upper = integral
-    from n_from.
-    """
-    lower = term_at(float(n_from + 1))
-    upper = term_at(float(n_from))
-    if lower > upper:
-        lower, upper = upper, lower
-    return lower, upper

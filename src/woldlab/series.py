@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .errors import DivergentSeriesError, ResourceCapError, UndecidedSeriesError
-from .numerics import (NeumaierSum, bracket_decreasing_tail,
-                       quadratic_tail_integral, quadratic_tail_sum)
+from .numerics import NeumaierSum, quadratic_tail_integral, quadratic_tail_sum
 from .operator import SparseVector, apply_shift
 from .tree_core import (Budget, TqbKernel, TreeKernel, BilateralPath, bind_budget,
                         descend, operation, shell, unbind_budget)
@@ -156,12 +155,8 @@ def _first_terms(ws: WeightSystem, kernel: TreeKernel, v, upto: int,
 def alpha_partial(ws: WeightSystem, kernel: TreeKernel, v, N: int) -> AlphaPartial:
     if N < 0:
         raise ValueError("N must be nonnegative")
-    acc = NeumaierSum()
     terms = _first_terms(ws, kernel, v, N)
-    partials = []
-    for t in terms:
-        acc.add(t)
-        partials.append(acc.value)
+    partials = list(map(NeumaierSum().add, terms))
     return AlphaPartial(v, N, terms, partials)
 
 
@@ -250,6 +245,8 @@ def _finite_generation_verdict(ws, kernel, v, span) -> SeriesVerdict:
 
 
 def _heuristic_verdict(ws, kernel, v, n_max: int) -> SeriesVerdict:
+    """The sampling heuristic: stops taken inside the term stream, then, past
+    the insufficient-terms guard, the first of TAIL_RULES that decides."""
     acc = NeumaierSum()
     recent: deque = deque(maxlen=WINDOW)   # (n, t) for nonzero t
     add, keep, isfinite = acc.add, recent.append, math.isfinite
@@ -260,11 +257,11 @@ def _heuristic_verdict(ws, kernel, v, n_max: int) -> SeriesVerdict:
         if not isfinite(t):
             return SeriesVerdict.diverged(
                 v, "heuristic", {"rule": "overflow", "n": n}, n)
-        add(t)
-        if acc.value > THRESHOLD:
+        partial = add(t)
+        if partial > THRESHOLD:
             return SeriesVerdict.diverged(
                 v, "heuristic",
-                {"rule": "threshold", "partial": acc.value, "threshold": THRESHOLD, "n": n}, n)
+                {"rule": "threshold", "partial": partial, "threshold": THRESHOLD, "n": n}, n)
         if t == 0.0:
             empty_run += 1
             if empty_run >= WINDOW:
@@ -273,7 +270,7 @@ def _heuristic_verdict(ws, kernel, v, n_max: int) -> SeriesVerdict:
                 # can actually certify exhaustion never reach this code path,
                 # so the tag stays heuristic.
                 return SeriesVerdict.converged(
-                    v, acc.value, acc.error_bound, "heuristic",
+                    v, partial, acc.error_bound, "heuristic",
                     {"rule": "empty-run", "run": empty_run, "n": n}, n)
         else:
             empty_run = 0
@@ -285,33 +282,58 @@ def _heuristic_verdict(ws, kernel, v, n_max: int) -> SeriesVerdict:
         return SeriesVerdict.inconclusive(
             v, {"rule": "insufficient-terms", "nonzero_terms": len(recent)}, n_seen)
 
-    slopes = []
     pairs = list(recent)
-    for (n0, t0), (n1, t1) in zip(pairs, pairs[1:]):
-        slopes.append((math.log(t1) - math.log(t0)) / (n1 - n0))
+    slopes = [(math.log(t1) - math.log(t0)) / (n1 - n0)
+              for (n0, t0), (n1, t1) in zip(pairs, pairs[1:])]
     mean = math.fsum(slopes) / len(slopes)
     sigma = math.sqrt(math.fsum((s - mean) ** 2 for s in slopes) / len(slopes))
-    ratio = math.exp(mean)
-    n_last, t_last = pairs[-1]
+    for rule in TAIL_RULES:
+        out = rule(v, acc, mean, sigma, pairs, n_seen)
+        if out is not None:
+            return out
 
+
+# Tail rules: each takes the vertex, the stream's sum, the mean and spread of
+# the log-term slopes over the last WINDOW nonzero terms, those (n, t) pairs
+# and the last generation read, and returns a verdict or None.
+
+
+def _tail_growth(v, acc, mean, sigma, pairs, n):
+    ratio = math.exp(mean)
     if ratio > 1.0 + DELTA:
         return SeriesVerdict.diverged(
-            v, "heuristic", {"rule": "growth", "ratio": ratio, "sigma": sigma}, n_seen)
+            v, "heuristic", {"rule": "growth", "ratio": ratio, "sigma": sigma}, n)
+    return None
+
+
+def _tail_geometric(v, acc, mean, sigma, pairs, n):
+    ratio = math.exp(mean)
     if ratio < 1.0 - DELTA:
+        t_last = pairs[-1][1]
         r_hi = min(math.exp(mean + 2.0 * sigma), 1.0 - DELTA / 2.0)
         r_lo = max(math.exp(mean - 2.0 * sigma), 0.0)
         tail = t_last * ratio / (1.0 - ratio)
         spread = t_last * (r_hi / (1.0 - r_hi) - r_lo / (1.0 - r_lo))
         return SeriesVerdict.converged(
             v, acc.value + tail, abs(spread) + acc.error_bound, "heuristic",
-            {"rule": "geometric-ratio", "ratio": ratio, "sigma": sigma, "tail": tail},
-            n_seen)
+            {"rule": "geometric-ratio", "ratio": ratio, "sigma": sigma, "tail": tail}, n)
+    return None
+
+
+def _tail_floor(v, acc, mean, sigma, pairs, n):
     floor = min(t for _, t in pairs)
     if floor >= TERM_FLOOR:
         return SeriesVerdict.diverged(
-            v, "heuristic", {"rule": "term-floor", "floor": floor}, n_seen)
+            v, "heuristic", {"rule": "term-floor", "floor": floor}, n)
+    return None
+
+
+def _tail_undecided(v, acc, mean, sigma, pairs, n):
     return SeriesVerdict.inconclusive(
-        v, {"rule": "undecided", "ratio": ratio, "sigma": sigma}, n_seen)
+        v, {"rule": "undecided", "ratio": math.exp(mean), "sigma": sigma}, n)
+
+
+TAIL_RULES = (_tail_growth, _tail_geometric, _tail_floor, _tail_undecided)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +403,8 @@ def _plugin_prop51(ws, kernel, v):
     s_past, r_past = quadratic_tail_sum(a_tail, b_tail, n_terms)
     acc.add(k_fit * (s_from - s_past))
 
-    lower, upper = bracket_decreasing_tail(
-        lambda x: k_fit * quadratic_tail_integral(a_tail, b_tail, x), n_terms - 1)
+    lower = k_fit * quadratic_tail_integral(a_tail, b_tail, n_terms)
+    upper = k_fit * quadratic_tail_integral(a_tail, b_tail, n_terms - 1)
     value = acc.value + 0.5 * (upper + lower)
     tail_bound = (0.5 * (upper - lower) + acc.error_bound + k_fit * (r_from + r_past)
                   + rel_resid * value)

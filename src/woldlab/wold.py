@@ -236,11 +236,7 @@ def wold_verdict(ws: WeightSystem, kernel: TreeKernel, window: Window,
         evidence["alpha_dual"] = duals[base].to_json(kernel)
     elif primal.kind == "converged":
         need = set(verts)
-        for v in verts:
-            try:
-                need.add(kernel.parent(v))
-            except UnknownVertexError:
-                pass
+        need.update(map(kernel.parent, verts))
         # the top anchor's parent is the one vertex of `need` outside the window
         for v in [*need.difference(verts), *verts]:
             if v not in primals:

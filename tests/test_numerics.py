@@ -1,5 +1,5 @@
-"""Compensated summation, the NaN-dominant maximum, inverse-quadratic tails
-and tail-integral brackets."""
+"""Compensated summation, the NaN-dominant maximum and inverse-quadratic
+tails."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from woldlab.numerics import (EPS, NeumaierSum, bracket_decreasing_tail,
-                              quadratic_tail_integral, quadratic_tail_sum, worst)
+from woldlab.numerics import (EPS, NeumaierSum, quadratic_tail_integral,
+                              quadratic_tail_sum, worst)
 
 
 def test_worst_keeps_the_first_nan():
@@ -82,15 +82,15 @@ MIXED_FLOATS = st.one_of(
 @example([math.inf], [-math.inf, 1.0])
 @example([1.0], [math.nan, 2.0])
 def test_add_and_extend_take_the_neumaier_steps(prefix, values):
-    # `add` spells the step out on the attributes, `extend` on locals: one
-    # add per value, and adds then one extend, must reach the same state
+    # one add per value, and adds then one extend, must reach the textbook
+    # state, and each add returns the running sum `value` reads after it;
+    # hex compares signed zeros and infinities exactly and spells NaN "nan"
     one, many = NeumaierSum(), NeumaierSum()
     for x in prefix + values:
-        one.add(x)
+        assert one.add(x).hex() == one.value.hex()
     for x in prefix:
         many.add(x)
     many.extend(iter(values))
-    # hex compares signed zeros and infinities exactly and spells NaN "nan"
     assert state(one) == state(many) == neumaier_reference(prefix + values)
 
 
@@ -226,11 +226,10 @@ def test_quadratic_tail_sum_rejects_bad_domains():
             quadratic_tail_sum(a, b, x0)
 
 
-def test_bracket_orders_endpoints():
-    f = lambda x: quadratic_tail_integral(0.0, 1.0, x)
-    lo, hi = bracket_decreasing_tail(f, 10)
-    assert lo == f(11.0) and hi == f(10.0)
+def test_tail_integrals_enclose_the_discrete_tail():
+    # for a decreasing term, the integrals from 11 and from 10 enclose the
+    # sum from 11 on: the Prop. 5.1 dual plugin's bracket past its terms
+    lo, hi = (quadratic_tail_integral(0.0, 1.0, x) for x in (11, 10))
     assert lo < hi
-    # the bracket really encloses the discrete tail
     tail = sum(1.0 / (1.0 + n * n) for n in range(11, 200000))
     assert lo <= tail <= hi

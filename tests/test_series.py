@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 from woldlab.cli import TamperedWeights
 from woldlab.errors import (DegenerateNormError, DivergentSeriesError,
                             UndecidedSeriesError)
-from woldlab.numerics import (NeumaierSum, bracket_decreasing_tail,
-                              quadratic_tail_integral, quadratic_tail_sum)
+from woldlab.numerics import NeumaierSum, quadratic_tail_integral, quadratic_tail_sum
 from woldlab.operator import inner
-from woldlab.series import (ANALYTIC_TERMS, SeriesConfig, SeriesVerdict,
-                            _plugin_constant, _plugin_prop51,
+from woldlab.series import (ANALYTIC_TERMS, DELTA, TAIL_RULES, TERM_FLOOR, WINDOW,
+                            SeriesConfig, SeriesVerdict, _plugin_constant,
+                            _plugin_prop51, _tail_floor, _tail_geometric,
+                            _tail_growth, _tail_undecided,
                             alpha_partial, alpha_terms, alpha_verdict, g_vector,
                             generation_stream, hyperrange_recurrence_check)
 from woldlab import tree_core
@@ -609,8 +610,8 @@ def reference_prop51_dual(root, dual, v):
     for l in range(upto + 1, n_terms + 1):
         acc.add(k_fit / root.p(m0 + l - n0, l - 1))
     a_tail, b_tail = root.a.default, root.b.default
-    lower, upper = bracket_decreasing_tail(
-        lambda x: k_fit * quadratic_tail_integral(a_tail, b_tail, x), n_terms - 1)
+    lower = k_fit * quadratic_tail_integral(a_tail, b_tail, n_terms)
+    upper = k_fit * quadratic_tail_integral(a_tail, b_tail, n_terms - 1)
     value = acc.value + 0.5 * (upper + lower)
     tail_bound = 0.5 * (upper - lower) + acc.error_bound + rel_resid * value
     certified = sum(quadratic_tail_sum(a_tail, b_tail, x)[1] for x in (upto + 1, n_terms))
@@ -754,6 +755,10 @@ def test_heuristic_threshold_divergence():
     out = alpha_verdict(ws, TQB, (0, 0))
     assert out.kind == "diverged" and out.method == "heuristic"
     assert out.evidence["rule"] == "threshold"
+    # 1 + sum of n^2 - n + 1 over n = 1..145 is 1,016,306, the first partial
+    # sum past the threshold; the term itself stays below it until n = 1000
+    assert out.evidence["n"] == 145
+    assert out.evidence["partial"] == pytest.approx(1_016_306.0, rel=1e-12)
     assert not out.definitive
 
 
@@ -789,7 +794,7 @@ def test_heuristic_empty_run():
 
     out = alpha_verdict(ConstantWeights(1.0), NoSpanZPath(), 0)
     assert out.kind == "converged" and out.method == "heuristic"
-    assert out.evidence["rule"] == "empty-run"
+    assert out.evidence == {"rule": "empty-run", "run": WINDOW, "n": WINDOW}
     assert out.value == 1.0
     assert not out.definitive
 
@@ -815,6 +820,67 @@ def test_heuristic_undecided_slow_tail():
     out = alpha_verdict(cauchy_dual(ws, TQB), TQB, (0, 0), SeriesConfig(n_max=350))
     assert out.kind == "inconclusive"
     assert out.evidence["rule"] == "undecided"
+
+
+def test_tail_rules_are_tried_in_order():
+    # ratio gamma^2 = 0.9409 lies below the dead zone, and the smallest of
+    # the last WINDOW terms is about 0.026 >= TERM_FLOOR: the geometric rule
+    # must be asked before the term floor, which would call it divergent
+    assert [r.__name__ for r in TAIL_RULES] == [
+        "_tail_growth", "_tail_geometric", "_tail_floor", "_tail_undecided"]
+    gamma = 0.97
+    ws = FunctionWeights(lambda v: gamma if v[0] >= 1 else 1.0, name="ray-decay")
+    out = alpha_verdict(ws, TQB, (0, 0), SeriesConfig(n_max=60))
+    assert out.kind == "converged" and out.evidence["rule"] == "geometric-ratio"
+    assert out.value == 16.92047377326564 == pytest.approx(1.0 / (1.0 - gamma * gamma))
+    recent = list(enumerate(first_terms(ws, TQB, (0, 0), 60)))[-WINDOW:]
+    floor = _tail_floor((0, 0), None, 0.0, 0.0, recent, 60)
+    assert floor.kind == "diverged" and floor.evidence["floor"] == pytest.approx(0.026, rel=0.05)
+
+
+def summed(*values):
+    acc = NeumaierSum()
+    acc.extend(values)
+    return acc
+
+
+FLAT = [(n, 0.5) for n in range(11, 11 + WINDOW)]
+
+
+def test_growth_rule_reads_the_mean_slope():
+    out = _tail_growth("v", summed(1.0), math.log(1.21), 0.25, FLAT, 60)
+    assert (out.kind, out.method, out.n_used) == ("diverged", "heuristic", 60)
+    assert out.evidence == {"rule": "growth", "ratio": math.exp(math.log(1.21)), "sigma": 0.25}
+    assert _tail_growth("v", summed(1.0), math.log1p(DELTA) - 1e-9, 0.0, FLAT, 60) is None
+
+
+def test_geometric_rule_sums_the_tail_past_the_last_term():
+    acc = summed(1.0, 0.25, 0.0625)
+    pairs = [*FLAT[:-1], (60, 0.125)]
+    out = _tail_geometric("v", acc, math.log(0.25), 0.0, pairs, 60)
+    ratio = math.exp(math.log(0.25))
+    tail = 0.125 * ratio / (1.0 - ratio)
+    assert out.kind == "converged"
+    assert out.evidence == {"rule": "geometric-ratio", "ratio": ratio, "sigma": 0.0,
+                            "tail": tail}
+    # with no spread the bound is the sum's rounding alone
+    assert out.value == acc.value + tail and out.tail_bound == acc.error_bound
+    wide = _tail_geometric("v", acc, math.log(0.25), 0.1, pairs, 60)
+    assert wide.value == out.value and wide.tail_bound > out.tail_bound
+    assert _tail_geometric("v", acc, math.log(1.0 - DELTA) + 1e-9, 0.0, pairs, 60) is None
+
+
+def test_floor_rule_reads_the_smallest_recent_term():
+    out = _tail_floor("v", summed(1.0), 0.0, 0.0, FLAT, 60)
+    assert out.kind == "diverged" and out.evidence == {"rule": "term-floor", "floor": 0.5}
+    low = [*FLAT[:-1], (60, TERM_FLOOR / 2.0)]
+    assert _tail_floor("v", summed(1.0), 0.0, 0.0, low, 60) is None
+
+
+def test_undecided_rule_always_decides():
+    out = _tail_undecided("v", summed(1.0), 0.0, 0.5, FLAT, 60)
+    assert out.kind == "inconclusive" and out.n_used == 60
+    assert out.evidence == {"rule": "undecided", "ratio": 1.0, "sigma": 0.5}
 
 
 # ---------------------------------------------------------------------------

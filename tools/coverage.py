@@ -54,14 +54,8 @@ ALLOWED = [
     # the script entry; the suite calls main() in this process
     ("cli.py", "sys.exit(main())", "the __main__ guard"),
     # defensive paths
-    ("wold.py", "pass",
-     "the parent of a boundary vertex of an adjacency window; no verdict test "
-     "reaches a boundary vertex with a converged primal series"),
     ("wold.py", 'raise ArithmeticError("Jacobi sweeps did not converge")',
      "cyclic Jacobi converges quadratically on the small Grams it is given"),
-    ("numerics.py", "lower, upper = upper, lower",
-     "bracket_decreasing_tail's swap for an increasing tail integral; "
-     "ROADMAP item 6 deletes the bracket"),
 ]
 
 

@@ -8,8 +8,10 @@ guard, met on a ray, at a lone child and on a sibling set, the ray rows
 that an operation keeps per row key as runs read by slice, the stream's
 one budget, its rungs, up-steps and base moment against the exact oracle,
 the shells it builds only where a verdict reads them, each term summed in
-place from the stream's entries,
-the compensated step that `NeumaierSum.add` spells out beside `extend`,
+place from the stream's entries, the heuristic's stream stops, its
+insufficient-terms guard, each of its tail rules and the order they are
+tried in, the one compensated step of `NeumaierSum.add` and the running
+sum it returns,
 the command line's one parser per process, the Jacobi rank of the
 coverage Gram, the certified Euler–Maclaurin block of the Prop. 5.1 dual
 plugin with the tail integral under it, balancedness compared within each
@@ -58,6 +60,7 @@ EXACT_BLOCK = "tests/test_numerics.py::test_quadratic_tail_sum_certifies_exact_b
 LAST_ULPS = "tests/test_numerics.py::test_quadratic_tail_integral_to_the_last_ulps[{}]"
 ORACLE = "tests/test_series.py::test_random_prop51_terms_are_the_exact_oracles_within_rounding"
 WANDER = "tests/test_operator.py::test_wandering_check_fails_closed_on_non_finite_weights[{}]"
+HEURISTIC = "tests/test_series.py::test_heuristic_{}"
 
 # (file, old text, new text, pytest node id)
 #
@@ -148,13 +151,33 @@ MUTANTS = [
     (SERIES, "if k_fit <= 0.0 or not math.isfinite(k_fit):", "if k_fit <= 0.0:",
      "tests/test_series.py::test_plugin_declines_a_non_finite_fit[False-at0-nan]"),
     # each term is summed in place from the stream's log moments relative to
-    # the base, and `add` takes the compensated step that `extend` takes
+    # the base, and `add`, which `extend` calls per value, takes the
+    # compensated step and returns the running sum
     (SERIES, "e = 2.0 * (acc - base_log)", "e = 2.0 * acc",
      "tests/test_series.py::test_alpha_terms_sum_the_stream_entries_in_place[constant]"),
     (NUMERICS, "            self.compensation += (total - t) + value\n        else:\n"
      "            self.compensation += (value - t) + total\n",
      "            pass\n        else:\n            pass\n",
      "tests/test_numerics.py::test_add_and_extend_take_the_neumaier_steps"),
+    (NUMERICS, "return t + self.compensation", "return t",
+     "tests/test_numerics.py::test_add_and_extend_take_the_neumaier_steps"),
+    # the heuristic stops the stream on a non-finite term, on a partial sum
+    # past the threshold and on a window-long empty run, fits no tail to
+    # fewer than WINDOW nonzero terms, and tries its tail rules in order
+    (SERIES, "if not isfinite(t):", "if math.isnan(t):", HEURISTIC.format("overflow")),
+    (SERIES, "if partial > THRESHOLD:", "if t > THRESHOLD:",
+     HEURISTIC.format("threshold_divergence")),
+    (SERIES, "if empty_run >= WINDOW:", "if empty_run > WINDOW:", HEURISTIC.format("empty_run")),
+    (SERIES, "if len(recent) < WINDOW:", "if len(recent) < 2:",
+     HEURISTIC.format("insufficient_terms")),
+    (SERIES, "if ratio > 1.0 + DELTA:", "if ratio > 1.0 + 5.0 * DELTA:",
+     HEURISTIC.format("growth_divergence")),
+    (SERIES, "if ratio < 1.0 - DELTA:", "if ratio < 0.0:", HEURISTIC.format("geometric_tail")),
+    (SERIES, "if floor >= TERM_FLOOR:", "if floor >= 1e3 * TERM_FLOOR:",
+     HEURISTIC.format("term_floor")),
+    (SERIES, "TAIL_RULES = (_tail_growth, _tail_geometric, _tail_floor, _tail_undecided)",
+     "TAIL_RULES = (_tail_growth, _tail_floor, _tail_geometric, _tail_undecided)",
+     "tests/test_series.py::test_tail_rules_are_tried_in_order"),
     # a defect diagonal walks down from v once, charging each level once
     (OPERATOR, "level = descend(kernel, level, 1, ws)",
      "level = descend(kernel, [(v, 0.0)], k, ws)",
