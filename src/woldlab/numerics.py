@@ -5,6 +5,8 @@ tail."""
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 EPS = math.ulp(1.0)
 
@@ -131,10 +133,11 @@ def quadratic_tail_sum(a: float, b: float, x0: int) -> tuple[float, float]:
     for j in range(2, 2 * len(_EM_CORRECTIONS)):
         derivs.append(-(j * slope * derivs[j - 1] + j * (j - 1) * b * derivs[j - 2]) / q)
     corrections = [c * derivs[2 * k + 1] for k, c in enumerate(_EM_CORRECTIONS)]
-    total = integral + 0.5 * f - sum(corrections)
+    # reduce is the left fold on every Python (sum compensates from 3.12)
+    total = integral + 0.5 * f - reduce(add, corrections, 0.0)
     disc = a * a - 4.0 * b
     d = x + 2.0 / (a + math.sqrt(disc)) if disc > 0.0 else x + a / (2.0 * b)
     remainder = _EM_LAST_BERNOULLI / (b * d ** 11)
-    rounding = 16.0 * EPS * (integral + f + sum(map(abs, corrections)))
+    rounding = 16.0 * EPS * (integral + f + reduce(add, map(abs, corrections), 0.0))
     return total, remainder + rounding
 

@@ -9,10 +9,9 @@ and vertices are produced on demand.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import reduce
+from functools import reduce, wraps
 from operator import add
 
 from .errors import MalformedTreeError, ResourceCapError, UnknownVertexError
@@ -63,17 +62,41 @@ class Budget:
         return _operation_budget.get() or cls()
 
 
-@contextmanager
-def operation():
-    """Scope of one logical operation, also usable as a decorator.  The
-    outermost scope builds one `Budget`, reading the cap once; every walk
-    inside charges it, and nested scopes join it and share its memos."""
-    token = None if _operation_budget.get() else _operation_budget.set(Budget())
-    try:
-        yield _operation_budget.get()
-    finally:
-        if token is not None:
-            _operation_budget.reset(token)
+class operation:
+    """Scope of one logical operation: `with operation() as budget:` around
+    a block, or `@operation()` on a function.  The outermost scope builds
+    one `Budget`, reading the cap once; every walk inside charges it.  A
+    nested scope joins it and shares its memos, at the cost of one
+    ContextVar read: it builds no budget and reads no cap.  An instance
+    serves one `with` at a time; as a decorator it serves every call."""
+
+    __slots__ = ("_token",)
+
+    def __enter__(self) -> Budget:
+        budget = _operation_budget.get()
+        self._token = None
+        if budget is None:
+            budget = Budget()
+            self._token = bind_budget(budget)
+        return budget
+
+    def __exit__(self, *exc) -> None:
+        if self._token is not None:
+            unbind_budget(self._token)
+
+    def __call__(self, fn):
+        get = _operation_budget.get
+
+        @wraps(fn)
+        def scoped(*args, **kwargs):
+            if get() is not None:
+                return fn(*args, **kwargs)
+            token = bind_budget(Budget())
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                unbind_budget(token)
+        return scoped
 
 
 class TreeKernel:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import DegenerateNormError, MissingWeightError
 from .numerics import worst
 from .tree_core import (Budget, RayChain, TkInfKernel, TreeKernel, Window,
-                        descend, window_depth_classes, window_vertices)
+                        descend, operation, window_depth_classes, window_vertices)
 
 NORM_FLOOR = 1e-12      # one-step norms below this: not left-invertible
 
@@ -302,16 +302,31 @@ def load_weight_csv(text: str, kernel: TreeKernel, source: str = "<memory>") -> 
 # norms
 
 
+@operation()
 def shift_norm_sq(ws: WeightSystem, kernel: TreeKernel, u, n: int = 1) -> float:
     """Squared norm of the n-th shift power applied to the basis vector at u.
 
     Equals the sum over Chi^n(u) of the squared n-step moments; accumulated
-    with exact summation over the expanded frontier.
+    with exact summation over the expanded frontier.  The one-step norm
+    (n = 1) is memoized in the operation's memos under
+    ("norms", ws, kernel), keyed by u, a NaN norm included, so the window
+    diagnostics of one operation walk each vertex's children once; a bare
+    call is an operation of its own, with its own budget and memos.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1.0
+    if n == 1:
+        norms = Budget.current().memos.setdefault(("norms", ws, kernel), {})
+        norm = norms.get(u)
+        if norm is None:
+            norm = norms[u] = _norm_sq(ws, kernel, u, 1)
+        return norm
+    return _norm_sq(ws, kernel, u, n)
+
+
+def _norm_sq(ws: WeightSystem, kernel: TreeKernel, u, n: int) -> float:
     leaves = descend(kernel, [(u, 0.0)], n, ws)
     return math.fsum(math.exp(2.0 * acc) for _, acc in leaves)
 

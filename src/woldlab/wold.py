@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from .errors import DegenerateNormError, PreconditionError, UnknownVertexError
 from .operator import apply_adjoint, apply_shift, inner, shifted_kernel_vectors
@@ -392,11 +394,14 @@ def _rank(a: list) -> int:
     the eigenvalues on its diagonal) exceed 1e-8, as `matrix_rank(a, 1e-8)`
     counts.  Cyclic Jacobi (Golub & Van Loan, 8.5), stopped when twice the
     off-diagonal square sum is 1e-32 of the Frobenius one, not at 0.0.
+    Both sums are left folds, the same floats on every Python (`sum`
+    compensates from 3.12).
     """
     n = len(a)
-    frob = sum(x * x for row in a for x in row)
+    frob = reduce(add, (x * x for row in a for x in row), 0.0)
     for _ in range(64):
-        if 2.0 * sum(a[p][q] ** 2 for p in range(n) for q in range(p + 1, n)) <= 1e-32 * frob:
+        off = reduce(add, (a[p][q] ** 2 for p in range(n) for q in range(p + 1, n)), 0.0)
+        if 2.0 * off <= 1e-32 * frob:
             return sum(abs(a[i][i]) > 1e-8 for i in range(n))
         for p in range(n - 1):
             for q in range(p + 1, n):

@@ -17,6 +17,7 @@ import pytest
 
 from woldlab import tree_core
 from woldlab.cli import _repro_rows, main
+from woldlab.tree_core import operation
 from woldlab.weights import PolyRule, Prop51Weights
 
 SRC = Path(tree_core.__file__).resolve().parents[1]
@@ -257,6 +258,9 @@ PINNED_STDOUT = {
                         "877b108dd6c52c6b56ec3e5d29b00a886729c14a78cbe9994a98812c5c79face"),
     "repro-ex52": (("repro", "ex52"),
                    "791ada16ee5c89aeec439aaeb9f10b9411cae2ce45efcf3e88af4f83a0d4259a"),
+    # the negative control, whose FAIL lines print each check's detail
+    "repro-ex52-tamper": (("repro", "ex52", "--tamper"),
+                          "355fa7a0c6973c0d9bc6423a1315fdc17b654e391e6e83f64a9c04c94a91b215"),
     "alpha-dual-plugin-0,0": (("alpha", "--dual", "--vertex=0,0"),
                               "f89c12d0a3c2773c7cc73b92eb135dbe6a7c1053ea002af6087b5c20c43b4cc2"),
     # table rules: the closed-form tail reads b(900) from the table at l = 899
@@ -284,11 +288,14 @@ PINNED_STDOUT = {
 }
 
 
+PINNED_EXIT = {"repro-ex52-tamper": 1}
+
+
 @pytest.mark.parametrize("case", sorted(PINNED_STDOUT))
 def test_stdout_bytes_are_pinned(capsys, case):
     argv, digest = PINNED_STDOUT[case]
     code, out, _ = run(capsys, *argv)
-    assert code == 0
+    assert code == PINNED_EXIT.get(case, 0)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
@@ -304,9 +311,10 @@ def test_cap_bounds_a_whole_command(capsys, monkeypatch):
     assert "while walking generation 43 of the series term stream" in err
 
 
-# Each cap sits between the command's charge with the shell ladder, ancestors
-# first and one shared dual (196,785 and 142,865 vertices) and without them
-# (633,334 and 540,509), so a lost part shows as exit 2.
+# Each cap sits between the command's charge (125,297 and 142,865 vertices,
+# pinned below) and its charge without the shell ladder, ancestors first and
+# one shared dual (633,334 and 540,509 when last measured), so a lost part
+# shows as exit 2.
 @pytest.mark.parametrize("cap, argv, code", [
     ("300000", ("repro", "ex52", "--tamper"), 1),
     ("250000", ("wold", "--tree", "tqb", "--weights", "ex52", "--vertex=0,0",
@@ -317,6 +325,23 @@ def test_heavy_commands_fit_under_a_reduced_cap(capsys, monkeypatch, cap, argv, 
     assert uncapped[0] == code
     monkeypatch.setenv("WOLDLAB_MAX_VERTICES", cap)
     assert run(capsys, *argv) == uncapped
+
+
+# Whole-command charges: repro decides check 8's verdict first and reads
+# its series verdicts and shell ladders in checks 6 and 7, and the window
+# diagnostics read each one-step norm once per operation.
+@pytest.mark.parametrize("argv, used", [
+    (("repro", "ex52"), 4281),
+    (("repro", "ex52", "--tamper"), 125297),
+    (("wold", "--tree", "tqb", "--weights", "ex52", "--vertex=0,0", "--no-plugins"), 142865),
+    (("balanced", "--tree", "tkinf:k=5", "--weights", "tkinf-isometric",
+      "--window", "5,5"), 97),
+], ids=["repro", "repro-tamper", "wold-no-plugins", "balanced"])
+def test_command_charges_are_pinned(capsys, argv, used):
+    with operation() as budget:     # main's operation joins this one
+        main(list(argv))
+    capsys.readouterr()
+    assert budget.used == used
 
 
 def test_command_reads_the_cap_once(capsys, monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from woldlab import tree_core
 from woldlab.errors import (MalformedTreeError, MissingWeightError,
                             ResourceCapError, UnknownVertexError)
 from woldlab.tree_core import (Budget, RayChain, TkInfKernel, TqbKernel, TreeKernel, Window,
@@ -334,6 +335,35 @@ def test_walks_in_one_operation_share_its_budget(monkeypatch):
             assert inner is budget
             with pytest.raises(ResourceCapError):
                 norm()
+
+
+def test_a_nested_scope_builds_no_budget_and_reads_no_cap(monkeypatch):
+    built, reads = [], []
+    real_init, real_cap = Budget.__init__, tree_core.vertex_cap
+    monkeypatch.setattr(Budget, "__init__", lambda self: built.append(1) or real_init(self))
+    monkeypatch.setattr(tree_core, "vertex_cap", lambda: reads.append(1) or real_cap())
+
+    @operation()
+    def scoped():
+        return Budget.current()
+
+    with operation() as outer:
+        with operation() as inner:
+            assert inner is outer
+        assert scoped() is outer
+        assert enum_A(TQB, (0, 0), 3) and shift_norm_sq(ex52_weights(), TQB, (0, 0), 2)
+        assert outer.used > 0
+    assert (len(built), len(reads)) == (1, 1)
+    # a bare call is an operation of its own, and each scope unbinds its
+    # budget when it ends, by return or by raise
+    assert scoped() is not outer
+    assert (len(built), len(reads)) == (2, 2)
+    with pytest.raises(ValueError):
+        with operation():
+            raise ValueError
+    with pytest.raises(ValueError):
+        enum_A(TQB, (0, 0), -1)
+    assert Budget.current() is not Budget.current()
 
 
 def test_budget_env_validation(monkeypatch):

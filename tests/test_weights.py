@@ -626,6 +626,64 @@ def test_is_norm_increasing_fails_closed_on_a_nan_norm(kernel, window, bad):
 
 
 # ---------------------------------------------------------------------------
+# the one-step norm memo
+
+MEMO_VERTS = [(0, 0), (0, 3), (0, -2), (1, 2), (4, -1)]
+
+
+def test_one_step_norms_walk_each_vertex_once_per_operation():
+    kernel = counting(TqbKernel)()
+    for _ in range(2):              # the next operation walks afresh
+        with operation() as budget:
+            before = kernel.children_calls
+            for _ in range(3):
+                for v in MEMO_VERTS:
+                    shift_norm_sq(EX52, kernel, v)
+            assert kernel.children_calls - before == len(MEMO_VERTS)
+            assert budget.used == sum(len(TQB.children(v)) for v in MEMO_VERTS)
+    # a bare call is an operation of its own, and walks each time
+    before = kernel.children_calls
+    shift_norm_sq(EX52, kernel, (0, 0))
+    shift_norm_sq(EX52, kernel, (0, 0))
+    assert kernel.children_calls - before == 2
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_a_memoized_norm_is_the_fresh_walk_bit_for_bit(dual):
+    ws = cauchy_dual(EX52, TQB) if dual else EX52
+    fresh = [shift_norm_sq(ws, TQB, v).hex() for v in MEMO_VERTS]
+    with operation():
+        walked = [shift_norm_sq(ws, TQB, v).hex() for v in MEMO_VERTS]
+        read = [shift_norm_sq(ws, TQB, v).hex() for v in MEMO_VERTS]
+    by_hand = [math.fsum(math.exp(2.0 * ws.log_weight(c)) for c in TQB.children(v)).hex()
+               for v in MEMO_VERTS]
+    assert fresh == walked == read == by_hand
+
+
+def test_a_nan_norm_is_memoized_and_the_checks_still_fail_closed():
+    kernel, ws, window = counting(TkInfKernel)(2), NanAt((1, 2)), Window((0, 0), 1, 1)
+    with operation() as op:
+        assert math.isnan(boundedness_estimate(ws, kernel, window))
+        assert math.isnan(op.memos[("norms", ws, kernel)][(0, 0)])
+        rep = is_norm_increasing(ws, kernel, window)
+        assert rep.verdict == "not_norm_increasing"
+        assert rep.witness[0] == (0, 0) and math.isnan(rep.min_norm_sq)
+        before = kernel.children_calls
+        assert math.isnan(shift_norm_sq(ws, kernel, (0, 0)))
+        assert kernel.children_calls == before
+
+
+def test_norm_memos_are_kept_per_weight_system_and_kernel():
+    one, k2, k3 = ConstantWeights(1.0), TkInfKernel(2), TkInfKernel(3)
+    with operation() as op:
+        assert shift_norm_sq(EX52, TQB, (0, 1)) == 2.0
+        assert shift_norm_sq(ConstantWeights(2.0), TQB, (0, 1)) == 8.0
+        assert shift_norm_sq(one, k2, (0, 0)) == 2.0
+        assert shift_norm_sq(one, k3, (0, 0)) == 3.0
+        assert sum(key[0] == "norms" for key in op.memos) == 4
+
+
+# ---------------------------------------------------------------------------
 # the spec-string factory
 
 

@@ -16,7 +16,10 @@ the command line's one parser per process, the Jacobi rank of the
 coverage Gram, the certified Euler–Maclaurin block of the Prop. 5.1 dual
 plugin with the tail integral under it, balancedness compared within each
 depth class of a window, the defect diagonal's one walk, the wandering
-check's NaN residuals and the norm-increase check's NaN-dominant minimum.
+check's NaN residuals, the norm-increase check's NaN-dominant minimum,
+the one-step norm memo kept per weight system and kernel with its NaN
+entries, the operation scope that a nested call joins without a budget of
+its own, and `repro`'s third-order check reading `classify`'s entries.
 
     python tools/mutants.py
 
@@ -61,6 +64,8 @@ LAST_ULPS = "tests/test_numerics.py::test_quadratic_tail_integral_to_the_last_ul
 ORACLE = "tests/test_series.py::test_random_prop51_terms_are_the_exact_oracles_within_rounding"
 WANDER = "tests/test_operator.py::test_wandering_check_fails_closed_on_non_finite_weights[{}]"
 HEURISTIC = "tests/test_series.py::test_heuristic_{}"
+NORM_KEYS = "tests/test_weights.py::test_norm_memos_are_kept_per_weight_system_and_kernel"
+NESTED = "tests/test_tree_core.py::test_a_nested_scope_builds_no_budget_and_reads_no_cap"
 
 # (file, old text, new text, pytest node id)
 #
@@ -226,6 +231,22 @@ MUTANTS = [
     (WEIGHTS, "if not (math.isnan(least) or val >= least):", "if val < least:",
      "tests/test_weights.py::test_is_norm_increasing_fails_closed_on_a_nan_norm"
      "[kernel2-window2-bad2]"),
+    # an operation memoizes each one-step norm once per (weight system,
+    # kernel, vertex), a NaN one included
+    (WEIGHTS, 'setdefault(("norms", ws, kernel)', 'setdefault(("norms", kernel)', NORM_KEYS),
+    (WEIGHTS, 'setdefault(("norms", ws, kernel)', 'setdefault(("norms", ws)', NORM_KEYS),
+    (WEIGHTS, "norm = norms[u] = _norm_sq(ws, kernel, u, 1)", "norm = _norm_sq(ws, kernel, u, 1)",
+     "tests/test_weights.py::test_one_step_norms_walk_each_vertex_once_per_operation"),
+    (WEIGHTS, "if norm is None:", "if norm is None or math.isnan(norm):",
+     "tests/test_weights.py::test_a_nan_norm_is_memoized_and_the_checks_still_fail_closed"),
+    # a nested scope, decorator or `with`, joins the current budget
+    (TREE, "            if get() is not None:\n", "            if False:\n", NESTED),
+    (TREE, "        budget = _operation_budget.get()\n        self._token = None\n",
+     "        budget = None\n        self._token = None\n", NESTED),
+    # repro's check 5 reads d_3 at a window vertex from classify's entries
+    (CLI, "return rep.entries[v] if v in rep.entries",
+     "return rep.entries[(0, 0)] if v in rep.entries",
+     "tests/test_cli.py::test_stdout_bytes_are_pinned[repro-ex52-tamper]"),
 ]
 
 

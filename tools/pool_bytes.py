@@ -14,7 +14,10 @@ operation whose bytes moved is listed, and the exit status is 1 if any did.
   --update   rewrite the digest file from this run and list what moved
 
 `perfbench/` is only read: operations run through `checks.execute`, whose
-stderr buffer is replaced here by one this script keeps.
+stderr buffer is replaced here by one this script keeps.  The package is
+imported from `src/` here, with any `WOLDLAB_MAX_VERTICES` dropped as the
+benchmark runner drops it, but without the runner's numpy import, so the
+check runs on an interpreter that has only the standard library.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -33,8 +37,17 @@ WORKLOADS = ("heuristic", "analytic", "window_diagnostics")
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import checks  # noqa: E402
-import run  # noqa: E402
 import workloads  # noqa: E402
+
+
+def load_package():
+    """Import woldlab from the checkout's `src/`; the operations see only
+    their own arguments, not a cap set by the caller."""
+    os.environ.pop("WOLDLAB_MAX_VERTICES", None)
+    sys.path.insert(0, str(ROOT / "src"))
+    import woldlab
+    import woldlab.cli  # noqa: F401
+    return woldlab
 
 
 def op_digest(op, wl) -> str:
@@ -67,7 +80,7 @@ def main(argv=None) -> int:
     parser.add_argument("--update", action="store_true",
                         help="rewrite the digest file from this run")
     args = parser.parse_args(argv)
-    wl = run.load_package()
+    wl = load_package()
     got = run_pools(wl, args.reverse)
     want = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.is_file() else {}
     moved = 0
