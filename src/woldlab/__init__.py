@@ -20,7 +20,7 @@ from .operator import (SparseVector, apply_adjoint, apply_power, apply_shift,
                        classify, defect_diagonal, inner,
                        ker_adjoint_local_basis, wandering_orthogonality_check)
 from .series import (AlphaPartial, HyperRangeVector, SeriesConfig,
-                     SeriesVerdict, alpha_partial, alpha_terms, alpha_verdict,
+                     SeriesVerdict, alpha_partial, alpha_verdict,
                      g_vector, generation_stream, hyperrange_recurrence_check)
 from .wold import (DecompositionReport, WoldVerdict, case_ii_weight_relation,
                    decomposition_report, wold_verdict)

@@ -21,7 +21,7 @@ from .errors import DivergentSeriesError, ResourceCapError, UndecidedSeriesError
 from .numerics import NeumaierSum, quadratic_tail_integral, quadratic_tail_sum
 from .operator import SparseVector, apply_shift
 from .tree_core import (Budget, TqbKernel, TreeKernel, BilateralPath, bind_budget,
-                        descend, operation, shell, unbind_budget)
+                        bound_budget, descend, operation, ray_fold, unbind_budget)
 from .weights import (ConstantWeights, Prop51Weights, WeightSystem, family_root,
                       shift_norm_sq)
 
@@ -44,36 +44,51 @@ class SeriesConfig:
 
 
 def generation_stream(ws: WeightSystem, kernel: TreeKernel, v, build_from: int = 0):
-    """Yield (n, base_log, members) for n = 0, 1, 2, ...
+    """Yield (n, t_n, base_log, members) for n = 0, 1, 2, ...
 
-    base_log is the log moment of v at order n, and members the shell
-    A(v, n) as its list of (u, log moment) pairs, so that acc - base_log
-    is the log of the moment ratio lambda^(n)(u) / lambda^(n)(v) for each
-    pair (u, acc).  A(v, n) and its pairs depend on v only through
+    t_n is the n-th term of the series, the sum over the shell A(v, n) of
+    (lambda^(n)(u) / lambda^(n)(v))^2; base_log is the log moment of v at
+    order n, and members the shell as its list of (u, log moment) pairs,
+    so that acc - base_log is the log of the moment ratio for each pair
+    (u, acc).  Each term is summed where the stream produces the shell, as
+    exp(2 (acc - base_log)) over the members in order, with inf past
+    exponent 700.  A(v, n) and its pairs depend on v only through
     top = par^(n-1)(v), so each shell is memoized per top and n, in the
-    operation's memos for (ws, kernel), and shared by every same-generation
-    vertex; memo hits are free.  The list yielded is that memo entry itself:
-    readers must not change it.  Shells under one top form a ladder:
-    A(v, n) = Chi^(n-j)(A(par^(n-j)(v), j)), with the logs accumulating in
-    the same order, so a miss descends the remaining n - j levels from the
-    deepest stored rung j < n and walks down from the top only when no rung
-    exists.  A stream at par(v) run before the one at v thus leaves v one
-    level per generation to walk.  The up-step of a top,
-    (log_weight(top), par(top)), is memoized beside the shells, so streams
-    through one top take its weight and parent once per operation.
+    operation's memos for (ws, kernel), and shared by every
+    same-generation vertex; memo hits are free.  The list yielded is that
+    memo entry itself: readers must not change it.
+
+    Shells under one top form a ladder: A(v, n) = Chi^(n-j)(A(par^(n-j)(v), j)),
+    with the logs accumulating in the same order.  A miss takes one rung:
+    the deepest stored j < n, or else the top's first level, the children
+    of par(top) other than top, weighted and charged as `shell` does it
+    and not stored unless it is the shell itself (n = 1).  A one-vertex
+    rung goes down its unary ray by one `ray_fold`; a wider rung, a rung
+    with no ray (the tqb spine, kernels with no closed form) and a ray
+    longer than one piece `descend`.  A stream at par(v) run before the
+    one at v thus leaves v one level per generation to walk.  The up-step
+    of a top, (log_weight(top), par(top)), is memoized beside the shells,
+    so streams through one top take its weight and parent once per
+    operation.
+
     Generations before `build_from` are not built: they yield
-    (n, base_log, None), and only the top and v's base log moment advance
-    through them.  The budget and its memos are bound when iteration
-    starts, so a stream outside any operation keeps its own, and each miss
-    is taken with that budget current, so a dual weight's sibling charges
-    land in it too: the cap bounds the whole stream, in an operation or out
-    of one.  A cap tripped here names the generation being walked.
+    (n, None, base_log, None), and only the top and v's base log moment
+    advance through them.  The stream takes the current budget, or one of
+    its own outside any operation, with its memos, when generation 1 is
+    first asked for.  Each miss is taken with that budget current: it is
+    bound for the miss whenever another budget or none is current (a
+    stream resumed outside its operation, or inside another), so a dual
+    weight's sibling charges and ray rows land in it too, and the cap
+    bounds the whole stream, in an operation or out of one.  A cap tripped
+    here names the generation being walked.
     """
-    yield 0, 0.0, [(v, 0.0)] if build_from <= 0 else None
+    yield (0, 1.0, 0.0, [(v, 0.0)]) if build_from <= 0 else (0, None, 0.0, None)
     budget = Budget.current()
     memos = budget.memos
     ladders = memos.setdefault(("shells", ws, kernel), {})    # top -> {n: A(v, n)}
     steps = memos.setdefault(("steps", ws, kernel), {})       # top -> (log weight, parent)
+    log_weight, children, charge = ws.log_weight, kernel.children, budget.charge
+    exp, inf = math.exp, math.inf
     top = v          # par^(n-1)(v) while producing generation n
     base_log = 0.0   # log moment of v at order n, updated incrementally
     n = 1
@@ -89,46 +104,49 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v, build_from: int =
                 members = ladder.get(n)
                 miss = members is None
             if step is None or miss:
-                token = bind_budget(budget)   # sibling charges of dual misses land here too
+                # sibling charges of dual misses and ray rows read the
+                # current budget: make it this stream's
+                token = bind_budget(budget) if bound_budget() is not budget else None
                 try:
                     if step is None:
-                        step = steps[top] = (ws.log_weight(top), kernel.parent(top))
+                        step = steps[top] = (log_weight(top), kernel.parent(top))
                     if miss:
-                        # descend from the deepest rung j < n, or walk down from top
-                        budget.charge()
+                        charge()
                         j = 0
                         for k in ladder:
                             if j < k < n:
                                 j = k
-                        members = ladder[n] = (
-                            descend(kernel, ladder[j], n - j, ws) if j
-                            else shell(kernel, top, step[1], n, ws))
+                        if j:
+                            rung = ladder[j]
+                        else:
+                            rung = [(c, log_weight(c)) for c in children(step[1]) if c != top]
+                            charge(len(rung))
+                            j = 1
+                        if j == n:
+                            members = rung
+                        elif len(rung) == 1:
+                            members = ray_fold(kernel, rung[0], n - j, ws, budget)
+                        if members is None:
+                            members = descend(kernel, rung, n - j, ws)
+                        ladder[n] = members
                 finally:
-                    unbind_budget(token)
+                    if token is not None:
+                        unbind_budget(token)
             lw, top = step
             base_log += lw
-            yield n, base_log, members
+            if members is None:
+                yield n, None, base_log, None
+            else:
+                total = 0.0
+                for _, acc in members:
+                    e = 2.0 * (acc - base_log)
+                    total += inf if e > 700.0 else exp(e)
+                yield n, total, base_log, members
             n += 1
     except ResourceCapError as exc:
         raise ResourceCapError(
             f"{exc} while walking generation {n} of the series term stream "
             "(WOLDLAB_MAX_VERTICES sets the cap)") from None
-
-
-def alpha_terms(ws: WeightSystem, kernel: TreeKernel, v, build_from: int = 0):
-    """Yield (n, t_n) with t_n the n-th generation's squared-ratio sum, and
-    None for a generation before `build_from`, which is not built.  Each
-    term is summed in place from the stream's members and base log."""
-    exp, inf = math.exp, math.inf
-    for n, base_log, members in generation_stream(ws, kernel, v, build_from):
-        if members is None:
-            yield n, None
-            continue
-        total = 0.0
-        for _, acc in members:
-            e = 2.0 * (acc - base_log)
-            total += inf if e > 700.0 else exp(e)
-        yield n, total
 
 
 @dataclass
@@ -148,7 +166,7 @@ def _first_terms(ws: WeightSystem, kernel: TreeKernel, v, upto: int,
                  build_from: int = 0) -> list:
     """t_0, ..., t_upto, None before `build_from`; generation upto + 1 is
     never walked."""
-    return [t for _, t in islice(alpha_terms(ws, kernel, v, build_from), upto + 1)]
+    return [t for _, t, _, _ in islice(generation_stream(ws, kernel, v, build_from), upto + 1)]
 
 
 @operation()
@@ -252,7 +270,7 @@ def _heuristic_verdict(ws, kernel, v, n_max: int) -> SeriesVerdict:
     add, keep, isfinite = acc.add, recent.append, math.isfinite
     empty_run = 0
     n_seen = 0
-    for n, t in alpha_terms(ws, kernel, v):
+    for n, t, _, _ in generation_stream(ws, kernel, v):
         n_seen = n
         if not isfinite(t):
             return SeriesVerdict.diverged(
@@ -486,7 +504,7 @@ def g_vector(ws: WeightSystem, kernel: TreeKernel, path: BilateralPath, m: int,
             f"series verdict at {v!r} is inconclusive; cannot build g_{m}")
     entries: dict = {}
     gen_support = []
-    for _, base_log, members in islice(generation_stream(ws, kernel, v), N + 1):
+    for _, _, base_log, members in islice(generation_stream(ws, kernel, v), N + 1):
         gen_support.append(tuple(u for u, _ in members))
         for u, acc in members:
             entries[u] = math.exp(acc - base_log)

@@ -21,7 +21,9 @@ _operation_budget = ContextVar("woldlab_operation_budget", default=None)
 # `token = bind_budget(b)` makes b the current budget for the walks that
 # follow, until `unbind_budget(token)`: a generator that bound a budget when
 # iteration started charges it wherever it is resumed this way.  A binding
-# may nest but must not span a yield.
+# may nest but must not span a yield.  `bound_budget()` is the budget bound
+# now, or None, and builds none.
+bound_budget = _operation_budget.get
 bind_budget, unbind_budget = _operation_budget.set, _operation_budget.reset
 
 
@@ -259,15 +261,12 @@ class TkInfKernel(TreeKernel):
 class RayChain:
     """The vertices (start, m), (start + 1, m), ..., (stop - 1, m) of a tqb
     ray, as `TqbKernel.ray` gives them, by descriptor: weight systems read
-    (start, stop, m), and `descend` the length and the last vertex."""
+    (start, stop, m), and `ray_fold` the last vertex."""
 
     __slots__ = ("start", "stop", "m")
 
     def __init__(self, start: int, stop: int, m: int) -> None:
         self.start, self.stop, self.m = start, stop, m
-
-    def __len__(self) -> int:
-        return self.stop - self.start
 
     @property
     def last(self):
@@ -490,6 +489,34 @@ def _no_weight(v) -> float:
     return 0.0
 
 
+def ray_fold(kernel: TreeKernel, entry, depth: int, ws, budget: Budget):
+    """The frontier [(w, log)] `depth` >= 1 levels down the unary ray below
+    entry = (u, log), walked as one piece; None where the kernel knows no
+    closed form for it, or where the piece would hold more than RAY_PIECE
+    vertices or more than one vertex past what `budget` has left.
+
+    One `kernel.ray` call, one `ws.ray_log_weights` call (none when `ws`
+    is None) and one charge of `budget` for the `depth` vertices the chain
+    holds by `ray`'s contract.  The weights are added to log in
+    ray order before the charge, as the level loop adds them, so floats,
+    trip points and the error a bad weight raises are the level loop's.
+    `descend` takes its rays in these pieces, and the series term stream
+    takes a one-vertex rung's shell with one of them.
+    """
+    if depth > RAY_PIECE or depth > budget.cap - budget.used + 1:
+        return None
+    u, acc = entry
+    chain = kernel.ray(u, depth)
+    if chain is None:
+        return None
+    if ws is not None:
+        # reduce is the level loop's left fold (sum compensates from
+        # Python 3.12)
+        acc = reduce(add, ws.ray_log_weights(chain), acc)
+    budget.charge(depth)
+    return [(chain.last, acc)]
+
+
 def descend(kernel: TreeKernel, frontier, depth: int, ws=None):
     """Expand a frontier of (vertex, log) pairs `depth` levels down.
 
@@ -498,37 +525,28 @@ def descend(kernel: TreeKernel, frontier, depth: int, ws=None):
     weight of the child under the weight system `ws`; an unweighted walk
     (`ws` None) adds a zero weight, which keeps the loop free of
     per-vertex branches.  A one-vertex frontier more than one level deep
-    asks the kernel for its unary ray in pieces of at most RAY_PIECE
-    vertices.  A piece's `RayChain` takes one `ws.ray_log_weights` call
-    and one charge, and adds the weights in ray order, so floats, trip
-    points and the error a bad weight raises are those of the level loop.
-    A piece asks for at most one vertex past the cap, so memory stays
-    bounded by the piece and a huge `depth` trips at the cap.  Where the
-    kernel knows no closed form (None), and for a single level, the level
-    loop that wide frontiers take does the work.
+    goes down its unary ray by `ray_fold`, in pieces of at most RAY_PIECE
+    vertices, each asking for at most one vertex past the cap, so memory
+    stays bounded by the piece and a huge `depth` trips at the cap.  Where
+    the kernel knows no closed form, and for a single level, the level
+    loop that wide frontiers take does the work, from the vertex the
+    pieces reached.
     Iterated children, shells, shift-power norms and the series term
-    stream all descend here; windows, which keep every level, take one
-    plain pass in `window_depth_classes`.
+    stream's wide rungs all descend here; windows, which keep every
+    level, take one plain pass in `window_depth_classes`.
     """
     budget = Budget.current()
     children, charge = kernel.children, budget.charge
     log_weight = _no_weight if ws is None else ws.log_weight
     level = 0
     if len(frontier) == 1 and depth > 1:
-        (u, acc), = frontier
         while level < depth:
-            chain = kernel.ray(u, min(depth - level, RAY_PIECE, budget.cap - budget.used + 1))
-            if chain is None:
+            piece = min(depth - level, RAY_PIECE, budget.cap - budget.used + 1)
+            folded = ray_fold(kernel, frontier[0], piece, ws, budget)
+            if folded is None:
                 break
-            # weights before the charge, as in the level loop; reduce is
-            # the loop's left fold (sum compensates from Python 3.12)
-            if ws is not None:
-                acc = reduce(add, ws.ray_log_weights(chain), acc)
-            size = len(chain)
-            charge(size)
-            level += size
-            u = chain.last
-        frontier = [(u, acc)]
+            frontier = folded
+            level += piece
     for _ in range(level, depth):
         nxt = []
         append = nxt.append
@@ -547,7 +565,9 @@ def shell(kernel: TreeKernel, top, up, n: int, ws=None):
     unrolled form drops the one child of up = par(top) leading back to v and
     expands the rest n-1 levels.  Logs accumulate from the shell's first
     level under the weight system `ws`, as in `descend`, and every level is
-    charged to the current budget.
+    charged to the current budget.  The series term stream weighs and
+    charges a first level the same way when it has no deeper rung to walk
+    down from, and then folds or descends from it itself.
     """
     log_weight = _no_weight if ws is None else ws.log_weight
     first = [(c, log_weight(c)) for c in kernel.children(up) if c != top]

@@ -60,9 +60,10 @@ class WeightSystem:
         row key, the operation's memos keep those values under
         ("ray rows", self), one row [lo, values] per key holding
         log_weight((n, m)) for n in a run lo <= n < lo + len(values), so
-        each is taken once per operation and a chain inside the run is one
-        slice, always a new list.  A chain that leaves the run extends it,
-        gap included when the gap is no longer than the chain; a chain
+        each is taken once per operation.  A chain inside the run is one
+        slice of it, always a new list, read before any other rule.  A
+        chain that leaves the run extends it, gap included when the gap is
+        no longer than the chain, and is then read as a slice; a chain
         farther off, or one whose m has no key, is taken one `log_weight`
         call per vertex without storing it, so a row never holds more than
         twice the vertices walked.  A gap's entries belong to no chain
@@ -72,12 +73,17 @@ class WeightSystem:
         log_weight = self.log_weight
         key = self.row_key(m)
         if key is not None:
-            rows = Budget.current().memos.setdefault(("ray rows", self), {})
+            memos = Budget.current().memos
+            rows = memos.get(("ray rows", self))
+            if rows is None:
+                rows = memos["ray rows", self] = {}
             row = rows.get(key)
             if row is None:
                 row = rows[key] = [start, []]
             lo, values = row
             hi = lo + len(values)
+            if lo <= start and stop <= hi:
+                return values[start - lo:stop - lo]
             if max(start - hi, lo - stop) <= stop - start:
                 if start < lo:
                     values[:0] = [log_weight((n, m)) for n in range(start, lo)]

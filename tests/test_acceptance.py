@@ -18,7 +18,7 @@ from woldlab.cli import main
 from woldlab.operator import (SparseVector, apply_adjoint, apply_power,
                               apply_shift, classify, defect_diagonal, inner,
                               wandering_orthogonality_check)
-from woldlab.series import alpha_partial, alpha_terms, alpha_verdict, g_vector, \
+from woldlab.series import alpha_partial, alpha_verdict, g_vector, generation_stream, \
     hyperrange_recurrence_check
 from woldlab.tree_core import (BilateralPath, TkInfKernel, TqbKernel, Window,
                                ZPathKernel, child_n, enum_A, par_n,
@@ -162,7 +162,7 @@ def test_criterion_5_wold_scenarios():
     one = wold_verdict(ConstantWeights(1.0), TQB, Window((0, 0), 2, 2))
     assert one.outcome == "HasWold_case_i" and one.definitive
     dual = cauchy_dual(ConstantWeights(1.0), TQB)
-    for n, t in alpha_terms(dual, TQB, (0, 0)):
+    for n, t, _, _ in generation_stream(dual, TQB, (0, 0)):
         if n > 20:
             break
         if n >= 1:

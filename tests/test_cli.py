@@ -17,8 +17,8 @@ import pytest
 
 from woldlab import tree_core
 from woldlab.cli import _repro_rows, main
-from woldlab.tree_core import operation
-from woldlab.weights import PolyRule, Prop51Weights
+from woldlab.tree_core import TqbKernel, operation
+from woldlab.weights import CauchyDualWeights, PolyRule, Prop51Weights
 
 SRC = Path(tree_core.__file__).resolve().parents[1]
 
@@ -342,6 +342,29 @@ def test_command_charges_are_pinned(capsys, argv, used):
         main(list(argv))
     capsys.readouterr()
     assert budget.used == used
+
+
+# Kernel steps and weight evaluations of two commands.  A shell miss below
+# a one-vertex rung folds its ray from the operation's ray rows, with no
+# `children` call and no `log_weight` call for a vertex its row holds, so a
+# miss that walks such a rung level by level fails here.
+@pytest.mark.parametrize("argv, touches", [
+    (("wold", "--tree", "tqb", "--weights", "ex52", "--vertex=2,-2"), (125, 326, 208)),
+    (("wold", "--tree", "tqb", "--weights", "ex52", "--vertex=0,0", "--no-plugins"),
+     (799, 2276, 1228)),
+], ids=["wold-2,-2", "wold-no-plugins"])
+def test_command_touches_are_pinned(capsys, monkeypatch, argv, touches):
+    counts = dict.fromkeys(["children", "prop51", "dual"], 0)
+    for cls, name, key in ((TqbKernel, "children", "children"),
+                           (Prop51Weights, "log_weight", "prop51"),
+                           (CauchyDualWeights, "log_weight", "dual")):
+        def counted(self, v, real=vars(cls)[name], key=key):
+            counts[key] += 1
+            return real(self, v)
+        monkeypatch.setattr(cls, name, counted)
+    main(list(argv))
+    capsys.readouterr()
+    assert tuple(counts.values()) == touches
 
 
 def test_command_reads_the_cap_once(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import random
 import sys
 import weakref
 from fractions import Fraction
@@ -15,18 +16,19 @@ from hypothesis import strategies as st
 
 from woldlab.cli import TamperedWeights
 from woldlab.errors import (DegenerateNormError, DivergentSeriesError,
-                            UndecidedSeriesError)
+                            ResourceCapError, UndecidedSeriesError)
 from woldlab.numerics import NeumaierSum, quadratic_tail_integral, quadratic_tail_sum
 from woldlab.operator import inner
 from woldlab.series import (ANALYTIC_TERMS, DELTA, TAIL_RULES, TERM_FLOOR, WINDOW,
                             SeriesConfig, SeriesVerdict, _plugin_constant,
                             _plugin_prop51, _tail_floor, _tail_geometric,
                             _tail_growth, _tail_undecided,
-                            alpha_partial, alpha_terms, alpha_verdict, g_vector,
+                            alpha_partial, alpha_verdict, g_vector,
                             generation_stream, hyperrange_recurrence_check)
-from woldlab import tree_core
-from woldlab.tree_core import (BilateralPath, Budget, TkInfKernel, TqbKernel,
-                               ZPathKernel, operation)
+from woldlab import series, tree_core
+from woldlab.tree_core import (BilateralPath, Budget, TkInfKernel, TqbKernel, Window,
+                               ZPathKernel, load_adjacency, operation, par_n, shell,
+                               window_vertices)
 from woldlab.weights import (ConstantWeights, FunctionWeights, PolyRule,
                              Prop51Weights, TkinfIsometricWeights, cauchy_dual,
                              ex52_weights, shift_norm_sq)
@@ -41,7 +43,7 @@ EPS = sys.float_info.epsilon
 
 def first_terms(ws, kernel, v, upto):
     out = []
-    for n, t in alpha_terms(ws, kernel, v):
+    for n, t, _, _ in generation_stream(ws, kernel, v):
         if n > upto:
             break
         out.append(t)
@@ -77,7 +79,7 @@ def test_stream_matches_shells_and_moments():
     # the production stream against the definitional oracle, member by member
     for kernel, ws, vertices in STREAM_CASES:
         for v in vertices:
-            for n, base_log, members in islice(generation_stream(ws, kernel, v), 7):
+            for n, _, base_log, members in islice(generation_stream(ws, kernel, v), 7):
                 assert tuple(u for u, _ in members) == enum_A_definitional(kernel, v, n)
                 for u, acc in members:
                     rel = acc - base_log
@@ -101,13 +103,13 @@ def test_alpha_terms_sum_the_stream_entries_in_place(case):
     ws, v = IN_PLACE_CASES[case]
     with operation():
         expected = []
-        for _, base_log, members in islice(generation_stream(ws, TQB, v), 12):
+        for _, _, base_log, members in islice(generation_stream(ws, TQB, v), 12):
             total = 0.0
             for _, acc in members:
                 rel_log = acc - base_log
                 total += math.inf if 2.0 * rel_log > 700.0 else math.exp(2.0 * rel_log)
             expected.append(total)
-        got = [t for _, t in islice(alpha_terms(ws, TQB, v), 12)]
+        got = [t for _, t, _, _ in islice(generation_stream(ws, TQB, v), 12)]
     assert [t.hex() for t in got] == [t.hex() for t in expected]
     assert (math.inf in got) == (case == "overflow")
 
@@ -152,6 +154,41 @@ def test_ex52_terms_are_the_exact_oracles_within_rounding(v, law_from, K):
             assert abs(Fraction(t) - e) <= 8 * max(n, 1) * EPS * e, (dual, n)
     laws = [t * (1 + (l - 1) + (l - 1) ** 2) for l, t in enumerate(exact)]
     assert laws[law_from:] == [K] * (N + 1 - law_from) and laws[law_from - 1] != K
+
+
+def scaled_ex52(c):
+    """ex52 with every weight scaled by c, as a function: no ray rows."""
+    return FunctionWeights(lambda v: c * EX52.weight(v), name="ex52-scaled")
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+@pytest.mark.parametrize("c", [0.37, 3.0])
+def test_terms_are_invariant_under_scaling_the_weights(c, dual):
+    # a term is a ratio of moments of equal order, so lambda -> c lambda
+    # leaves it as it is; the dual of c lambda is the dual of lambda over c
+    N = 80
+    for v in ((0, 0), (2, -3), (0, 5)):
+        with operation():
+            ws, ref = scaled_ex52(c), EX52
+            if dual:
+                ws, ref = cauchy_dual(ws, TQB), cauchy_dual(ref, TQB)
+            got, want = first_terms(ws, TQB, v, N), first_terms(ref, TQB, v, N)
+        assert len(got) == N + 1
+        for n, (t, e) in enumerate(zip(got, want)):
+            assert abs(t - e) <= 8 * max(n, 1) * EPS * e, (v, n)
+
+
+@pytest.mark.parametrize("v", [(0, 0), (1, 2)])
+def test_the_dual_of_the_dual_has_the_primal_terms(v):
+    # the Cauchy dual is an involution: lambda'' = lambda
+    N = 60
+    with operation():
+        primal = FunctionWeights(EX52.weight, name="wrapped")
+        twice = cauchy_dual(cauchy_dual(primal, TQB), TQB)
+        got, want = first_terms(twice, TQB, v, N), first_terms(primal, TQB, v, N)
+    assert len(got) == N + 1
+    for n, (t, e) in enumerate(zip(got, want)):
+        assert abs(t - e) <= 8 * max(n, 1) * EPS * e, n
 
 
 # coefficients k / 4: exact in binary, so the oracle reads the rules' own values
@@ -248,7 +285,7 @@ def fresh_system(kind):
 
 def stream_terms(kind, v, upto):
     """Terms straight from a fresh stream on fresh objects: nothing shared."""
-    return [t for _, t in islice(alpha_terms(fresh_system(kind), TQB, v), upto)]
+    return [t for _, t, _, _ in islice(generation_stream(fresh_system(kind), TQB, v), upto)]
 
 
 REFERENCE_TERMS = {(kind, v): stream_terms(kind, v, MEMO_DEPTH)
@@ -266,13 +303,13 @@ def test_interleaved_term_iterators_share_the_memo_exactly(kind, group, data, sc
     bases = data.draw(st.lists(st.sampled_from(group), min_size=2, max_size=3))
     with operation():           # one operation: one memo for all the iterators
         ws = fresh_system(kind)
-        iters = [alpha_terms(ws, TQB, v) for v in bases]
+        iters = [generation_stream(ws, TQB, v) for v in bases]
         seen = [0] * len(bases)
         for pick in schedule:
             i = pick % len(bases)
             if seen[i] == MEMO_DEPTH:
                 continue
-            n, t = next(iters[i])
+            n, t, _, _ = next(iters[i])
             assert n == seen[i]
             assert t == REFERENCE_TERMS[(kind, bases[i])][n]   # bit-identical
             seen[i] += 1
@@ -328,7 +365,7 @@ class CountingTqb(TqbKernel):
     def ray(self, u, depth):
         chain = super().ray(u, depth)
         if chain is not None:
-            self.steps += len(chain)
+            self.steps += chain.stop - chain.start
         return chain
 
     def parent(self, v):
@@ -354,7 +391,7 @@ def test_streams_through_one_top_take_its_up_step_once():
 
 def test_generations_before_build_from_are_skipped_not_zero():
     with operation() as op:
-        terms = [t for _, t in islice(alpha_terms(EX52, TQB, (0, 0), 5), 9)]
+        terms = [t for _, t, _, _ in islice(generation_stream(EX52, TQB, (0, 0), 5), 9)]
         built = sorted(n for ladder in op.memos["shells", EX52, TQB].values() for n in ladder)
         assert op.used == 4 + sum(range(5, 9))    # a miss and n vertices per built shell
     assert terms[:5] == [None] * 5
@@ -453,15 +490,15 @@ def test_same_generation_verdict_walks_only_its_own_shells():
         assert k.steps - calls == 3
         fresh = cauchy_dual(ex52_weights(), TQB)
         assert second == alpha_verdict(fresh, TQB, (2, 2), cfg)
-        assert (list(islice(alpha_terms(dual, k, (2, 2)), N + 1))
-                == list(islice(alpha_terms(fresh, TQB, (2, 2)), N + 1)))
+        assert ([(n, t) for n, t, _, _ in islice(generation_stream(dual, k, (2, 2)), N + 1)]
+                == [(n, t) for n, t, _, _ in islice(generation_stream(fresh, TQB, (2, 2)), N + 1)])
 
 
 def test_stream_raises_on_a_degenerate_ray_norm():
     # spine norms are 2; from n = 3 a ray weight is 1e-7, its norm 1e-14
     dual = cauchy_dual(FunctionWeights(lambda v: 1e-7 if v[0] >= 3 else 1.0), TQB)
     stream = generation_stream(dual, TQB, (0, 0))
-    assert [n for n, _, _ in islice(stream, 3)] == [0, 1, 2]
+    assert [n for n, _, _, _ in islice(stream, 3)] == [0, 1, 2]
     # generation 3 takes the ray (2, 3), (3, 3) below (1, 3) in one call
     with pytest.raises(DegenerateNormError, match=r"norm at \(2, 3\) fell below"):
         next(stream)
@@ -482,7 +519,7 @@ def test_ray_pieces_keep_floats_and_charges(monkeypatch):
     def walk():
         with operation() as budget:
             dual = cauchy_dual(ex52_weights(), TQB)
-            terms = [bits(b, m) for _, b, m in islice(generation_stream(dual, TQB, (0, 0)), 30)]
+            terms = [bits(b, m) for _, _, b, m in islice(generation_stream(dual, TQB, (0, 0)), 30)]
             norm = shift_norm_sq(dual, TQB, (1, 2), 25).hex()
             return terms, norm, sorted(cache_items(dual)), budget.used
 
@@ -503,11 +540,211 @@ def test_parent_stream_leaves_rungs_the_child_descends_from():
         calls = k.steps
         # par^(n-1)(0, 0) = par^(n-2)(0, 1): generation n descends one level
         # from the stored A((0, 1), n - 1)
-        laddered = [bits(b, m) for _, b, m in islice(generation_stream(dual, k, (0, 0)), N + 1)]
+        laddered = [bits(b, m) for _, _, b, m in islice(generation_stream(dual, k, (0, 0)), N + 1)]
         assert k.steps - calls == 40       # a fresh walk makes 820
         fresh = cauchy_dual(ex52_weights(), TQB)
-        assert laddered == [bits(b, m) for _, b, m in
+        assert laddered == [bits(b, m) for _, _, b, m in
                             islice(generation_stream(fresh, TQB, (0, 0)), N + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the stream's misses against the walker they bypass
+
+
+def file_tree(depth: int) -> str:
+    """A small file tree: below the boundary root r, vertex w has one to
+    three children, named w0, w1, ..., by its name's code points and length,
+    and the vertices `depth` levels down are boundary leaves."""
+    lines, level = [], ["r"]
+    for _ in range(depth):
+        nxt = []
+        for w in level:
+            kids = [f"{w}{i}" for i in range(1 + (sum(map(ord, w)) + len(w)) % 3)]
+            lines.append(f"{w}: {' '.join(kids)}")
+            nxt += kids
+        level = nxt
+    return "\n".join([f"#boundary: r {' '.join(level)}", *lines])
+
+
+FILE_DEPTH = 5
+FILE_TREE = load_adjacency(file_tree(FILE_DEPTH))
+PROP51_TABLE = ("table:0=2,1=3,default=1", "table:-1=2,2=0.5,default=1")
+
+
+def prop51_table():
+    return Prop51Weights(*map(PolyRule.parse, PROP51_TABLE))
+
+
+def tilted():
+    return FunctionWeights(lambda v: 1.0 + abs(v[0]) / 7.0 + v[1] / 10.0, name="tilted")
+
+
+def name_weights():
+    return FunctionWeights(lambda w: 1.0 + (sum(map(ord, w)) % 5) / 4.0, name="by-name")
+
+
+def tqb_window(rng):
+    return Window((rng.randint(0, 3), rng.randint(-3, 3)), rng.randint(1, 3), rng.randint(0, 3))
+
+
+def tkinf_window(rng):
+    base = rng.choice([(rng.randint(-3, 0), 0), (rng.randint(1, 3), rng.randint(1, 3))])
+    return Window(base, rng.randint(1, 3), rng.randint(0, 2))
+
+
+def zpath_window(rng):
+    return Window(rng.randint(-5, 5), rng.randint(1, 3), rng.randint(0, 2))
+
+
+def file_window(rng):
+    # the window's last level lies within the tree, its top at r or below
+    base = "r"
+    for _ in range(rng.randint(2, FILE_DEPTH - 1)):
+        base = rng.choice(FILE_TREE.children(base))
+    depth = len(base) - 1
+    return Window(base, rng.randint(1, depth), rng.randint(0, FILE_DEPTH - depth))
+
+
+def dual_of(make, kernel):
+    return lambda: cauchy_dual(make(), kernel)
+
+
+# name: (kernel, fresh weight system, window drawn from a seeded rng,
+# generations per stream)
+MISS_CASES = {
+    "tqb-ex52": (TQB, ex52_weights, tqb_window, 24),
+    "tqb-ex52-dual": (TQB, dual_of(ex52_weights, TQB), tqb_window, 24),
+    "tqb-prop51-table": (TQB, prop51_table, tqb_window, 24),
+    "tqb-prop51-table-dual": (TQB, dual_of(prop51_table, TQB), tqb_window, 24),
+    "tkinf3": (TkInfKernel(3), tilted, tkinf_window, 12),
+    "zpath": (ZPathKernel(), lambda: ConstantWeights(2.0), zpath_window, 8),
+    "file": (FILE_TREE, name_weights, file_window, FILE_DEPTH),
+}
+
+
+def generations(kernel, v, N):
+    """N, or fewer on a file tree: generation n reads par^n(v), and the
+    root r of FILE_TREE has no parent."""
+    return min(N, len(v) - 1) if kernel is FILE_TREE else N
+
+
+def hexed(members):
+    return [(u, acc.hex()) for u, acc in members]
+
+
+def fresh_shell(kernel, make, v, n):
+    """A(v, n) from `shell` on a fresh weight system, in an operation of its own."""
+    top = par_n(kernel, v, n - 1)
+    with operation():
+        return hexed(shell(kernel, top, kernel.parent(top), n, make()))
+
+
+def walk_streams(kernel, ws, vertices, N):
+    """Each vertex's stream, one after another, as hexed members per generation."""
+    return {v: [hexed(members) for _, _, _, members in
+                islice(generation_stream(ws, kernel, v), generations(kernel, v, N) + 1)]
+            for v in vertices}
+
+
+def assert_fresh_shells(kernel, make, walked):
+    for v, gens in walked.items():
+        assert gens[0] == [(v, "0x0.0p+0")]
+        for n in range(1, len(gens)):
+            assert gens[n] == fresh_shell(kernel, make, v, n), (v, n)
+
+
+def record_descents(monkeypatch):
+    """(first rung vertex or None, rung width, depth) of each `descend` call a stream makes."""
+    calls = []
+    real = series.descend
+
+    def descend(kernel, frontier, depth, ws=None):
+        calls.append((frontier[0][0] if frontier else None, len(frontier), depth))
+        return real(kernel, frontier, depth, ws)
+
+    monkeypatch.setattr(series, "descend", descend)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("case", MISS_CASES)
+def test_stream_members_are_fresh_shells_bit_for_bit(case, seed):
+    # streams in window order, top first, in one operation: each reads the
+    # rungs of the ones before it, folds one-vertex rungs down their rays
+    # and leaves the rest to descend
+    kernel, make, draw, N = MISS_CASES[case]
+    vertices = window_vertices(kernel, draw(random.Random(seed)))
+    with operation():
+        walked = walk_streams(kernel, make(), vertices, N)
+    assert_fresh_shells(kernel, make, walked)
+
+
+def test_a_rung_on_the_spine_descends_by_the_level_loop(monkeypatch):
+    # A((1, 2), 1) = [(0, 1)]: the stream at (2, 2) takes it as its rung for
+    # generation 2, and the spine has no ray
+    calls = record_descents(monkeypatch)
+    make = dual_of(ex52_weights, TQB)
+    with operation():
+        walked = walk_streams(TQB, make(), [(1, 2), (2, 2)], 8)
+    assert ((0, 1), 1, 1) in calls
+    assert_fresh_shells(TQB, make, walked)
+
+
+def test_a_ray_longer_than_one_piece_descends_in_pieces(monkeypatch):
+    make = dual_of(ex52_weights, TQB)
+    with operation():
+        whole = walk_streams(TQB, make(), [(0, 0)], 12)
+    calls = record_descents(monkeypatch)
+    monkeypatch.setattr(tree_core, "RAY_PIECE", 3)
+    with operation():
+        pieces = walk_streams(TQB, make(), [(0, 0)], 12)
+    # generation n folds a ray n - 1 deep below (1, n) only up to n = 4
+    assert calls == [((1, n), 1, n - 1) for n in range(5, 13)]
+    assert pieces == whole
+
+
+class NoRayTqb(TqbKernel):
+    """tqb without its closed-form rays: every walk takes the level loop."""
+
+    def ray(self, u, depth):
+        return None
+
+
+def cap_trip(kernel, dual):
+    ws = ex52_weights()
+    if dual:
+        ws = cauchy_dual(ws, kernel)
+    with pytest.raises(ResourceCapError) as info:
+        for _ in generation_stream(ws, kernel, (0, 0)):
+            pass
+    return str(info.value)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_a_cap_trips_at_the_level_loops_generation(monkeypatch, dual):
+    folds = []
+    real = series.ray_fold
+
+    def ray_fold(*args):
+        try:
+            return real(*args)
+        except ResourceCapError:
+            folds.append(1)
+            raise
+
+    monkeypatch.setattr(series, "ray_fold", ray_fold)
+    for cap in range(40, 130):
+        monkeypatch.setenv("WOLDLAB_MAX_VERTICES", str(cap))
+        assert cap_trip(TQB, dual) == cap_trip(NoRayTqb(), dual), cap
+    assert folds
+    if not dual:
+        # generation n charges its miss, its first level and n - 1 ray
+        # vertices, 54 in all to generation 9: at cap 64 the fold of
+        # generation 10, 9 deep, asks for one vertex past the cap
+        folds.clear()
+        monkeypatch.setenv("WOLDLAB_MAX_VERTICES", "64")
+        assert "more than 64 vertices while walking generation 10 " in cap_trip(TQB, dual)
+        assert folds == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +953,7 @@ def test_a_rejected_primal_plugin_leaves_the_heuristic_every_term():
         with operation():
             ws = nudged(Prop51Weights, (2, 30), PolyRule(1.0), PolyRule(1.0))
             verdict = alpha_verdict(ws, TQB, (0, 0), SeriesConfig(N, use_plugins))
-            walked = [bits(b, m) for _, b, m in islice(generation_stream(ws, TQB, (0, 0)), N + 1)]
+            walked = [bits(b, m) for _, _, b, m in islice(generation_stream(ws, TQB, (0, 0)), N + 1)]
         return verdict, walked
 
     # the plugin built generations 24 to 40 alone; the heuristic after it

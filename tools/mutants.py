@@ -3,12 +3,16 @@
 closed-form sibling sets and rays with their vertex charge, tqb's ray
 descriptor and its last vertex, the default ray that knows no chain, the
 walk's piece loop going on from each piece's last vertex and leaving the
-level loop only the levels it did not walk, the dual's one degenerate-norm
-guard, met on a ray, at a lone child and on a sibling set, the ray rows
-that an operation keeps per row key as runs read by slice, the stream's
-one budget, its rungs, up-steps and base moment against the exact oracle,
-the shells it builds only where a verdict reads them, each term summed in
-place from the stream's entries, the heuristic's stream stops, its
+level loop only the levels it did not walk, the one-vertex ray fold's
+charge, the dual's one degenerate-norm guard, met on a ray, at a lone
+child and on a sibling set, the ray rows that an operation keeps per row
+key as runs read by slice, in the run or after extending it, the stream's
+one budget, bound whenever another is current, its rungs, first levels,
+up-steps and base moment against the exact oracle and the identities of
+scaling and of the dual's dual, the one-vertex rungs it folds where the
+level loop took a weight per level, the shells it builds only where a
+verdict reads them, each term summed in place from the stream's entries,
+the heuristic's stream stops, its
 insufficient-terms guard, each of its tail rules and the order they are
 tried in, the one compensated step of `NeumaierSum.add` and the running
 sum it returns,
@@ -108,8 +112,10 @@ MUTANTS = [
     (TREE, "RayChain(n + 1, n + depth + 1, m)", "RayChain(n + 1, n + depth, m)",
      "tests/test_tree_core.py::test_tqb_ray_chain_describes_the_walk"),
     (TREE, "(self.stop - 1, self.m)", "(self.stop, self.m)", ORACLE),
-    (TREE, "u = chain.last\n", "\n",
+    (TREE, "frontier = folded\n", "\n",
      "tests/test_series.py::test_ray_pieces_keep_floats_and_charges"),
+    (TREE, "budget.charge(depth)", "budget.charge(depth - 1)",
+     "tests/test_series.py::test_dual_table_charges_each_ray_vertex_once"),
     (TREE, 'knows none.\n        """\n        return None', 'knows none.\n        """\n        return ()',
      "tests/test_tree_core.py::test_default_ray_knows_no_closed_form"),
     (WEIGHTS, "if norm < NORM_FLOOR:", "if False:",
@@ -119,31 +125,52 @@ MUTANTS = [
      "tests/test_weights.py::test_sibling_filled_miss_raises_on_a_degenerate_norm"),
     # ray rows: one per row key (prop51's (a_m, b_m), the tampered ray's own),
     # none for a subclass with a new log_weight, a run of n read by slice,
-    # and never filled across a gap longer than the chain
+    # in the run and after extending it, and never filled across a gap
+    # longer than the chain
     (WEIGHTS, "return (self.a.table.get(m, self.a.default), self.b.table.get(m, self.b.default))",
      "return self.a.table.get(m, self.a.default)", WARM),
     (CLI, "m == _TAMPER_VERTEX[1]", "False", WARM),
     (WEIGHTS, "cls.row_key = WeightSystem.row_key", "pass",
      "tests/test_weights.py::test_a_new_log_weight_gets_the_per_vertex_ray_form"),
-    (WEIGHTS, "values[start - lo:stop - lo]", "values[start - lo + 1:stop - lo + 1]",
+    (WEIGHTS, "stop <= hi:\n                return values[start - lo:stop - lo]",
+     "stop <= hi:\n                return values[start - lo + 1:stop - lo + 1]", WARM),
+    (WEIGHTS, "range(hi, stop)])\n                return values[start - lo:stop - lo]",
+     "range(hi, stop)])\n                return values[start - lo + 1:stop - lo + 1]",
      "tests/test_weights.py::test_ray_rows_are_runs_read_by_slice[extend-0]"),
     (WEIGHTS, "if max(start - hi, lo - stop) <= stop - start:",
      "if max(start - hi, lo - stop) <= 10**9:",
      "tests/test_weights.py::test_a_deep_ray_keeps_rows_of_the_walked_length[0]"),
     # a stream takes each miss with its own budget current, so a dual miss
-    # charges its sibling there, in an operation or out of one
+    # charges its sibling there, in an operation or out of one, and binds it
+    # when another operation's budget is current too
     (SERIES, "token = bind_budget(budget)", "token = bind_budget(Budget())",
      "tests/test_tree_core.py::test_stream_budget_is_bound_once_in_or_out_of_an_operation"
      "[True-9]"),
+    (SERIES, "if bound_budget() is not budget else None", "if bound_budget() is None else None",
+     "tests/test_tree_core.py::test_a_stream_resumed_in_another_operation_charges_its_own_budget"),
     # the term stream against the exact oracle: the deepest rung below n in
     # the stream's inline rung search, the base moment's update, the
-    # up-steps kept per weight system, the dual's sibling-set norm, and the
-    # levels that descend's ray leaves the level loop
+    # up-steps kept per weight system and the dual's sibling-set norm
     (SERIES, "if j < k < n:", "if j < k:", ORACLE),
     (SERIES, "base_log += lw", "base_log = lw", ORACLE),
     (SERIES, '("steps", ws, kernel)', '("steps", kernel)', ORACLE),
     (WEIGHTS, "if len(kids) == 1:", "if len(kids) <= 2:", ORACLE),
-    (TREE, "for _ in range(level, depth):", "for _ in range(depth):", ORACLE),
+    # descend's ray pieces leave the level loop only the levels they did not
+    # walk: the stream's one-vertex rungs reach those pieces only past
+    # RAY_PIECE, where they must give the one-piece fold's members bit for bit
+    (TREE, "for _ in range(level, depth):", "for _ in range(depth):",
+     "tests/test_series.py::test_a_ray_longer_than_one_piece_descends_in_pieces"),
+    # a miss weighs the first level it walks down from, which scaling every
+    # weight must not change; a lone child's dual divides by its squared
+    # weight, which the dual's dual must undo; and a one-vertex rung folds
+    # its ray from the rows, not one children and log_weight call per level
+    (SERIES, "rung = [(c, log_weight(c)) for c in children(step[1]) if c != top]",
+     "rung = [(c, 0.0) for c in children(step[1]) if c != top]",
+     "tests/test_series.py::test_terms_are_invariant_under_scaling_the_weights[3.0-primal]"),
+    (WEIGHTS, "logs, norm = None, math.exp(2.0 * own)", "logs, norm = None, math.exp(own)",
+     "tests/test_series.py::test_the_dual_of_the_dual_has_the_primal_terms[v0]"),
+    (SERIES, "elif len(rung) == 1:", "elif False:",
+     "tests/test_cli.py::test_command_touches_are_pinned[wold-2,-2]"),
     # the stream builds generations from build_from on, the primal plugin
     # from the first one its fit reads, and the fit declines a non-finite K
     (SERIES, "if n >= build_from:", "if n > build_from:",
