@@ -15,13 +15,15 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import islice
+from operator import add
 
 from .errors import DivergentSeriesError, ResourceCapError, UndecidedSeriesError
 from .numerics import NeumaierSum, quadratic_tail_integral, quadratic_tail_sum
 from .operator import SparseVector, apply_shift
 from .tree_core import (Budget, TqbKernel, TreeKernel, BilateralPath, bind_budget,
-                        bound_budget, descend, operation, ray_fold, unbind_budget)
+                        bound_budget, descend, operation, unbind_budget)
 from .weights import (ConstantWeights, Prop51Weights, WeightSystem, family_root,
                       shift_norm_sq)
 
@@ -63,10 +65,14 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v, build_from: int =
     the deepest stored j < n, or else the top's first level, the children
     of par(top) other than top, weighted and charged as `shell` does it
     and not stored unless it is the shell itself (n = 1).  A one-vertex
-    rung goes down its unary ray by one `ray_fold`; a wider rung, a rung
-    with no ray (the tqb spine, kernels with no closed form) and a ray
-    longer than one piece `descend`.  A stream at par(v) run before the
-    one at v thus leaves v one level per generation to walk.  The up-step
+    rung folds its unary ray here, the only fold there is: one `kernel.ray`
+    call for at most one vertex past the cap, one `ws.ray_log_weights`
+    call, the weights added to the rung's log in ray order, and one charge
+    for the chain, so floats, trip points and the error a bad weight
+    raises are the level loop's.  A wider rung, and a rung whose kernel
+    gives no ray (the tqb spine, kernels with no closed form), take
+    `descend`'s level loop.  A stream at par(v) run before the one at v
+    thus leaves v one level per generation to walk.  The up-step
     of a top, (log_weight(top), par(top)), is memoized beside the shells,
     so streams through one top take its weight and parent once per
     operation.
@@ -125,7 +131,17 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v, build_from: int =
                         if j == n:
                             members = rung
                         elif len(rung) == 1:
-                            members = ray_fold(kernel, rung[0], n - j, ws, budget)
+                            # fold the ray, asking for at most one vertex
+                            # past the cap, so the charge trips where the
+                            # level loop does
+                            (u, acc), = rung
+                            chain = kernel.ray(u, min(n - j, budget.cap - budget.used + 1))
+                            if chain is not None:
+                                # reduce is the level loop's left fold (sum
+                                # compensates from Python 3.12)
+                                acc = reduce(add, ws.ray_log_weights(chain), acc)
+                                charge(chain.stop - chain.start)
+                                members = [(chain.last, acc)]
                         if members is None:
                             members = descend(kernel, rung, n - j, ws)
                         ladder[n] = members

@@ -11,8 +11,7 @@ from __future__ import annotations
 import os
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import reduce, wraps
-from operator import add
+from functools import wraps
 
 from .errors import MalformedTreeError, ResourceCapError, UnknownVertexError
 
@@ -127,8 +126,9 @@ class TreeKernel:
     def ray(self, u, depth):
         """The unary ray below u, `depth` >= 1 levels of it, as a `RayChain`
         of lone children, each the only child of the vertex before it; or
-        None where the kernel knows no closed form, and `descend` walks on
-        with its level loop.  This default knows none.
+        None where the kernel knows no closed form, and the walk takes
+        `descend`'s level loop.  Only the series term stream asks, to fold
+        a one-vertex rung.  This default knows none.
         """
         return None
 
@@ -261,7 +261,7 @@ class TkInfKernel(TreeKernel):
 class RayChain:
     """The vertices (start, m), (start + 1, m), ..., (stop - 1, m) of a tqb
     ray, as `TqbKernel.ray` gives them, by descriptor: weight systems read
-    (start, stop, m), and `ray_fold` the last vertex."""
+    (start, stop, m), and the term stream's fold the last vertex."""
 
     __slots__ = ("start", "stop", "m")
 
@@ -482,72 +482,26 @@ def make_kernel(spec: str) -> TreeKernel:
 # iterated maps and generation shells
 
 
-RAY_PIECE = 4096   # the most ray vertices `descend` holds at once
-
-
 def _no_weight(v) -> float:
     return 0.0
 
 
-def ray_fold(kernel: TreeKernel, entry, depth: int, ws, budget: Budget):
-    """The frontier [(w, log)] `depth` >= 1 levels down the unary ray below
-    entry = (u, log), walked as one piece; None where the kernel knows no
-    closed form for it, or where the piece would hold more than RAY_PIECE
-    vertices or more than one vertex past what `budget` has left.
-
-    One `kernel.ray` call, one `ws.ray_log_weights` call (none when `ws`
-    is None) and one charge of `budget` for the `depth` vertices the chain
-    holds by `ray`'s contract.  The weights are added to log in
-    ray order before the charge, as the level loop adds them, so floats,
-    trip points and the error a bad weight raises are the level loop's.
-    `descend` takes its rays in these pieces, and the series term stream
-    takes a one-vertex rung's shell with one of them.
-    """
-    if depth > RAY_PIECE or depth > budget.cap - budget.used + 1:
-        return None
-    u, acc = entry
-    chain = kernel.ray(u, depth)
-    if chain is None:
-        return None
-    if ws is not None:
-        # reduce is the level loop's left fold (sum compensates from
-        # Python 3.12)
-        acc = reduce(add, ws.ray_log_weights(chain), acc)
-    budget.charge(depth)
-    return [(chain.last, acc)]
-
-
 def descend(kernel: TreeKernel, frontier, depth: int, ws=None):
-    """Expand a frontier of (vertex, log) pairs `depth` levels down.
+    """Expand a frontier of (vertex, log) pairs `depth` levels down, one
+    level at a time.
 
     Each level is charged to the current budget (`Budget.current()`, read
-    once per call).  A child's entry is its parent's log plus the log
-    weight of the child under the weight system `ws`; an unweighted walk
-    (`ws` None) adds a zero weight, which keeps the loop free of
-    per-vertex branches.  A one-vertex frontier more than one level deep
-    goes down its unary ray by `ray_fold`, in pieces of at most RAY_PIECE
-    vertices, each asking for at most one vertex past the cap, so memory
-    stays bounded by the piece and a huge `depth` trips at the cap.  Where
-    the kernel knows no closed form, and for a single level, the level
-    loop that wide frontiers take does the work, from the vertex the
-    pieces reached.
+    once per call), so a huge `depth` trips at the cap holding one level.
+    A child's entry is its parent's log plus the log weight of the child
+    under the weight system `ws`; an unweighted walk (`ws` None) adds a
+    zero weight, which keeps the loop free of per-vertex branches.
     Iterated children, shells, shift-power norms and the series term
-    stream's wide rungs all descend here; windows, which keep every
-    level, take one plain pass in `window_depth_classes`.
+    stream's rungs that it does not fold all descend here; windows, which
+    keep every level, take one plain pass in `window_depth_classes`.
     """
-    budget = Budget.current()
-    children, charge = kernel.children, budget.charge
+    children, charge = kernel.children, Budget.current().charge
     log_weight = _no_weight if ws is None else ws.log_weight
-    level = 0
-    if len(frontier) == 1 and depth > 1:
-        while level < depth:
-            piece = min(depth - level, RAY_PIECE, budget.cap - budget.used + 1)
-            folded = ray_fold(kernel, frontier[0], piece, ws, budget)
-            if folded is None:
-                break
-            frontier = folded
-            level += piece
-    for _ in range(level, depth):
+    for _ in range(depth):
         nxt = []
         append = nxt.append
         for u, acc in frontier:
@@ -563,11 +517,12 @@ def shell(kernel: TreeKernel, top, up, n: int, ws=None):
 
     A(v, 1) = Chi(par(v)) minus v, and A(v, n) = Chi(A(par(v), n-1)); the
     unrolled form drops the one child of up = par(top) leading back to v and
-    expands the rest n-1 levels.  Logs accumulate from the shell's first
-    level under the weight system `ws`, as in `descend`, and every level is
-    charged to the current budget.  The series term stream weighs and
-    charges a first level the same way when it has no deeper rung to walk
-    down from, and then folds or descends from it itself.
+    expands the rest n-1 levels by `descend`'s level loop.  Logs accumulate
+    from the shell's first level under the weight system `ws`, and every
+    level is charged to the current budget.  The series term stream weighs
+    and charges a first level the same way when it has no deeper rung to
+    walk down from, and then folds or descends from it itself; a fresh
+    `shell` is the level-loop oracle its members are tested against.
     """
     log_weight = _no_weight if ws is None else ws.log_weight
     first = [(c, log_weight(c)) for c in kernel.children(up) if c != top]

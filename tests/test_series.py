@@ -25,9 +25,9 @@ from woldlab.series import (ANALYTIC_TERMS, DELTA, TAIL_RULES, TERM_FLOOR, WINDO
                             _tail_growth, _tail_undecided,
                             alpha_partial, alpha_verdict, g_vector,
                             generation_stream, hyperrange_recurrence_check)
-from woldlab import series, tree_core
+from woldlab import series
 from woldlab.tree_core import (BilateralPath, Budget, TkInfKernel, TqbKernel, Window,
-                               ZPathKernel, load_adjacency, operation, par_n, shell,
+                               ZPathKernel, descend, load_adjacency, operation, par_n, shell,
                                window_vertices)
 from woldlab.weights import (ConstantWeights, FunctionWeights, PolyRule,
                              Prop51Weights, TkinfIsometricWeights, cauchy_dual,
@@ -515,22 +515,6 @@ def bits(base_log, members):
     return [(u, (acc - base_log).hex()) for u, acc in members]
 
 
-def test_ray_pieces_keep_floats_and_charges(monkeypatch):
-    def walk():
-        with operation() as budget:
-            dual = cauchy_dual(ex52_weights(), TQB)
-            terms = [bits(b, m) for _, _, b, m in islice(generation_stream(dual, TQB, (0, 0)), 30)]
-            norm = shift_norm_sq(dual, TQB, (1, 2), 25).hex()
-            return terms, norm, sorted(cache_items(dual)), budget.used
-
-    def cache_items(dual):
-        return [(v, lw.hex()) for v, lw in dual._log_cache.items()]
-
-    whole = walk()
-    monkeypatch.setattr(tree_core, "RAY_PIECE", 3)
-    assert walk() == whole
-
-
 def test_parent_stream_leaves_rungs_the_child_descends_from():
     N = 40
     k = CountingTqb()
@@ -690,24 +674,109 @@ def test_a_rung_on_the_spine_descends_by_the_level_loop(monkeypatch):
     assert_fresh_shells(TQB, make, walked)
 
 
-def test_a_ray_longer_than_one_piece_descends_in_pieces(monkeypatch):
-    make = dual_of(ex52_weights, TQB)
-    with operation():
-        whole = walk_streams(TQB, make(), [(0, 0)], 12)
-    calls = record_descents(monkeypatch)
-    monkeypatch.setattr(tree_core, "RAY_PIECE", 3)
-    with operation():
-        pieces = walk_streams(TQB, make(), [(0, 0)], 12)
-    # generation n folds a ray n - 1 deep below (1, n) only up to n = 4
-    assert calls == [((1, n), 1, n - 1) for n in range(5, 13)]
-    assert pieces == whole
-
-
 class NoRayTqb(TqbKernel):
     """tqb without its closed-form rays: every walk takes the level loop."""
 
     def ray(self, u, depth):
         return None
+
+
+def test_ray_folds_keep_the_level_loops_floats_and_charges():
+    # the stream's folds on tqb against the level loop on a tqb with no ray:
+    # members, a norm walked through the same operation, the dual's cache
+    # and the charges, bit for bit
+    def walk(kernel):
+        with operation() as budget:
+            dual = cauchy_dual(ex52_weights(), kernel)
+            terms = [bits(b, m) for _, _, b, m in
+                     islice(generation_stream(dual, kernel, (0, 0)), 30)]
+            norm = shift_norm_sq(dual, kernel, (1, 2), 25).hex()
+            cache = sorted((v, lw.hex()) for v, lw in dual._log_cache.items())
+            return terms, norm, cache, budget.used
+
+    assert walk(TQB) == walk(NoRayTqb())
+
+
+def test_a_fold_deeper_than_4096_levels_is_the_level_loops_shell(monkeypatch):
+    # generation n at (0, 0) folds the ray n - 1 deep below (1, n) as one
+    # chain, however deep; only generations 4100 to 4103 are built
+    calls = record_descents(monkeypatch)
+    make = dual_of(ex52_weights, TQB)
+    lo, hi = 4100, 4103
+    with operation():
+        folded = [hexed(members) for n, _, _, members in
+                  islice(generation_stream(make(), TQB, (0, 0), lo), hi + 1) if n >= lo]
+    assert calls == []
+    assert folded == [fresh_shell(TQB, make, (0, 0), n) for n in range(lo, hi + 1)]
+
+
+def spy_rays(kernel):
+    """`kernel`, its `ray` calls logged in `kernel.rays` as (u, depth, the
+    chain's last vertex or None)."""
+    real = kernel.ray
+    kernel.rays = []
+
+    def ray(u, depth):
+        chain = real(u, depth)
+        kernel.rays.append((u, depth, chain and chain.last))
+        return chain
+
+    kernel.ray = ray
+    return kernel
+
+
+def test_descend_asks_no_ray():
+    # one-vertex frontiers on a ray and on the spine, weighted or not, and
+    # the shift-power norms that walk through descend
+    kernel = spy_rays(TqbKernel())
+    for depth in range(1, 26):
+        for u in ((1, 0), (0, 0)):
+            descend(kernel, [(u, 0.0)], depth)
+            descend(kernel, [(u, 0.0)], depth, EX52)
+            shift_norm_sq(EX52, kernel, u, depth)
+    assert kernel.rays == []
+
+
+def file_streams():
+    """Every vertex of FILE_TREE below r with the generations its stream has."""
+    return [(v, len(v) - 1) for v in window_vertices(FILE_TREE, Window("r", 0, FILE_DEPTH))[1:]]
+
+
+# name: (fresh kernel, weight system on it, [(stream vertex, generations)])
+RAY_MISS_CASES = {
+    "tqb-rays": (TqbKernel, lambda k: cauchy_dual(ex52_weights(), k), [((0, 0), 24)]),
+    # the case of test_a_rung_on_the_spine_descends_by_the_level_loop
+    "tqb-spine": (TqbKernel, lambda k: cauchy_dual(ex52_weights(), k),
+                  [((1, 2), 8), ((2, 2), 8)]),
+    "tkinf2": (lambda: TkInfKernel(2), lambda k: tilted(),
+               [((-1, 0), 12), ((0, 0), 12), *(((m, j), 12) for m in range(1, 6) for j in (1, 2))]),
+    "file": (lambda: load_adjacency(file_tree(FILE_DEPTH)), lambda k: name_weights(),
+             file_streams()),
+}
+
+
+@pytest.mark.parametrize("case", RAY_MISS_CASES)
+def test_each_one_vertex_rung_miss_asks_one_ray(monkeypatch, case):
+    make_kernel, make_ws, streams = RAY_MISS_CASES[case]
+    kernel = spy_rays(make_kernel())
+    ws = make_ws(kernel)
+    descents = record_descents(monkeypatch)
+    with operation() as op:
+        for v, N in streams:
+            list(islice(generation_stream(ws, kernel, v), N + 1))
+        ladders = op.memos["shells", ws, kernel].values()
+    # a miss past generation 1 walks from a rung: one ray for a one-vertex
+    # rung, and descend for a wider one or where the ray is None
+    walked = sum(map(len, ladders)) - sum(1 in ladder for ladder in ladders)
+    assert len(kernel.rays) == walked - sum(width != 1 for _, width, _ in descents)
+    assert ([(u, depth) for u, depth, last in kernel.rays if last is None]
+            == [(u, depth) for u, width, depth in descents if width == 1])
+    if case == "tqb-rays":
+        assert kernel.rays == [((1, n), n - 1, (n, n)) for n in range(2, 25)]
+    elif case == "tqb-spine":
+        assert ((0, 1), 1, None) in kernel.rays
+    else:
+        assert kernel.rays
 
 
 def cap_trip(kernel, dual):
@@ -722,29 +791,47 @@ def cap_trip(kernel, dual):
 
 @pytest.mark.parametrize("dual", [False, True])
 def test_a_cap_trips_at_the_level_loops_generation(monkeypatch, dual):
-    folds = []
-    real = series.ray_fold
+    events = []
+    real = Budget.charge
 
-    def ray_fold(*args):
-        try:
-            return real(*args)
-        except ResourceCapError:
-            folds.append(1)
-            raise
+    class LoggingTqb(TqbKernel):
+        """tqb that logs the length of each chain its `ray` gives beside
+        the budget's charges."""
 
-    monkeypatch.setattr(series, "ray_fold", ray_fold)
-    for cap in range(40, 130):
+        def ray(self, u, depth):
+            chain = super().ray(u, depth)
+            events.append(("ray", chain and chain.stop - chain.start))
+            return chain
+
+    def charge(self, k=1):
+        events.append(("charge", k))
+        real(self, k)
+
+    def fold_trip(cap):
+        """The stream's trip text at `cap`, and the chain length of the fold
+        whose charge tripped, or None where no fold's charge did."""
         monkeypatch.setenv("WOLDLAB_MAX_VERTICES", str(cap))
-        assert cap_trip(TQB, dual) == cap_trip(NoRayTqb(), dual), cap
-    assert folds
+        events.clear()
+        text = cap_trip(LoggingTqb(), dual)
+        *_, asked, tripped = events
+        return text, asked[1] if asked == ("ray", tripped[1]) else None
+
+    monkeypatch.setattr(Budget, "charge", charge)
+    folds = []
+    for cap in range(40, 130):
+        text, fold = fold_trip(cap)
+        assert text == cap_trip(NoRayTqb(), dual), cap
+        folds.append(fold)
+    assert any(folds)
     if not dual:
         # generation n charges its miss, its first level and n - 1 ray
         # vertices, 54 in all to generation 9: at cap 64 the fold of
-        # generation 10, 9 deep, asks for one vertex past the cap
-        folds.clear()
-        monkeypatch.setenv("WOLDLAB_MAX_VERTICES", "64")
-        assert "more than 64 vertices while walking generation 10 " in cap_trip(TQB, dual)
-        assert folds == [1]
+        # generation 10, 9 deep, trips; at cap 60 it asks for 5 vertices,
+        # one past the cap, where the level loop trips on its fifth level
+        text, fold = fold_trip(64)
+        assert "more than 64 vertices while walking generation 10 " in text and fold == 9
+        text, fold = fold_trip(60)
+        assert "more than 60 vertices while walking generation 10 " in text and fold == 5
 
 
 # ---------------------------------------------------------------------------

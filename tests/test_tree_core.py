@@ -268,7 +268,7 @@ CAP_TRIPS = {
     # levels of 2, 3, ..., n + 1 vertices below a spine vertex
     "child_n": (10, lambda n: child_n(TQB, (0, 0), n), 3),
     # one vertex per level down a ray; past the cap a depth of 10**12 trips
-    # at the cap, in pieces that never list more than one vertex past it
+    # at the cap, the level loop holding one level at a time
     "child_n_ray": (10, lambda n: child_n(TQB, (1, 0), n if n <= 10 else 10**12), 10),
     "shift_norm_sq": (10, lambda n: shift_norm_sq(ex52_weights(), TQB, (0, 0), n), 3),
     # the top anchor plus levels of 2, 3, ..., n + 1 vertices
@@ -600,17 +600,20 @@ class LogFunctionWeights(FunctionWeights):
 def test_ray_fold_is_the_level_loops_left_fold():
     # a compensated sum (`sum` from Python 3.12 on, or math.fsum) keeps the
     # 1.0 that the left fold loses to the ulp of 1e16
-    logs = {2: 1e16, 3: 1.0, 4: -1e16, 5: 0.5}
+    logs = {0: 0.0, 1: 0.0, 2: 1e16, 3: 1.0, 4: -1e16, 5: 0.5}
     ws = LogFunctionWeights(lambda v: logs[v[0]])
     want = 0.0
     for n in range(2, 6):
         want = want + logs[n]
     assert want == 0.5 != math.fsum(logs.values())
-    ray = descend(TQB, [((1, 0), 0.0)], 4, ws)
-    # a frontier of two vertices takes the level loop
-    level_loop = descend(TQB, [((1, 0), 0.0), ((1, 7), 0.0)], 4, ws)
-    assert [(u, acc.hex()) for u, acc in ray] == [((5, 0), want.hex())]
-    assert [(u, acc.hex()) for u, acc in level_loop] == [((5, 0), want.hex()),
+    # the stream's generation 5 at (0, 0) folds the ray (2, 5) ... (5, 5)
+    # below (1, 5); descend walks it, and a frontier of two, level by level
+    *_, (_, _, _, fold) = islice(generation_stream(ws, TQB, (0, 0)), 6)
+    ray = descend(TQB, [((1, 5), 0.0)], 4, ws)
+    level_loop = descend(TQB, [((1, 5), 0.0), ((1, 7), 0.0)], 4, ws)
+    assert [(u, acc.hex()) for u, acc in fold] == [((5, 5), want.hex())]
+    assert [(u, acc.hex()) for u, acc in ray] == [((5, 5), want.hex())]
+    assert [(u, acc.hex()) for u, acc in level_loop] == [((5, 5), want.hex()),
                                                          ((5, 7), want.hex())]
 
 

@@ -494,16 +494,15 @@ def test_ray_rows_are_runs_read_by_slice(case, layers):
 
 @pytest.mark.parametrize("layers", [0, 1])
 def test_a_deep_ray_keeps_rows_of_the_walked_length(layers):
-    # rows hold what walks reached, never a fill from n = 2: a walk a million
-    # levels down keeps a few entries, and a later one at the ray's top
-    # stores nothing beside them
+    # rows hold what chains reached, never a fill from n = 2: a chain a
+    # million levels down keeps a few entries, and a later one at the ray's
+    # top stores nothing beside them
     with operation() as op:
         ws = cauchy_dual(EX52, TQB) if layers else EX52
-        for u in [(10**6, 0), (1, 0), (10**6 + 2, 0)]:
-            acc = 0.0
-            for n in range(u[0] + 1, u[0] + 4):
-                acc = acc + ws.log_weight((n, 0))
-            assert shift_norm_sq(ws, TQB, u, 3).hex() == math.exp(2.0 * acc).hex()
+        for start in [10**6 + 1, 2, 10**6 + 3]:
+            chain = RayChain(start, start + 3, 0)
+            assert ([lw.hex() for lw in ws.ray_log_weights(chain)]
+                    == [ws.log_weight(v).hex() for v in chain_vertices(chain)])
         key = ("ray rows", ws)
         assert [(lo, len(values)) for lo, values in row_runs(op.memos, key)] == [(10**6 + 1, 5)]
 

@@ -2,12 +2,12 @@
 """Standing mutation check for the provenance rule, the plugin premises, the
 closed-form sibling sets and rays with their vertex charge, tqb's ray
 descriptor and its last vertex, the default ray that knows no chain, the
-walk's piece loop going on from each piece's last vertex and leaving the
-level loop only the levels it did not walk, the one-vertex ray fold's
-charge, the dual's one degenerate-norm guard, met on a ray, at a lone
-child and on a sibling set, the ray rows that an operation keeps per row
-key as runs read by slice, in the run or after extending it, the stream's
-one budget, bound whenever another is current, its rungs, first levels,
+term stream's one-vertex ray fold with its charge and its request for at
+most one vertex past the cap, the dual's one degenerate-norm guard, met
+on a ray, at a lone child and on a sibling set, the ray rows that an
+operation keeps per row key as runs read by slice, in the run or after
+extending it, the stream's one budget, bound whenever another is
+current, its rungs, first levels,
 up-steps and base moment against the exact oracle and the identities of
 scaling and of the dual's dual, the one-vertex rungs it folds where the
 level loop took a weight per level, the shells it builds only where a
@@ -105,17 +105,18 @@ MUTANTS = [
     (TREE, "if n >= 2:\n            return (v,)", "if n >= 1:\n            return (v,)",
      "tests/test_tree_core.py::test_tqb_siblings_switch_between_spine_and_rays[1]"),
     # tqb's closed-form ray stands for `depth` vertices and holds exactly
-    # them, a walk goes on from its last vertex, piece after piece, and a
-    # kernel without a closed form returns no chain; the dual's one
-    # degenerate-norm guard holds for a lone child, on a ray and one at a
-    # time, and for a sibling set
+    # them, the stream's fold goes on from its last vertex, charges each of
+    # them and asks for at most one past the cap, so that it trips at the
+    # level loop's generation, and a kernel without a closed form returns
+    # no chain; the dual's one degenerate-norm guard holds for a lone
+    # child, on a ray and one at a time, and for a sibling set
     (TREE, "RayChain(n + 1, n + depth + 1, m)", "RayChain(n + 1, n + depth, m)",
      "tests/test_tree_core.py::test_tqb_ray_chain_describes_the_walk"),
     (TREE, "(self.stop - 1, self.m)", "(self.stop, self.m)", ORACLE),
-    (TREE, "frontier = folded\n", "\n",
-     "tests/test_series.py::test_ray_pieces_keep_floats_and_charges"),
-    (TREE, "budget.charge(depth)", "budget.charge(depth - 1)",
+    (SERIES, "charge(chain.stop - chain.start)", "charge(chain.stop - chain.start - 1)",
      "tests/test_series.py::test_dual_table_charges_each_ray_vertex_once"),
+    (SERIES, "budget.cap - budget.used + 1)", "budget.cap - budget.used)",
+     "tests/test_series.py::test_a_cap_trips_at_the_level_loops_generation[False]"),
     (TREE, 'knows none.\n        """\n        return None', 'knows none.\n        """\n        return ()',
      "tests/test_tree_core.py::test_default_ray_knows_no_closed_form"),
     (WEIGHTS, "if norm < NORM_FLOOR:", "if False:",
@@ -155,11 +156,6 @@ MUTANTS = [
     (SERIES, "base_log += lw", "base_log = lw", ORACLE),
     (SERIES, '("steps", ws, kernel)', '("steps", kernel)', ORACLE),
     (WEIGHTS, "if len(kids) == 1:", "if len(kids) <= 2:", ORACLE),
-    # descend's ray pieces leave the level loop only the levels they did not
-    # walk: the stream's one-vertex rungs reach those pieces only past
-    # RAY_PIECE, where they must give the one-piece fold's members bit for bit
-    (TREE, "for _ in range(level, depth):", "for _ in range(depth):",
-     "tests/test_series.py::test_a_ray_longer_than_one_piece_descends_in_pieces"),
     # a miss weighs the first level it walks down from, which scaling every
     # weight must not change; a lone child's dual divides by its squared
     # weight, which the dual's dual must undo; and a one-vertex rung folds
