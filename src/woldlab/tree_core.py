@@ -512,11 +512,11 @@ def descend(kernel: TreeKernel, frontier, depth: int, ws=None):
     return frontier
 
 
-def shell(kernel: TreeKernel, top, up, n: int, ws=None):
+def shell(kernel: TreeKernel, top, n: int, ws=None):
     """The shell A(v, n), n >= 1, as (u, log) pairs, from top = par^(n-1)(v).
 
     A(v, 1) = Chi(par(v)) minus v, and A(v, n) = Chi(A(par(v), n-1)); the
-    unrolled form drops the one child of up = par(top) leading back to v and
+    unrolled form drops the one child of par(top) leading back to v and
     expands the rest n-1 levels by `descend`'s level loop.  Logs accumulate
     from the shell's first level under the weight system `ws`, and every
     level is charged to the current budget.  The series term stream weighs
@@ -525,7 +525,7 @@ def shell(kernel: TreeKernel, top, up, n: int, ws=None):
     `shell` is the level-loop oracle its members are tested against.
     """
     log_weight = _no_weight if ws is None else ws.log_weight
-    first = [(c, log_weight(c)) for c in kernel.children(up) if c != top]
+    first = [(c, log_weight(c)) for c in kernel.children(kernel.parent(top)) if c != top]
     Budget.current().charge(len(first))
     return descend(kernel, first, n - 1, ws)
 
@@ -554,7 +554,7 @@ def enum_A(kernel: TreeKernel, v, n: int):
     if n == 0:
         return (v,)
     top = par_n(kernel, v, n - 1)
-    return tuple(u for u, _ in shell(kernel, top, kernel.parent(top), n))
+    return tuple(u for u, _ in shell(kernel, top, n))
 
 
 # ---------------------------------------------------------------------------

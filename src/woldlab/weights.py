@@ -56,19 +56,15 @@ class WeightSystem:
 
     def ray_log_weights(self, chain: RayChain) -> list:
         """[log_weight((n, m)) for n in range(start, stop)] for a tqb
-        `RayChain` (start, stop, m), which starts at n >= 2.  When m has a
-        row key, the operation's memos keep those values under
-        ("ray rows", self), one row [lo, values] per key holding
-        log_weight((n, m)) for n in a run lo <= n < lo + len(values), so
-        each is taken once per operation.  A chain inside the run is one
-        slice of it, always a new list, read before any other rule.  A
-        chain that leaves the run extends it, gap included when the gap is
-        no longer than the chain, and is then read as a slice; a chain
-        farther off, or one whose m has no key, is taken one `log_weight`
-        call per vertex without storing it, so a row never holds more than
-        twice the vertices walked.  A gap's entries belong to no chain
-        vertex; a key vouches for the whole row, so under positive finite
-        weights they raise nothing the walk would not."""
+        `RayChain` (start, stop, m).  When m has a row key, the operation's
+        memos keep under ("ray rows", self) one row per key: the prefix
+        log_weight((n, m)) for n = 2, 3, ..., indexed by n - 2 and grown
+        only at its end, so each value is taken once per operation.  A
+        chain that starts at n >= 2 and no later than the row's end extends
+        the row to its stop and is read as one slice, always a new list.
+        Any other chain, and one whose m has no key, is taken one
+        `log_weight` call per vertex and stored nowhere: a key vouches only
+        for n >= 2, and a row never holds more than the vertices walked."""
         start, stop, m = chain.start, chain.stop, chain.m
         log_weight = self.log_weight
         key = self.row_key(m)
@@ -79,17 +75,12 @@ class WeightSystem:
                 rows = memos["ray rows", self] = {}
             row = rows.get(key)
             if row is None:
-                row = rows[key] = [start, []]
-            lo, values = row
-            hi = lo + len(values)
-            if lo <= start and stop <= hi:
-                return values[start - lo:stop - lo]
-            if max(start - hi, lo - stop) <= stop - start:
-                if start < lo:
-                    values[:0] = [log_weight((n, m)) for n in range(start, lo)]
-                    row[0] = lo = start
-                values.extend([log_weight((n, m)) for n in range(hi, stop)])
-                return values[start - lo:stop - lo]
+                row = rows[key] = []
+            end = len(row) + 2
+            if 2 <= start <= end:
+                if end < stop:
+                    row.extend([log_weight((n, m)) for n in range(end, stop)])
+                return row[start - 2:stop - 2]
         return [log_weight((n, m)) for n in range(start, stop)]
 
 

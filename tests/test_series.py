@@ -620,7 +620,7 @@ def fresh_shell(kernel, make, v, n):
     """A(v, n) from `shell` on a fresh weight system, in an operation of its own."""
     top = par_n(kernel, v, n - 1)
     with operation():
-        return hexed(shell(kernel, top, kernel.parent(top), n, make()))
+        return hexed(shell(kernel, top, n, make()))
 
 
 def walk_streams(kernel, ws, vertices, N):

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from woldlab import tree_core
 from woldlab.errors import (MalformedTreeError, MissingWeightError,
                             ResourceCapError, UnknownVertexError)
-from woldlab.tree_core import (Budget, RayChain, TkInfKernel, TqbKernel, TreeKernel, Window,
-                               ZPathKernel, BilateralPath, child_n, descend, enum_A,
-                               load_adjacency, make_kernel, operation, par_n,
+from woldlab.tree_core import (DEFAULT_VERTEX_CAP, Budget, RayChain, TkInfKernel, TqbKernel,
+                               TreeKernel, Window, ZPathKernel, BilateralPath, child_n,
+                               descend, enum_A, load_adjacency, make_kernel, operation, par_n,
                                vertex_cap, window_depth_classes,
                                window_vertices)
 from woldlab.series import generation_stream
@@ -335,8 +335,10 @@ def test_a_stream_resumed_in_another_operation_charges_its_own_budget():
                          islice(generation_stream(ws, TQB, (0, 0)), 21)]
 
 
-def test_deep_ray_trips_the_default_cap_in_bounded_memory(monkeypatch):
-    monkeypatch.delenv("WOLDLAB_MAX_VERTICES", raising=False)
+def test_deep_ray_trips_the_cap_in_bounded_memory(monkeypatch):
+    # the level loop holds one level at a time at any cap; a lower cap
+    # keeps the walk short
+    monkeypatch.setenv("WOLDLAB_MAX_VERTICES", "100000")
     tracemalloc.start()
     try:
         with pytest.raises(ResourceCapError):
@@ -344,8 +346,14 @@ def test_deep_ray_trips_the_default_cap_in_bounded_memory(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a million-vertex chain would hold about 90 MiB
-    assert peak < 4 * 2**20
+    # a chain of the cap's 10^5 vertices would hold about 9 MiB
+    assert peak < 2**18
+
+
+def test_the_default_cap_is_a_million_vertices(monkeypatch):
+    monkeypatch.delenv("WOLDLAB_MAX_VERTICES", raising=False)
+    assert vertex_cap() == DEFAULT_VERTEX_CAP == 10**6
+    assert Budget().cap == DEFAULT_VERTEX_CAP
 
 
 def test_walks_in_one_operation_share_its_budget(monkeypatch):

@@ -460,51 +460,57 @@ def test_ray_rows_are_never_aliased_and_die_with_the_operation():
     assert vars(base) == attrs
 
 
-def row_runs(memos, key):
-    """[(lo, values)] of one operation's ray rows under `key`."""
-    return [tuple(row) for row in memos.get(key, {}).values()]
+def rows_of(memos, ws):
+    """The one operation's ray rows of `ws`, one list per row key."""
+    return list(memos.get(("ray rows", ws), {}).values())
 
 
-# (chains as (start, stop, m), the run [lo, hi) the one ex52 row holds after them)
+def read_chains(ws, chains):
+    """Each (start, stop, m) chain through `ws.ray_log_weights`, checked
+    against `log_weight` per vertex bit for bit."""
+    for start, stop, m in chains:
+        chain = RayChain(start, stop, m)
+        assert ([lw.hex() for lw in ws.ray_log_weights(chain)]
+                == [ws.log_weight(v).hex() for v in chain_vertices(chain)])
+
+
+# (chains as (start, stop, m), the end hi of the run [2, hi), the prefix
+# from n = 2, that the one ex52 row holds after them): a chain that starts
+# below 2 or past the row's end leaves the row as it was.  Every m shares
+# ex52's row key, which vouches for n >= 2 only: log_weight((1, m)) is
+# -0.5 log m, so a chain from n = 1 that read a row would read another
+# ray's first weight
 ROW_RUNS = {
-    "extend": ([(2, 5, 0), (3, 4, 5), (4, 9, -3)], (2, 9)),
-    "short-gap": ([(2, 5, 0), (7, 10, 1)], (2, 10)),
-    "long-gap": ([(2, 5, 0), (9, 12, 1)], (2, 5)),
-    "before": ([(10, 13, 0), (5, 8, 2)], (5, 13)),
-    "long-before": ([(10, 13, 0), (2, 5, 2)], (10, 13)),
+    "extend": ([(2, 5, 0), (3, 4, 5), (4, 9, -3)], 9),
+    "at-end": ([(2, 5, 0), (5, 8, 1)], 8),
+    "short-gap": ([(2, 5, 0), (7, 10, 1)], 5),
+    "long-gap": ([(2, 5, 0), (9, 12, 1)], 5),
+    "before": ([(5, 8, 0), (2, 5, 2)], 5),
+    "long-before": ([(10, 13, 0), (2, 5, 2)], 5),
+    "from-one": ([(1, 4, 5), (1, 3, 7), (2, 3, 4)], 3),
 }
 
 
 @pytest.mark.parametrize("layers", [0, 1])
 @pytest.mark.parametrize("case", sorted(ROW_RUNS))
 def test_ray_rows_are_runs_read_by_slice(case, layers):
-    chains, (lo, hi) = ROW_RUNS[case]
+    chains, hi = ROW_RUNS[case]
     with operation() as op:
         ws = cauchy_dual(EX52, TQB) if layers else EX52
-        for start, stop, m in chains:
-            chain = RayChain(start, stop, m)
-            assert ([lw.hex() for lw in ws.ray_log_weights(chain)]
-                    == [ws.log_weight(v).hex() for v in chain_vertices(chain)])
-        key = ("ray rows", ws)
-        (got_lo, values), = row_runs(op.memos, key)
-        assert (got_lo, got_lo + len(values)) == (lo, hi)
-        assert [lw.hex() for lw in values] == [ws.log_weight((n, 0)).hex()
-                                               for n in range(lo, hi)]
+        read_chains(ws, chains)
+        row, = rows_of(op.memos, ws)
+        assert [lw.hex() for lw in row] == [ws.log_weight((n, 0)).hex() for n in range(2, hi)]
 
 
 @pytest.mark.parametrize("layers", [0, 1])
 def test_a_deep_ray_keeps_rows_of_the_walked_length(layers):
-    # rows hold what chains reached, never a fill from n = 2: a chain a
-    # million levels down keeps a few entries, and a later one at the ray's
-    # top stores nothing beside them
+    # a row is the prefix from n = 2 that chains reached, never a fill down
+    # to a chain far below it: chains a million levels down store nothing,
+    # and one at the ray's top stores its own entries alone
     with operation() as op:
         ws = cauchy_dual(EX52, TQB) if layers else EX52
-        for start in [10**6 + 1, 2, 10**6 + 3]:
-            chain = RayChain(start, start + 3, 0)
-            assert ([lw.hex() for lw in ws.ray_log_weights(chain)]
-                    == [ws.log_weight(v).hex() for v in chain_vertices(chain)])
-        key = ("ray rows", ws)
-        assert [(lo, len(values)) for lo, values in row_runs(op.memos, key)] == [(10**6 + 1, 5)]
+        read_chains(ws, [(s, s + 3, 0) for s in [10**6 + 1, 2, 10**6 + 3]])
+        assert [len(row) for row in rows_of(op.memos, ws)] == [3]
 
 
 def test_family_root_tracks_depth():

@@ -5,9 +5,9 @@ descriptor and its last vertex, the default ray that knows no chain, the
 term stream's one-vertex ray fold with its charge and its request for at
 most one vertex past the cap, the dual's one degenerate-norm guard, met
 on a ray, at a lone child and on a sibling set, the ray rows that an
-operation keeps per row key as runs read by slice, in the run or after
-extending it, the stream's one budget, bound whenever another is
-current, its rungs, first levels,
+operation keeps per row key as prefixes from n = 2, read by slice and
+extended only by a chain from within or at their end, the stream's one
+budget, bound whenever another is current, its rungs, first levels,
 up-steps and base moment against the exact oracle and the identities of
 scaling and of the dual's dual, the one-vertex rungs it folds where the
 level loop took a weight per level, the shells it builds only where a
@@ -125,21 +125,19 @@ MUTANTS = [
     (WEIGHTS, "if norm < NORM_FLOOR:", "if False:",
      "tests/test_weights.py::test_sibling_filled_miss_raises_on_a_degenerate_norm"),
     # ray rows: one per row key (prop51's (a_m, b_m), the tampered ray's own),
-    # none for a subclass with a new log_weight, a run of n read by slice,
-    # in the run and after extending it, and never filled across a gap
-    # longer than the chain
+    # none for a subclass with a new log_weight, a prefix from n = 2 indexed
+    # by n - 2 and read by slice, never extended by a chain from n = 1,
+    # whose first weight the key does not vouch for, nor by one that starts
+    # past the row's end
     (WEIGHTS, "return (self.a.table.get(m, self.a.default), self.b.table.get(m, self.b.default))",
      "return self.a.table.get(m, self.a.default)", WARM),
     (CLI, "m == _TAMPER_VERTEX[1]", "False", WARM),
     (WEIGHTS, "cls.row_key = WeightSystem.row_key", "pass",
      "tests/test_weights.py::test_a_new_log_weight_gets_the_per_vertex_ray_form"),
-    (WEIGHTS, "stop <= hi:\n                return values[start - lo:stop - lo]",
-     "stop <= hi:\n                return values[start - lo + 1:stop - lo + 1]", WARM),
-    (WEIGHTS, "range(hi, stop)])\n                return values[start - lo:stop - lo]",
-     "range(hi, stop)])\n                return values[start - lo + 1:stop - lo + 1]",
-     "tests/test_weights.py::test_ray_rows_are_runs_read_by_slice[extend-0]"),
-    (WEIGHTS, "if max(start - hi, lo - stop) <= stop - start:",
-     "if max(start - hi, lo - stop) <= 10**9:",
+    (WEIGHTS, "return row[start - 2:stop - 2]", "return row[start - 1:stop - 1]", WARM),
+    (WEIGHTS, "if 2 <= start <= end:", "if start <= end:",
+     "tests/test_weights.py::test_ray_rows_are_runs_read_by_slice[from-one-0]"),
+    (WEIGHTS, "if 2 <= start <= end:", "if 2 <= start:",
      "tests/test_weights.py::test_a_deep_ray_keeps_rows_of_the_walked_length[0]"),
     # a stream takes each miss with its own budget current, so a dual miss
     # charges its sibling there, in an operation or out of one, and binds it
