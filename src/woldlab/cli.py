@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 from .errors import UnknownVertexError, WoldlabError
 from .numerics import quadratic_tail_integral
@@ -36,8 +37,52 @@ def _build_kernel(spec: str):
     return make_kernel(spec)
 
 
+def _strict_json(obj, indent: int | None = None, field: str = "") -> str:
+    """JSON per RFC 8259, keys sorted.  A NaN or infinite value raises a
+    ValueError naming its field; `field` is the path of `obj` itself."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"non-finite value at {_non_finite_field(obj, field)} "
+                         "cannot be written as JSON") from None
+
+
+def _non_finite_field(obj, path: str):
+    """The path below `path` of the first non-finite float in `obj`, in the
+    encoder's order, e.g. `table[506][1]` or
+    `evidence.weight_relation.max_residual`; None if `obj` holds none."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for sub, value in items:
+        found = _non_finite_field(value, sub)
+        if found is not None:
+            return found
+    return None
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _strict_json(obj, indent=2) + "\n"
+
+
+def _alpha_json_text(vj: dict, rows: list) -> str:
+    """`_json_text({"verdict": vj, "table": rows})` for a nonempty table of
+    `(n, t_n, partial)` rows of plain ints and floats, whose repr is json's
+    spelling.  The rows are written here in indent=2's layout and only the
+    verdict goes through json, indented one more level at each newline
+    (json escapes those within strings); a table with a non-finite value
+    takes `_json_text` whole and fails there."""
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        return _json_text({"verdict": vj, "table": rows})
+    table = ",\n".join([f"    [\n      {n!r},\n      {t!r},\n      {s!r}\n    ]"
+                         for n, t, s in rows])
+    verdict = _strict_json(vj, indent=2, field="verdict").replace("\n", "\n  ")
+    return f'{{\n  "table": [\n{table}\n  ],\n  "verdict": {verdict}\n}}\n'
 
 
 def _csv_text(header, rows, trailer: str | None = None) -> str:
@@ -119,10 +164,11 @@ def cmd_alpha(args) -> int:
     verdict = alpha_verdict(ctx.ws, ctx.kernel, ctx.vertex, ctx.cfg)
     vj = verdict.to_json(ctx.kernel)
     if args.fmt == "json":
-        _emit(args, _json_text({"verdict": vj, "table": table.to_rows()}))
+        # json's C encoder runs only when indent is None, so the rows skip json
+        _emit(args, _alpha_json_text(vj, table.to_rows()))
     else:
         _emit(args, _csv_text(("n", "t_n", "partial_sum"), table.to_rows(),
-                              trailer="verdict: " + json.dumps(vj, sort_keys=True)))
+                              trailer="verdict: " + _strict_json(vj, field="verdict")))
     return 0
 
 

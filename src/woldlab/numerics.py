@@ -54,7 +54,7 @@ class NeumaierSum:
 
 
 def worst(pairs) -> tuple:
-    """(value, witness) of the largest of nonnegative (value, witness) pairs,
+    """(value, witness) of the largest of the (value, witness) pairs,
     (0.0, None) if none exceeds 0; the first NaN wins and stays, so a check
     that tests `not value <= tol` fails closed on it."""
     best, witness = 0.0, None

@@ -430,14 +430,15 @@ def is_balanced(ws: WeightSystem, kernel: TreeKernel, window: Window,
     Class d of `window_depth_classes` is the generation set G_{u,d} of each
     of its members u, so the classes are the generations balancedness
     compares.  Every norm of a class is held against the class's first, and
-    the first pair apart by more than `tol` is the witness.
+    the first pair not within `tol` of each other, a NaN or infinite pair
+    among them, is the witness.
     """
     classes = window_depth_classes(kernel, window)
     norm_classes = [[(v, shift_norm_sq(ws, kernel, v, 1)) for v in cls] for cls in classes]
     for cls in norm_classes:
         lead_v, lead = cls[0]
         for v, val in cls:
-            if abs(val - lead) > tol:
+            if not abs(val - lead) <= tol:
                 return BalancedReport("not_balanced", (lead_v, v, lead, val),
                                       len(classes), tol)
     return BalancedReport("balanced", None, len(classes), tol)

@@ -17,6 +17,7 @@ from functools import reduce
 from operator import add
 
 from .errors import DegenerateNormError, PreconditionError, UnknownVertexError
+from .numerics import worst
 from .operator import apply_adjoint, apply_shift, inner, shifted_kernel_vectors
 from .series import (SeriesConfig, SeriesVerdict, alpha_verdict, g_vector,
                      hyperrange_recurrence_check)
@@ -50,12 +51,12 @@ def case_ii_weight_relation(ws: WeightSystem, kernel: TreeKernel, window: Window
 
     alpha_values maps vertices (window members and their parents) to converged
     series verdicts.  Tail bounds of the two alpha values are propagated into
-    a per-vertex allowance added to tol.
+    a per-vertex allowance added to tol.  The vertex whose residual most
+    exceeds its allowance is the witness; a NaN excess wins and stays, so
+    the check fails closed on it.
     """
-    worst = 0.0
-    allowance_at_worst = 0.0
-    witness = None
-    checked = skipped = 0
+    excess = []
+    skipped = 0
     for v in window_vertices(kernel, window):
         try:
             p = kernel.parent(v)
@@ -73,10 +74,10 @@ def case_ii_weight_relation(ws: WeightSystem, kernel: TreeKernel, window: Window
         resid = abs(ws.weight(v) - predicted)
         dA, dB = a_par.tail_bound, a_v.tail_bound
         allowance = dA / (2.0 * math.sqrt(A * B)) + math.sqrt(A) * dB / (2.0 * B ** 1.5)
-        checked += 1
-        if resid - allowance > worst - allowance_at_worst:
-            worst, allowance_at_worst, witness = resid, allowance, v
-    return WeightRelationReport(worst, witness, tol, allowance_at_worst, checked, skipped)
+        excess.append((resid - allowance, (v, resid, allowance)))
+    _, at = worst(excess)
+    witness, resid, allowance = at if at is not None else (None, 0.0, 0.0)
+    return WeightRelationReport(resid, witness, tol, allowance, len(excess), skipped)
 
 
 # ---------------------------------------------------------------------------

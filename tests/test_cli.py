@@ -9,16 +9,20 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from woldlab import tree_core
-from woldlab.cli import _repro_rows, main
-from woldlab.tree_core import TqbKernel, operation
-from woldlab.weights import CauchyDualWeights, PolyRule, Prop51Weights
+from woldlab.cli import _alpha_json_text, _repro_rows, _strict_json, main
+from woldlab.tree_core import TkInfKernel, TqbKernel, Window, operation
+from woldlab.weights import (CauchyDualWeights, ConstantWeights, PolyRule, Prop51Weights,
+                             is_balanced, is_norm_increasing)
 
 SRC = Path(tree_core.__file__).resolve().parents[1]
 
@@ -100,6 +104,54 @@ def test_alpha_prop51_rules_match_ex52(capsys):
     assert obj["table"][5][1] == pytest.approx(21.0)  # t_5 = 5^2 - 5 + 1
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ROW_FLOATS = st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 0.1]) | FINITE
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FINITE | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+
+
+@given(st.dictionaries(st.text(), JSON_VALUES, max_size=4),
+       st.lists(st.tuples(st.integers(0, 10**6), ROW_FLOATS, ROW_FLOATS), min_size=1, max_size=6))
+@example({"empty": {}, "none": [], "nested": {"a": {}, "b": [[], {}]},
+          "text": 'a "quoted"\nline, \u00fcn\u00efc\u00f8d\u00e9 \u2211'},
+         [(0, -0.0, 5e-324), (1, 1e16, 1e22), (2, 0.1, 0.1)])
+def test_alpha_table_text_is_the_json_encoders(vj, rows):
+    want = json.dumps({"verdict": vj, "table": rows}, sort_keys=True, indent=2) + "\n"
+    assert _alpha_json_text(vj, rows) == want
+
+
+@pytest.mark.parametrize("vj, rows, field", [
+    ({}, [(0, 1.0, 1.0), (1, math.nan, math.nan)], "table[1][1]"),
+    ({"value": math.nan}, [(0, 1.0, 1.0), (1, 2.0, math.inf)], "table[1][2]"),
+    ({"value": -math.inf, "evidence": {"K": math.nan}}, [(0, 1.0, 1.0)],
+     "verdict.evidence.K"),
+])
+def test_alpha_json_names_the_first_non_finite_field(vj, rows, field):
+    with pytest.raises(ValueError, match=rf"^non-finite value at {re.escape(field)} "):
+        _alpha_json_text(vj, rows)
+
+
+def test_strict_json_names_the_field_below_its_own():
+    assert _strict_json({"b": [1.0], "a": "x"}) == '{"a": "x", "b": [1.0]}'
+    with pytest.raises(ValueError, match=r"^non-finite value at verdict\.tail\[1\] "):
+        _strict_json({"tail": [0.5, math.inf], "value": math.nan}, field="verdict")
+
+
+def test_alpha_non_finite_row_exits_two_naming_its_field(capsys):
+    argv = ("alpha", "--weights", "constant:nan", "--vertex", "0,0", "--N", "3")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: non-finite value at table[1][1] cannot be written as JSON\n"
+    # CSV has no such restriction: the table is written, and the verdict
+    # trailer is finite
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    _, rows, trailers = parse_csv(out)
+    assert rows[1] == ["1", "nan", "nan"] and len(trailers) == 1
+
+
 # ---------------------------------------------------------------------------
 # tree show
 
@@ -175,13 +227,18 @@ def test_balanced_json(capsys):
 
 
 def test_balanced_is_not_norm_increasing_on_nan_weights(capsys):
-    # a NaN norm fails the check; it once read "norm_increasing" with an
-    # infinite least norm
-    code, out, _ = run(capsys, "balanced", "--tree", "tkinf:k=2", "--weights", "constant:nan")
-    assert code == 0
-    ni = json.loads(out)["norm_increasing"]
-    assert ni["verdict"] == "not_norm_increasing"
-    assert math.isnan(ni["min_norm_sq"]) and math.isnan(ni["witness"][1])
+    # NaN norms fail both checks (the norm check once read "norm_increasing"
+    # with an infinite least norm); the report holds them, so it is no JSON
+    # and the command exits 2 naming the first NaN field
+    code, out, err = run(capsys, "balanced", "--tree", "tkinf:k=2", "--weights", "constant:nan")
+    assert code == 2 and out == ""
+    assert err == "error: non-finite value at balanced.witness[2] cannot be written as JSON\n"
+    k, ws = TkInfKernel(2), ConstantWeights(math.nan)
+    window = Window(k.default_base(), 2, 2)
+    assert is_balanced(ws, k, window).verdict == "not_balanced"
+    ni = is_norm_increasing(ws, k, window)
+    assert ni.verdict == "not_norm_increasing"
+    assert math.isnan(ni.min_norm_sq) and math.isnan(ni.witness[1])
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +251,17 @@ def test_wold_verdict_and_summary(capsys):
     obj = json.loads(out)
     assert obj["verdict"] == "NoWold" and obj["case"] == "none"
     assert err.strip() == "NoWold (method=analytic)"
+
+
+@pytest.mark.parametrize("c", ["nan", "inf"])
+def test_wold_on_non_finite_zpath_weights_exits_two(capsys, c):
+    # every residual of the weight relation is NaN or infinite; the relation
+    # fails, and its report names the field that cannot be written
+    code, out, err = run(capsys, "wold", "--tree", "zpath", "--weights", f"constant:{c}",
+                         "--vertex=0")
+    assert code == 2 and out == ""
+    assert err == ("error: non-finite value at evidence.weight_relation.max_residual "
+                   "cannot be written as JSON\n")
 
 
 def test_wold_output_is_deterministic(capsys):

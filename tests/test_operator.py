@@ -279,14 +279,34 @@ def test_wandering_check_isometric_tree():
 
 @pytest.mark.parametrize("c", ["nan", "inf"])
 def test_wandering_check_fails_closed_on_non_finite_weights(c):
-    # the kernel vectors carry NaN entries; a NaN residual must win both
-    # running maxima and fail the verdict
+    # every one-step norm is NaN or infinite, so balancedness, the check's
+    # hypothesis, fails first and no residual is computed
     k = TkInfKernel(2)
     rep = wandering_orthogonality_check(ConstantWeights(float(c)), k,
                                         Window((0, 0), 1, 1), n_max=2)
-    assert rep.verdict == "fail" and rep.vector_count == 3
+    assert rep.verdict == "precondition_violation" and rep.vector_count == 0
     assert math.isnan(rep.max_pair_residual) and math.isnan(rep.max_complement_residual)
     assert rep.witness is not None
+
+
+class NanBelow(ConstantWeights):
+    """The constant weight above tkinf level 3, NaN from level 3 on."""
+
+    def weight(self, v):
+        return math.nan if v[0] >= 3 else self.c
+
+    def log_weight(self, v):
+        return math.log(self.weight(v))
+
+
+def test_wandering_residuals_keep_a_nan_below_a_balanced_window():
+    # the window's norms read levels up to 2 and are balanced; the second
+    # shifts reach level 3 and keep its NaN entries, and a NaN complement
+    # residual wins its running maximum and fails the verdict
+    rep = wandering_orthogonality_check(NanBelow(1.0), TkInfKernel(2),
+                                        Window((0, 0), 1, 1), n_max=2)
+    assert rep.verdict == "fail" and rep.vector_count == 3
+    assert rep.max_pair_residual == 0.0 and math.isnan(rep.max_complement_residual)
 
 
 def test_wandering_check_requires_balanced():

@@ -61,6 +61,22 @@ def test_weight_relation_flags_wrong_constant():
     assert rep.witness is not None
 
 
+class NanAtZero(ConstantWeights):
+    def weight(self, v):
+        return math.nan if v == 0 else self.c
+
+
+def test_weight_relation_fails_closed_on_a_nan_residual():
+    # the residual 1 at -1 is met first; the NaN at 0 wins and stays
+    window = Window(0, 1, 1)
+    alphas = {v: exact_alpha(1.0) for v in range(-3, 4)}
+    rep = case_ii_weight_relation(NanAtZero(2.0), ZP, window, alphas)
+    assert window_vertices(ZP, window) == [-1, 0, 1]
+    assert math.isnan(rep.max_residual) and rep.witness == 0
+    assert rep.max_allowance == 0.0 and rep.checked == 3
+    assert not rep.passed
+
+
 def test_weight_relation_skips_boundary_orphans():
     k = load_adjacency("#boundary: r x y q z w\nr: a b\na: x q\nb: c y\nc: z w\n")
     window = Window("a", 1, 1)

@@ -19,8 +19,11 @@ sum it returns,
 the command line's one parser per process, the Jacobi rank of the
 coverage Gram, the certified Euler–Maclaurin block of the Prop. 5.1 dual
 plugin with the tail integral under it, balancedness compared within each
-depth class of a window, the defect diagonal's one walk, the wandering
-check's NaN residuals, the norm-increase check's NaN-dominant minimum,
+depth class of a window and failed by a NaN or infinite norm, the defect
+diagonal's one walk, the wandering check's NaN residuals, the weight
+relation's NaN-dominant worst, the norm-increase check's NaN-dominant
+minimum, JSON output that refuses non-finite values and the alpha table
+row writer's finiteness guard,
 the one-step norm memo kept per weight system and kernel with its NaN
 entries, the operation scope that a nested call joins without a budget of
 its own, and `repro`'s third-order check reading `classify`'s entries.
@@ -67,6 +70,7 @@ EXACT_BLOCK = "tests/test_numerics.py::test_quadratic_tail_sum_certifies_exact_b
 LAST_ULPS = "tests/test_numerics.py::test_quadratic_tail_integral_to_the_last_ulps[{}]"
 ORACLE = "tests/test_series.py::test_random_prop51_terms_are_the_exact_oracles_within_rounding"
 WANDER = "tests/test_operator.py::test_wandering_check_fails_closed_on_non_finite_weights[{}]"
+NAN_BELOW = "tests/test_operator.py::test_wandering_residuals_keep_a_nan_below_a_balanced_window"
 HEURISTIC = "tests/test_series.py::test_heuristic_{}"
 NORM_KEYS = "tests/test_weights.py::test_norm_memos_are_kept_per_weight_system_and_kernel"
 NESTED = "tests/test_tree_core.py::test_a_nested_scope_builds_no_budget_and_reads_no_cap"
@@ -239,14 +243,17 @@ MUTANTS = [
      "tests/test_series.py::test_dual_prop51_plugin_matches_the_term_by_term_oracle"
      "[const:1-const:1]"),
     # balancedness holds each norm against its own depth class's first, never
-    # against another level's
+    # against another level's, and a NaN or infinite pair is no match
     (WEIGHTS, "lead_v, lead = cls[0]", "lead_v, lead = norm_classes[0][0]",
      "tests/test_weights.py::test_is_balanced_never_compares_across_depths"),
+    (WEIGHTS, "if not abs(val - lead) <= tol:", "if abs(val - lead) > tol:",
+     WANDER.format("nan")),
+    (WEIGHTS, "if not abs(val - lead) <= tol:", "if abs(val - lead) > tol:",
+     WANDER.format("inf")),
     # the wandering check fails closed: kernel vectors keep their NaN
     # entries, and a NaN residual wins each running maximum it meets
-    (OPERATOR, "if not abs(x) < PRUNE}", "if abs(x) >= PRUNE}", WANDER.format("nan")),
-    (NUMERICS, "if not (math.isnan(best) or value <= best):", "if value > best:",
-     WANDER.format("nan")),
+    (OPERATOR, "if not abs(x) < PRUNE}", "if abs(x) >= PRUNE}", NAN_BELOW),
+    (NUMERICS, "if not (math.isnan(best) or value <= best):", "if value > best:", NAN_BELOW),
     (NUMERICS, "if not (math.isnan(best) or value <= best):", "if not value <= best:",
      "tests/test_numerics.py::test_worst_keeps_the_first_nan"),
     (WEIGHTS, "if not (math.isnan(least) or val >= least):", "if val < least:",
@@ -264,6 +271,15 @@ MUTANTS = [
     (TREE, "            if get() is not None:\n", "            if False:\n", NESTED),
     (TREE, "        budget = _operation_budget.get()\n        self._token = None\n",
      "        budget = None\n        self._token = None\n", NESTED),
+    # the weight relation keeps a NaN excess as its worst
+    (WOLD, "_, at = worst(excess)", "_, at = worst(e for e in excess if e[0] == e[0])",
+     "tests/test_wold.py::test_weight_relation_fails_closed_on_a_nan_residual"),
+    # JSON output refuses NaN and infinity, and an alpha table with a
+    # non-finite row leaves the row writer for the strict encoder
+    (CLI, "allow_nan=False", "allow_nan=True",
+     "tests/test_cli.py::test_wold_on_non_finite_zpath_weights_exits_two[nan]"),
+    (CLI, "if not all(map(math.isfinite, chain.from_iterable(rows))):", "if False:",
+     "tests/test_cli.py::test_alpha_non_finite_row_exits_two_naming_its_field"),
     # repro's check 5 reads d_3 at a window vertex from classify's entries
     (CLI, "return rep.entries[v] if v in rep.entries",
      "return rep.entries[(0, 0)] if v in rep.entries",
