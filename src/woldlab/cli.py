@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain
+from itertools import chain, pairwise
 
 from .errors import UnknownVertexError, WoldlabError
 from .numerics import quadratic_tail_integral
@@ -290,10 +290,6 @@ class TamperedWeights(WeightSystem):
         return None if key is None else (key, m == _TAMPER_VERTEX[1])
 
 
-def _spine_norm(m: int) -> float:
-    return 2.0 if m <= 1 else 1.0
-
-
 def _expected_s2_spine(p, m: int) -> float:
     if m >= 3:
         return (m - 1 + p(m, 1)) / m
@@ -323,9 +319,24 @@ def _expected_d3_spine(a, b, m: int) -> float:
     return base
 
 
+def _expected_dual(p, n: int, m: int) -> float:
+    if n == 0:
+        return math.sqrt(m / (m + 1.0)) if m >= 1 else 0.5
+    if n == 1:
+        return 1.0 / math.sqrt(m) if m >= 2 else 0.5
+    return math.sqrt(p(m, n - 2) / p(m, n - 1))
+
+
+def _mismatches(cases, tol: float, relative: bool = False) -> list:
+    """`[*label, want, got]` for each `(label, want, got)` case whose `got` is
+    not within `tol` of `want` (`tol * want` if `relative`); a NaN is within
+    nothing."""
+    return [[*label, want, got] for label, want, got in cases
+            if not abs(got - want) <= (tol * want if relative else tol)]
+
+
 def _check(rows, name, passed, **detail):
     rows.append({"check": name, "passed": bool(passed), "detail": detail})
-    return passed
 
 
 @operation()
@@ -346,64 +357,34 @@ def _repro_rows(base: Prop51Weights, tampered: bool):
     wv = wold_verdict(ws, kernel, Window((0, 0), 2, 2), cfg)
 
     # 1. boundedness: machinery one-step norms against the closed-form sup
-    ratios = []
-    for m in sorted({v[1] for v in window_vertices(kernel, window)}):
-        ps = [p(m, x) for x in range(0, 201)]
-        ratios.extend(b / a for a, b in zip(ps, ps[1:]))
-    ratio_sup = max(ratios)
+    ms = sorted({v[1] for v in window_vertices(kernel, window)})
+    ratio_sup = max(b / a for m in ms for a, b in pairwise(p(m, x) for x in range(201)))
     cert = boundedness_estimate(ws, kernel, window)
     _check(rows, "boundedness-certificate", cert <= max(2.0, ratio_sup) + 1e-12,
            window_sup=cert, closed_form_sup=max(2.0, ratio_sup))
 
     # 2. norm closed forms
-    bad = []
-    for m in range(-5, 9):
-        got = shift_norm_sq(ws, kernel, (0, m))
-        want = _spine_norm(m)
-        if abs(got - want) > 1e-12 * want:
-            bad.append(["S", f"0,{m}", want, got])
-    for n in (1, 2, 3, 5):
-        p_prev = {m: p(m, n - 1) for m in range(-3, 7)}
-        for k in range(0, 5):
-            for m in range(-3, 7):
-                got = shift_norm_sq(ws, kernel, (n, m), k)
-                want = p(m, n + k - 1) / p_prev[m]
-                if abs(got - want) > 1e-12 * want:
-                    bad.append([f"S^{k}", f"{n},{m}", want, got])
-    for m in range(-3, 9):
-        got2 = shift_norm_sq(ws, kernel, (0, m), 2)
-        want2 = _expected_s2_spine(p, m)
-        if abs(got2 - want2) > 1e-12 * want2:
-            bad.append(["S^2", f"0,{m}", want2, got2])
-        got3 = shift_norm_sq(ws, kernel, (0, m), 3)
-        want3 = _expected_s3_spine(p, m)
-        if abs(got3 - want3) > 1e-12 * want3:
-            bad.append(["S^3", f"0,{m}", want3, got3])
+    bad = _mismatches(
+        [(("S", f"0,{m}"), 2.0 if m <= 1 else 1.0, shift_norm_sq(ws, kernel, (0, m)))
+         for m in range(-5, 9)]
+        + [((f"S^{k}", f"{n},{m}"), p(m, n + k - 1) / p(m, n - 1),
+            shift_norm_sq(ws, kernel, (n, m), k))
+           for n in (1, 2, 3, 5) for k in range(0, 5) for m in range(-3, 7)]
+        + [((f"S^{k}", f"0,{m}"), expected(p, m), shift_norm_sq(ws, kernel, (0, m), k))
+           for m in range(-3, 9)
+           for k, expected in ((2, _expected_s2_spine), (3, _expected_s3_spine))],
+        1e-12, relative=True)
     _check(rows, "norm-closed-forms", not bad, mismatches=bad[:4], count=len(bad))
 
     # 3. Cauchy dual closed forms and involution
     dual = cauchy_dual(ws, kernel)
-    bad = []
-    for m in range(-3, 9):
-        want = math.sqrt(m / (m + 1.0)) if m >= 1 else 0.5
-        got = dual.weight((0, m))
-        if abs(got - want) > 1e-12:
-            bad.append(["dual", f"0,{m}", want, got])
-        want = 1.0 / math.sqrt(m) if m >= 2 else 0.5
-        got = dual.weight((1, m))
-        if abs(got - want) > 1e-12:
-            bad.append(["dual", f"1,{m}", want, got])
-    for n in (2, 3, 5):
-        for m in range(-3, 9):
-            want = math.sqrt(p(m, n - 2) / p(m, n - 1))
-            got = dual.weight((n, m))
-            if abs(got - want) > 1e-12:
-                bad.append(["dual", f"{n},{m}", want, got])
+    cases = [(("dual", f"{n},{m}"), _expected_dual(p, n, m), dual.weight((n, m)))
+             for n, m in chain(((n, m) for m in range(-3, 9) for n in (0, 1)),
+                               ((n, m) for n in (2, 3, 5) for m in range(-3, 9)))]
     roundtrip = cauchy_dual(dual, kernel)
-    for v in window_vertices(kernel, window):
-        if abs(roundtrip.weight(v) - ws.weight(v)) > 1e-12:
-            bad.append(["involution", kernel.format_vertex(v),
-                        ws.weight(v), roundtrip.weight(v)])
+    cases += [(("involution", kernel.format_vertex(v)), ws.weight(v), roundtrip.weight(v))
+              for v in window_vertices(kernel, window)]
+    bad = _mismatches(cases, 1e-12)
     _check(rows, "dual-closed-forms", not bad, mismatches=bad[:4], count=len(bad))
 
     # 4. norm increasing
@@ -418,17 +399,11 @@ def _repro_rows(base: Prop51Weights, tampered: bool):
         # classify holds d_3 at every window vertex
         return rep.entries[v] if v in rep.entries else defect_diagonal(ws, kernel, v, 3)
 
-    bad = []
-    for n in (1, 2, 4):
-        for m in range(-2, 7):
-            d = d3((n, m))
-            if abs(d) > 1e-9:
-                bad.append([f"{n},{m}", 0.0, d])
-    for m in range(-2, 11):
-        d = d3((0, m))
-        want = _expected_d3_spine(a_rule, b_rule, m)
-        if abs(d - want) > 1e-9:
-            bad.append([f"0,{m}", want, d])
+    bad = _mismatches(
+        [((f"{n},{m}",), 0.0, d3((n, m))) for n in (1, 2, 4) for m in range(-2, 7)]
+        + [((f"0,{m}",), _expected_d3_spine(a_rule, b_rule, m), d3((0, m)))
+           for m in range(-2, 11)],
+        1e-9)
     _check(rows, "three-expansion", rep.flags["m_expansion"] and not bad,
            classification=rep.label, mismatches=bad[:4], count=len(bad))
 
@@ -479,8 +454,7 @@ def cmd_repro(args) -> int:
     bundle = {"item": args.item, "tamper": args.tamper,
               "weights": base.params, "checks": rows, "passed": ok}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(bundle))
+        _emit(args, _json_text(bundle))
     return 0 if ok else 1
 
 

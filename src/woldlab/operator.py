@@ -277,11 +277,14 @@ def wandering_orthogonality_check(ws: WeightSystem, kernel: TreeKernel, window: 
     verts = window_vertices(kernel, window)
     family = [(j, vec) for _, _, j, vec in shifted_kernel_vectors(ws, kernel, verts, n_max)]
     n = len(family)
-    max_pair, witness = worst((abs(inner(family[a][1], family[b][1])), (a, b))
+    max_pair, pair_at = worst((abs(inner(family[a][1], family[b][1])), (a, b))
                               for a in range(n) for b in range(a + 1, n))
-    shifted = [apply_power(ws, kernel, SparseVector.basis(u), n_max) for u in verts]
-    max_comp, _ = worst((abs(inner(vec, g)), None)
-                        for j, vec in family if j < n_max for g in shifted)
-    verdict = "fail" if not max_pair <= tol or not max_comp <= tol else "pass"
-    return WanderingReport(verdict, max_pair, max_comp, n, n_max, tol,
-                           witness=witness if verdict == "fail" else None)
+    shifted = [(u, apply_power(ws, kernel, SparseVector.basis(u), n_max)) for u in verts]
+    max_comp, comp_at = worst((abs(inner(vec, g)), (i, u))
+                              for i, (j, vec) in enumerate(family) if j < n_max
+                              for u, g in shifted)
+    # the witness of the first residual that fails: (a, b) or (family index, u)
+    failed = [at for value, at in ((max_pair, pair_at), (max_comp, comp_at))
+              if not value <= tol]
+    return WanderingReport("fail" if failed else "pass", max_pair, max_comp, n, n_max, tol,
+                           witness=failed[0] if failed else None)

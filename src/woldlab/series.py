@@ -299,10 +299,12 @@ def _heuristic_verdict(ws, kernel, v, n_max: int) -> SeriesVerdict:
         if t == 0.0:
             empty_run += 1
             if empty_run >= WINDOW:
-                # A window-long run of empty generations with a finite total:
-                # treated as an exhausted (finite) generation.  Kernels that
-                # can actually certify exhaustion never reach this code path,
-                # so the tag stays heuristic.
+                # A window-long run of zero terms with a finite total: empty
+                # generations on a kernel that does not certify its span, or
+                # terms that underflowed to 0.0, as a geometric tail does
+                # within a few hundred generations.  The partial sum is taken
+                # as the value; kernels that certify exhaustion never get
+                # here, so the tag stays heuristic.
                 return SeriesVerdict.converged(
                     v, partial, acc.error_bound, "heuristic",
                     {"rule": "empty-run", "run": empty_run, "n": n}, n)

@@ -539,6 +539,37 @@ def test_repro_fails_the_involution_where_weight_is_not_exp_log_weight():
     assert [row[:2] for row in failed["dual-closed-forms"]["mismatches"]] == [["involution", "0,1"]]
 
 
+class NanWeight(Prop51Weights):
+    """ex52 with a NaN weight at the ray vertex (3, 2), in both forms."""
+
+    def log_weight(self, v):
+        return math.nan if v == (3, 2) else super().log_weight(v)
+
+    def weight(self, v):
+        return math.nan if v == (3, 2) else super().weight(v)
+
+
+def test_repro_closed_form_checks_fail_on_a_nan_weight():
+    # a NaN norm, dual weight or defect is within no tolerance of its
+    # closed form, so every check that reads one names it
+    failed = failed_repro_rows(NanWeight(PolyRule(1.0), PolyRule(1.0)))
+    counts = {name: failed[name]["count"]
+              for name in ("norm-closed-forms", "dual-closed-forms", "three-expansion")}
+    assert counts == {"norm-closed-forms": 8, "dual-closed-forms": 2, "three-expansion": 3}
+    for name in counts:
+        assert all(math.isnan(row[-1]) for row in failed[name]["mismatches"])
+    assert failed["dual-closed-forms"]["mismatches"][0][:2] == ["dual", "3,2"]
+
+
+def test_repro_closed_form_checks_fail_on_overflowing_rules(capsys):
+    # p(m, x) overflows to inf from x = 1 on, and inf - inf is NaN, so the
+    # norms and dual weights that read p match no closed form
+    code, out, _ = run(capsys, "repro", "prop51", "--a", "const:1e308", "--b", "const:1e308")
+    failed = {line.split(" ", 2)[1] for line in out.splitlines() if line.startswith("[FAIL]")}
+    assert code == 1
+    assert {"norm-closed-forms", "dual-closed-forms", "three-expansion"} <= failed
+
+
 # ---------------------------------------------------------------------------
 # argument errors
 

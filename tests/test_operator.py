@@ -302,11 +302,13 @@ class NanBelow(ConstantWeights):
 def test_wandering_residuals_keep_a_nan_below_a_balanced_window():
     # the window's norms read levels up to 2 and are balanced; the second
     # shifts reach level 3 and keep its NaN entries, and a NaN complement
-    # residual wins its running maximum and fails the verdict
+    # residual wins its running maximum and fails the verdict; the pairs
+    # pass, so the witness is the complement's (family index, vertex)
     rep = wandering_orthogonality_check(NanBelow(1.0), TkInfKernel(2),
                                         Window((0, 0), 1, 1), n_max=2)
     assert rep.verdict == "fail" and rep.vector_count == 3
     assert rep.max_pair_residual == 0.0 and math.isnan(rep.max_complement_residual)
+    assert rep.witness == (0, (1, 1))
 
 
 def test_wandering_check_requires_balanced():

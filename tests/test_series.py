@@ -1111,15 +1111,23 @@ def test_heuristic_term_floor():
     assert out.evidence["floor"] == pytest.approx(1.0)
 
 
-def test_heuristic_empty_run():
-    class NoSpanZPath(ZPathKernel):
-        def generation_span(self, v):
-            return None
+class NoSpanZPath(ZPathKernel):
+    def generation_span(self, v):
+        return None
 
-    out = alpha_verdict(ConstantWeights(1.0), NoSpanZPath(), 0)
+
+@pytest.mark.parametrize("ws, kernel, v, n, value", [
+    (ConstantWeights(1.0), NoSpanZPath(), 0, WINDOW, 1.0),
+    # terms (1/4)^n underflow to 0.0 past n = 537; without the stop the
+    # stream would walk on to n_max and trip the vertex cap
+    (FunctionWeights(lambda v: 0.5 if v[0] >= 1 else 1.0, name="ray-decay"),
+     TQB, (0, 0), 587, 1.0 / (1.0 - 0.5 ** 2)),
+], ids=["zpath-no-span", "tqb-term-underflow"])
+def test_heuristic_empty_run(ws, kernel, v, n, value):
+    out = alpha_verdict(ws, kernel, v)
     assert out.kind == "converged" and out.method == "heuristic"
-    assert out.evidence == {"rule": "empty-run", "run": WINDOW, "n": WINDOW}
-    assert out.value == 1.0
+    assert out.evidence == {"rule": "empty-run", "run": WINDOW, "n": n}
+    assert out.value == value and abs(out.value - value) <= out.tail_bound < 1e-15
     assert not out.definitive
 
 

@@ -20,13 +20,14 @@ the command line's one parser per process, the Jacobi rank of the
 coverage Gram, the certified Euler–Maclaurin block of the Prop. 5.1 dual
 plugin with the tail integral under it, balancedness compared within each
 depth class of a window and failed by a NaN or infinite norm, the defect
-diagonal's one walk, the wandering check's NaN residuals, the weight
-relation's NaN-dominant worst, the norm-increase check's NaN-dominant
-minimum, JSON output that refuses non-finite values and the alpha table
-row writer's finiteness guard,
+diagonal's one walk, the wandering check's NaN residuals and the witness
+of the residual that failed, the weight relation's NaN-dominant worst, the
+norm-increase check's NaN-dominant minimum, JSON output that refuses
+non-finite values and the alpha table row writer's finiteness guard,
 the one-step norm memo kept per weight system and kernel with its NaN
 entries, the operation scope that a nested call joins without a budget of
-its own, and `repro`'s third-order check reading `classify`'s entries.
+its own, `repro`'s third-order check reading `classify`'s entries, and
+its one closed-form comparison, which a NaN fails.
 
     python tools/mutants.py
 
@@ -251,9 +252,12 @@ MUTANTS = [
     (WEIGHTS, "if not abs(val - lead) <= tol:", "if abs(val - lead) > tol:",
      WANDER.format("inf")),
     # the wandering check fails closed: kernel vectors keep their NaN
-    # entries, and a NaN residual wins each running maximum it meets
+    # entries, a NaN residual wins each running maximum it meets, and the
+    # witness is the failing residual's
     (OPERATOR, "if not abs(x) < PRUNE}", "if abs(x) >= PRUNE}", NAN_BELOW),
     (NUMERICS, "if not (math.isnan(best) or value <= best):", "if value > best:", NAN_BELOW),
+    (OPERATOR, "witness=failed[0] if failed else None", "witness=pair_at if failed else None",
+     NAN_BELOW),
     (NUMERICS, "if not (math.isnan(best) or value <= best):", "if not value <= best:",
      "tests/test_numerics.py::test_worst_keeps_the_first_nan"),
     (WEIGHTS, "if not (math.isnan(least) or val >= least):", "if val < least:",
@@ -284,6 +288,11 @@ MUTANTS = [
     (CLI, "return rep.entries[v] if v in rep.entries",
      "return rep.entries[(0, 0)] if v in rep.entries",
      "tests/test_cli.py::test_stdout_bytes_are_pinned[repro-ex52-tamper]"),
+    # repro's closed-form checks keep each case that is not within tolerance,
+    # so a NaN norm, dual weight or defect is a mismatch
+    (CLI, "if not abs(got - want) <= (tol * want if relative else tol)]",
+     "if abs(got - want) > (tol * want if relative else tol)]",
+     "tests/test_cli.py::test_repro_closed_form_checks_fail_on_a_nan_weight"),
 ]
 
 
