@@ -444,17 +444,19 @@ def cmd_repro(args) -> int:
         b = PolyRule.parse(args.b_rule) if args.b_rule else PolyRule(1.0)
         base = Prop51Weights(a, b)
     rows = _repro_rows(base, args.tamper)
-    for row in rows:
-        mark = "PASS" if row["passed"] else "FAIL"
-        extra = ""
-        if not row["passed"]:
-            extra = " " + json.dumps(row["detail"], sort_keys=True)
-        print(f"[{mark}] {row['check']}{extra}")
     ok = all(r["passed"] for r in rows)
     bundle = {"item": args.item, "tamper": args.tamper,
               "weights": base.params, "checks": rows, "passed": ok}
-    if args.out:
-        _emit(args, _json_text(bundle))
+    # every byte is rendered before one is written: a non-finite detail
+    # exits 2 with nothing on stdout, with or without --out
+    details = [_strict_json(row["detail"], field=f"checks[{i}].detail")
+               for i, row in enumerate(rows)]
+    text = _json_text(bundle) if args.out else None
+    sys.stdout.write("".join(f"[PASS] {row['check']}\n" if row["passed"]
+                             else f"[FAIL] {row['check']} {detail}\n"
+                             for row, detail in zip(rows, details)))
+    if text is not None:
+        _emit(args, text)
     return 0 if ok else 1
 
 

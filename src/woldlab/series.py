@@ -55,10 +55,13 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v, build_from: int =
     (u, acc).  Each term is summed where the stream produces the shell, as
     exp(2 (acc - base_log)) over the members in order, with inf past
     exponent 700.  A(v, n) and its pairs depend on v only through
-    top = par^(n-1)(v), so each shell is memoized per top and n, in the
-    operation's memos for (ws, kernel), and shared by every
-    same-generation vertex; memo hits are free.  The list yielded is that
-    memo entry itself: readers must not change it.
+    top = par^(n-1)(v).  The operation's memos keep one record per top for
+    (ws, kernel), (log_weight(top), par(top), {n: A(v, n)}), made the
+    first time any stream reaches the top, weight first, then parent, so
+    streams through one top take its weight and parent once per operation
+    and share each shell with every same-generation vertex; memo hits are
+    free.  The list yielded is that memo entry itself: readers must not
+    change it.
 
     Shells under one top form a ladder: A(v, n) = Chi^(n-j)(A(par^(n-j)(v), j)),
     with the logs accumulating in the same order.  A miss takes one rung:
@@ -72,27 +75,24 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v, build_from: int =
     raises are the level loop's.  A wider rung, and a rung whose kernel
     gives no ray (the tqb spine, kernels with no closed form), take
     `descend`'s level loop.  A stream at par(v) run before the one at v
-    thus leaves v one level per generation to walk.  The up-step
-    of a top, (log_weight(top), par(top)), is memoized beside the shells,
-    so streams through one top take its weight and parent once per
-    operation.
+    thus leaves v one level per generation to walk.
 
     Generations before `build_from` are not built: they yield
     (n, None, base_log, None), and only the top and v's base log moment
-    advance through them.  The stream takes the current budget, or one of
-    its own outside any operation, with its memos, when generation 1 is
-    first asked for.  Each miss is taken with that budget current: it is
-    bound for the miss whenever another budget or none is current (a
-    stream resumed outside its operation, or inside another), so a dual
-    weight's sibling charges and ray rows land in it too, and the cap
-    bounds the whole stream, in an operation or out of one.  A cap tripped
-    here names the generation being walked.
+    advance through them, making the top's record if it is new.  The
+    stream takes the current budget, or one of its own outside any
+    operation, with its memos, when generation 1 is first asked for.
+    Each miss is taken with that budget current: it is bound for the miss
+    whenever another budget or none is current (a stream resumed outside
+    its operation, or inside another), so a dual weight's sibling charges
+    and ray rows land in it too, and the cap bounds the whole stream, in
+    an operation or out of one.  A cap tripped here names the generation
+    being walked.
     """
     yield (0, 1.0, 0.0, [(v, 0.0)]) if build_from <= 0 else (0, None, 0.0, None)
     budget = Budget.current()
-    memos = budget.memos
-    ladders = memos.setdefault(("shells", ws, kernel), {})    # top -> {n: A(v, n)}
-    steps = memos.setdefault(("steps", ws, kernel), {})       # top -> (log weight, parent)
+    # top -> (log weight of top, parent of top, {n: A(v, n)})
+    tops = budget.memos.setdefault(("tops", ws, kernel), {})
     log_weight, children, charge = ws.log_weight, kernel.children, budget.charge
     exp, inf = math.exp, math.inf
     top = v          # par^(n-1)(v) while producing generation n
@@ -100,23 +100,18 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v, build_from: int =
     n = 1
     try:
         while True:
-            step = steps.get(top)
-            members = None
-            miss = False
-            if n >= build_from:
-                ladder = ladders.get(top)
-                if ladder is None:
-                    ladder = ladders[top] = {}
-                members = ladder.get(n)
-                miss = members is None
-            if step is None or miss:
+            record = tops.get(top)
+            build = n >= build_from
+            members = record[2].get(n) if build and record is not None else None
+            if record is None or build and members is None:
                 # sibling charges of dual misses and ray rows read the
                 # current budget: make it this stream's
                 token = bind_budget(budget) if bound_budget() is not budget else None
                 try:
-                    if step is None:
-                        step = steps[top] = (log_weight(top), kernel.parent(top))
-                    if miss:
+                    if record is None:
+                        record = tops[top] = (log_weight(top), kernel.parent(top), {})
+                    if build:
+                        ladder = record[2]
                         charge()
                         j = 0
                         for k in ladder:
@@ -125,7 +120,7 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v, build_from: int =
                         if j:
                             rung = ladder[j]
                         else:
-                            rung = [(c, log_weight(c)) for c in children(step[1]) if c != top]
+                            rung = [(c, log_weight(c)) for c in children(record[1]) if c != top]
                             charge(len(rung))
                             j = 1
                         if j == n:
@@ -148,7 +143,7 @@ def generation_stream(ws: WeightSystem, kernel: TreeKernel, v, build_from: int =
                 finally:
                     if token is not None:
                         unbind_budget(token)
-            lw, top = step
+            lw, top, _ = record
             base_log += lw
             if members is None:
                 yield n, None, base_log, None

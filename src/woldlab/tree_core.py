@@ -44,8 +44,8 @@ def vertex_cap() -> int:
 
 class Budget:
     """Counts vertices touched by one logical operation against the cap, and
-    holds the operation's memos (shell ladders, up-steps, Cauchy duals),
-    which die with it."""
+    holds the operation's memos (one term-stream record per top vertex,
+    one ray row per key, Cauchy duals), which die with it."""
 
     def __init__(self) -> None:
         self.cap = vertex_cap()

@@ -57,7 +57,7 @@ class WeightSystem:
     def ray_log_weights(self, chain: RayChain) -> list:
         """[log_weight((n, m)) for n in range(start, stop)] for a tqb
         `RayChain` (start, stop, m).  When m has a row key, the operation's
-        memos keep under ("ray rows", self) one row per key: the prefix
+        memos keep one row per key under ("ray row", self, key): the prefix
         log_weight((n, m)) for n = 2, 3, ..., indexed by n - 2 and grown
         only at its end, so each value is taken once per operation.  A
         chain that starts at n >= 2 and no later than the row's end extends
@@ -69,13 +69,7 @@ class WeightSystem:
         log_weight = self.log_weight
         key = self.row_key(m)
         if key is not None:
-            memos = Budget.current().memos
-            rows = memos.get(("ray rows", self))
-            if rows is None:
-                rows = memos["ray rows", self] = {}
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = []
+            row = Budget.current().memos.setdefault(("ray row", self, key), [])
             end = len(row) + 2
             if 2 <= start <= end:
                 if end < stop:

@@ -1,5 +1,6 @@
 """Independent oracles that only the tests call: each recomputes from the
-definitions what the library computes another way."""
+definitions what the library computes another way.  Beside them, the one
+place the tests read the layout of an operation's memos."""
 
 from __future__ import annotations
 
@@ -104,3 +105,20 @@ def prop51_tqb_exact_terms(a, b, v, N: int, dual: bool = False) -> list:
         shell = [u for u in chi(par(v, n), n) if u not in inner]
         terms.append(sum(moment_sq(u, n) for u in shell) / moment_sq(v, n))
     return terms
+
+
+# The layout of the operation memos that the term stream and the ray rows
+# keep, read here alone, so that a test states what was built, not where.
+
+
+def built_generations(memos: dict, ws: WeightSystem, kernel: TreeKernel) -> list:
+    """The n of every shell the term streams of (ws, kernel) built in an
+    operation with these memos, one entry per (top, n), top by top."""
+    records = memos.get(("tops", ws, kernel), {}).values()
+    return [n for _, _, ladder in records for n in ladder]
+
+
+def ray_rows(memos: dict, ws: WeightSystem) -> list:
+    """The ray rows of `ws` in an operation with these memos, one list per
+    row key."""
+    return [row for key, row in memos.items() if key[:2] == ("ray row", ws)]

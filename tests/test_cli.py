@@ -561,13 +561,21 @@ def test_repro_closed_form_checks_fail_on_a_nan_weight():
     assert failed["dual-closed-forms"]["mismatches"][0][:2] == ["dual", "3,2"]
 
 
-def test_repro_closed_form_checks_fail_on_overflowing_rules(capsys):
+def test_repro_closed_form_checks_fail_on_overflowing_rules(capsys, tmp_path):
     # p(m, x) overflows to inf from x = 1 on, and inf - inf is NaN, so the
     # norms and dual weights that read p match no closed form
-    code, out, _ = run(capsys, "repro", "prop51", "--a", "const:1e308", "--b", "const:1e308")
-    failed = {line.split(" ", 2)[1] for line in out.splitlines() if line.startswith("[FAIL]")}
-    assert code == 1
-    assert {"norm-closed-forms", "dual-closed-forms", "three-expansion"} <= failed
+    overflowing = PolyRule.parse("const:1e308")
+    failed = failed_repro_rows(Prop51Weights(overflowing, overflowing))
+    assert {"norm-closed-forms", "dual-closed-forms", "three-expansion"} <= set(failed)
+    # the boundedness detail is non-finite, so the command writes nothing,
+    # to stdout or to --out, and exits 2 naming the field
+    out_file = tmp_path / "bundle.json"
+    for out_args in ((), ("--out", str(out_file))):
+        code, out, err = run(capsys, "repro", "prop51", "--a", "const:1e308",
+                             "--b", "const:1e308", *out_args)
+        assert (code, out) == (2, ""), out_args
+        assert "non-finite value at checks[0].detail.closed_form_sup" in err
+    assert not out_file.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ from woldlab.weights import (ConstantWeights, FunctionWeights, PolyRule,
                              Prop51Weights, TkinfIsometricWeights, cauchy_dual,
                              ex52_weights, shift_norm_sq)
 
-from oracles import enum_A_definitional, moment_log, prop51_tqb_exact_terms
+from oracles import (built_generations, enum_A_definitional, moment_log,
+                     prop51_tqb_exact_terms)
 
 TQB = TqbKernel()
 EX52 = ex52_weights()
@@ -327,7 +328,7 @@ def test_term_memo_keeps_no_reference_cycle():
             alpha_verdict(dual, TQB, (1, 1), cfg)
             alpha_verdict(dual, TQB, (1, 0), cfg)     # climbs the rungs (0, 0) left
             alpha_verdict(primal, TQB, (1, 1), cfg)
-            assert op.memos["shells", primal, TQB] and op.memos["shells", dual, TQB]
+            assert all(built_generations(op.memos, ws, TQB) for ws in (primal, dual))
             assert cauchy_dual(primal, TQB) is dual is op.memos["dual", primal, TQB]
         assert vars(primal) == attrs            # the memos died with the operation
         refs = weakref.ref(primal), weakref.ref(dual)
@@ -392,7 +393,7 @@ def test_streams_through_one_top_take_its_up_step_once():
 def test_generations_before_build_from_are_skipped_not_zero():
     with operation() as op:
         terms = [t for _, t, _, _ in islice(generation_stream(EX52, TQB, (0, 0), 5), 9)]
-        built = sorted(n for ladder in op.memos["shells", EX52, TQB].values() for n in ladder)
+        built = sorted(built_generations(op.memos, EX52, TQB))
         assert op.used == 4 + sum(range(5, 9))    # a miss and n vertices per built shell
     assert terms[:5] == [None] * 5
     assert [t.hex() for t in terms[5:]] == [t.hex() for t in first_terms(EX52, TQB, (0, 0), 8)[5:]]
@@ -403,7 +404,7 @@ def test_generations_before_build_from_are_skipped_not_zero():
 def test_primal_plugin_builds_only_the_shells_it_fits(v, lo, upto):
     with operation() as op:
         out = _plugin_prop51(EX52, TQB, v)
-        built = sorted(n for ladder in op.memos["shells", EX52, TQB].values() for n in ladder)
+        built = sorted(built_generations(op.memos, EX52, TQB))
     assert out.evidence["sampled_upto"] == upto
     assert built == list(range(lo, upto + 1))
 
@@ -417,7 +418,7 @@ def test_constant_plugin_builds_only_the_shells_past_the_ray_depth(v, upto, laye
         if layers:
             ws = cauchy_dual(ws, TQB)
         out = _plugin_constant(ws, TQB, v)
-        built = sorted(n for ladder in op.memos["shells", ws, TQB].values() for n in ladder)
+        built = sorted(built_generations(op.memos, ws, TQB))
     assert out.kind == "diverged" and out.evidence["sampled_upto"] == upto
     assert built == list(range(v[0] + 1, upto + 1))
 
@@ -482,11 +483,10 @@ def test_same_generation_verdict_walks_only_its_own_shells():
     with operation() as op:
         dual = cauchy_dual(ex52_weights(), k)
         alpha_verdict(dual, k, (0, 0), cfg)
-        ladders, calls = op.memos["shells", dual, k], k.steps
-        walked = sum(map(len, ladders.values()))
+        walked, calls = len(built_generations(op.memos, dual, k)), k.steps
         # par^2 (2, 2) = par^2 (0, 0): only A((2, 2), 1) and A((2, 2), 2) are new
         second = alpha_verdict(dual, k, (2, 2), cfg)
-        assert sum(map(len, ladders.values())) - walked == 2
+        assert len(built_generations(op.memos, dual, k)) - walked == 2
         assert k.steps - calls == 3
         fresh = cauchy_dual(ex52_weights(), TQB)
         assert second == alpha_verdict(fresh, TQB, (2, 2), cfg)
@@ -764,10 +764,10 @@ def test_each_one_vertex_rung_miss_asks_one_ray(monkeypatch, case):
     with operation() as op:
         for v, N in streams:
             list(islice(generation_stream(ws, kernel, v), N + 1))
-        ladders = op.memos["shells", ws, kernel].values()
+        built = built_generations(op.memos, ws, kernel)
     # a miss past generation 1 walks from a rung: one ray for a one-vertex
     # rung, and descend for a wider one or where the ray is None
-    walked = sum(map(len, ladders)) - sum(1 in ladder for ladder in ladders)
+    walked = sum(n != 1 for n in built)
     assert len(kernel.rays) == walked - sum(width != 1 for _, width, _ in descents)
     assert ([(u, depth) for u, depth, last in kernel.rays if last is None]
             == [(u, depth) for u, width, depth in descents if width == 1])

@@ -23,7 +23,7 @@ from woldlab.weights import (CauchyDualWeights, ConstantWeights,
                              family_root, is_balanced, is_norm_increasing,
                              load_weight_csv, make_weights, shift_norm_sq)
 
-from oracles import moment_log
+from oracles import moment_log, ray_rows
 
 TQB = TqbKernel()
 ZP = ZPathKernel()
@@ -452,17 +452,12 @@ def test_ray_rows_are_never_aliased_and_die_with_the_operation():
         for out in first:
             out[vertices.index((2, 3))] = out[0] = math.nan
         assert [[lw.hex() for lw in ws.ray_log_weights(chain)] for ws in systems] == want
-        assert ("ray rows", base) in op.memos
+        assert ray_rows(op.memos, base)
         budget = weakref.ref(op)
     del op
     gc.collect()
     assert budget() is None              # the rows died with the operation
     assert vars(base) == attrs
-
-
-def rows_of(memos, ws):
-    """The one operation's ray rows of `ws`, one list per row key."""
-    return list(memos.get(("ray rows", ws), {}).values())
 
 
 def read_chains(ws, chains):
@@ -498,7 +493,7 @@ def test_ray_rows_are_runs_read_by_slice(case, layers):
     with operation() as op:
         ws = cauchy_dual(EX52, TQB) if layers else EX52
         read_chains(ws, chains)
-        row, = rows_of(op.memos, ws)
+        row, = ray_rows(op.memos, ws)
         assert [lw.hex() for lw in row] == [ws.log_weight((n, 0)).hex() for n in range(2, hi)]
 
 
@@ -510,7 +505,7 @@ def test_a_deep_ray_keeps_rows_of_the_walked_length(layers):
     with operation() as op:
         ws = cauchy_dual(EX52, TQB) if layers else EX52
         read_chains(ws, [(s, s + 3, 0) for s in [10**6 + 1, 2, 10**6 + 3]])
-        assert [len(row) for row in rows_of(op.memos, ws)] == [3]
+        assert [len(row) for row in ray_rows(op.memos, ws)] == [3]
 
 
 def test_family_root_tracks_depth():

@@ -343,6 +343,35 @@ def test_decomposition_report_needs_case_two():
         decomposition_report(EX52, TQB, Window((0, 0), 2, 2))
 
 
+def test_decomposition_report_rotates_an_off_diagonal_gram(monkeypatch):
+    # an asymmetric case (ii) isometry: the norm 1 at (0, 0) split 0.6,
+    # 0.3 and 0.1 over the three rays of tkinf:3.  Its coverage Gram is off
+    # the diagonal by rounding, past `_rank`'s stop test, so the Jacobi
+    # rotations run on this user path and zero the entries they meet
+    k = TkInfKernel(3)
+    entering = {1: math.sqrt(0.6), 2: math.sqrt(0.3), 3: math.sqrt(0.1)}
+    ws = FunctionWeights(lambda v: entering[v[1]] if v[0] == 1 else 1.0, name="split-rays")
+    window = Window((0, 0), 2, 3)
+    grams = []
+    rank = woldlab.wold._rank
+
+    def spy(a):
+        grams.append(([row[:] for row in a], a))
+        return rank(a)
+
+    monkeypatch.setattr(woldlab.wold, "_rank", spy)
+    verdict = wold_verdict(ws, k, window)
+    assert (verdict.outcome, verdict.method) == ("HasWold_case_ii", "analytic")
+    rep = decomposition_report(ws, k, window)
+    assert rep.passed
+    cov = rep.coverage
+    assert (cov["vectors"], cov["window_dim"], cov["rank"], cov["deficit"]) == (12, 12, 12, 0)
+    (gram, reduced), = grams
+    assert 0.0 < cov["gram_offdiag_max"] == max(abs(x) for i, row in enumerate(gram)
+                                                  for x in row[i + 1:])
+    assert reduced != gram
+
+
 # sha256 of the JSON of the tkinf:2 report at (0,0), window (2,2), n_max=2,
 # from before verdicts were memoized and before the Gram rank left numpy
 REPORT_DIGEST = "0035d3f955f7f5cdef3854b4b246308ad154aab3932dfcd261f924a2a81a1eff"

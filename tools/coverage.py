@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Standing statement-coverage check of `src/woldlab` under the test suite.
 
-    python tools/coverage.py
+    python tools/coverage.py [--pool]
 
 Runs the suite (`pytest -q tests`) in this process under a standard-library
 line trace (`sys.settrace`, and `threading.settrace` for threads) and lists
@@ -21,10 +21,16 @@ or if an entry matches no unrun statement (it is stale: delete it).
 The package is imported from `src`, ahead of any installed copy, and
 pytest's cache is off.  The suite takes several times longer under the
 trace.
+
+  --pool  a report, not a check: trace every benchmark pool operation as
+          `tools/pool_bytes.py` runs it, in place of the suite, and list
+          each file's unreached statements, allowlisted or not.  The exit
+          status is 0 unless an operation cannot run.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import os
 import sys
@@ -99,8 +105,8 @@ def unrun(path: Path, ran: set) -> list:
     return sorted(missed)
 
 
-def trace_suite(args) -> tuple[int, dict]:
-    """Run pytest on `args` under the line trace: (exit code, file -> lines run)."""
+def traced(run) -> tuple[object, dict]:
+    """Call `run()` under the line trace: (its result, file -> lines run)."""
     prefix = str(PACKAGE) + os.sep
     ran: dict = {}
     wanted: dict = {}
@@ -119,27 +125,57 @@ def trace_suite(args) -> tuple[int, dict]:
                 ran.setdefault(name, set())
         return local if hit else None
 
-    # in place of this script's directory, whose name would shadow the
-    # `coverage` package for any library that imports it
-    sys.path[0] = str(SRC)
-    import pytest
-
     threading.settrace(global_)
     sys.settrace(global_)
     try:
-        rc = pytest.main(args)
+        result = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
     import woldlab
     if not woldlab.__file__.startswith(prefix):
         raise SystemExit(f"woldlab was imported from {woldlab.__file__}, not {PACKAGE}")
-    return int(rc), ran
+    return result, ran
 
 
-def main() -> int:
+def run_suite() -> int:
+    import pytest
+    return int(pytest.main(["-q", "-p", "no:cacheprovider", "tests"]))
+
+
+def run_pool() -> None:
+    """Every operation of the three benchmark pools, in pool order, as
+    `tools/pool_bytes.py` runs it; their digests are not compared."""
+    sys.path.append(str(ROOT / "tools"))
+    import pool_bytes
+    pool_bytes.run_pools(pool_bytes.load_package(), reverse=False)
+
+
+def pool_report() -> int:
+    _, ran = traced(run_pool)
+    total = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        missed = unrun(path, ran.get(str(path), set()))
+        total += len(missed)
+        print(f"src/woldlab/{path.name}: {len(missed)} unreached")
+        for line, text in missed:
+            print(f"  {line}: {text}")
+    print(f"{total} statements unreached by the benchmark pools")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pool", action="store_true",
+                        help="report the statements the benchmark pools never reach")
+    args = parser.parse_args(argv)
     os.chdir(ROOT)
-    rc, ran = trace_suite(["-q", "-p", "no:cacheprovider", "tests"])
+    # in place of this script's directory, whose name would shadow the
+    # `coverage` package for any library that imports it
+    sys.path[0] = str(SRC)
+    if args.pool:
+        return pool_report()
+    rc, ran = traced(run_suite)
     if rc != 0:
         print(f"the suite exits {rc} under the trace; rerun it to see why")
         return 1

@@ -5,20 +5,21 @@ descriptor and its last vertex, the default ray that knows no chain, the
 term stream's one-vertex ray fold with its charge and its request for at
 most one vertex past the cap, the dual's one degenerate-norm guard, met
 on a ray, at a lone child and on a sibling set, the ray rows that an
-operation keeps per row key as prefixes from n = 2, read by slice and
-extended only by a chain from within or at their end, the stream's one
-budget, bound whenever another is current, its rungs, first levels,
-up-steps and base moment against the exact oracle and the identities of
-scaling and of the dual's dual, the one-vertex rungs it folds where the
-level loop took a weight per level, the shells it builds only where a
-verdict reads them, each term summed in place from the stream's entries,
-the heuristic's stream stops, its
-insufficient-terms guard, each of its tail rules and the order they are
+operation keeps per weight system and row key as prefixes from n = 2,
+read by slice and extended only by a chain from within or at their end,
+the stream's one budget, bound whenever another is current, its rungs,
+first levels, top records and base moment against the exact oracle and
+the identities of scaling and of the dual's dual, the one-vertex rungs it
+folds where the level loop took a weight per level, the shells it builds
+only where a verdict reads them, each term summed in place from the
+stream's entries, the heuristic's stream stops, its insufficient-terms
+guard, each of its tail rules and the order they are
 tried in, the one compensated step of `NeumaierSum.add` and the running
 sum it returns,
 the command line's one parser per process, the Jacobi rank of the
-coverage Gram, the certified Euler–Maclaurin block of the Prop. 5.1 dual
-plugin with the tail integral under it, balancedness compared within each
+coverage Gram and its rotations on a user path, the certified
+Euler–Maclaurin block of the Prop. 5.1 dual plugin with the tail integral
+under it, balancedness compared within each
 depth class of a window and failed by a NaN or infinite norm, the defect
 diagonal's one walk, the wandering check's NaN residuals and the witness
 of the residual that failed, the weight relation's NaN-dominant worst, the
@@ -26,8 +27,9 @@ norm-increase check's NaN-dominant minimum, JSON output that refuses
 non-finite values and the alpha table row writer's finiteness guard,
 the one-step norm memo kept per weight system and kernel with its NaN
 entries, the operation scope that a nested call joins without a budget of
-its own, `repro`'s third-order check reading `classify`'s entries, and
-its one closed-form comparison, which a NaN fails.
+its own, `repro`'s third-order check reading `classify`'s entries, its
+one closed-form comparison, which a NaN fails, and its strict rendering
+of every check's detail before any output.
 
     python tools/mutants.py
 
@@ -144,6 +146,9 @@ MUTANTS = [
      "tests/test_weights.py::test_ray_rows_are_runs_read_by_slice[from-one-0]"),
     (WEIGHTS, "if 2 <= start <= end:", "if 2 <= start:",
      "tests/test_weights.py::test_a_deep_ray_keeps_rows_of_the_walked_length[0]"),
+    # a primal and its dual share row keys, never rows
+    (WEIGHTS, 'setdefault(("ray row", self, key)', 'setdefault(("ray row", key)',
+     "tests/test_weights.py::test_ray_rows_are_never_aliased_and_die_with_the_operation"),
     # a stream takes each miss with its own budget current, so a dual miss
     # charges its sibling there, in an operation or out of one, and binds it
     # when another operation's budget is current too
@@ -154,17 +159,17 @@ MUTANTS = [
      "tests/test_tree_core.py::test_a_stream_resumed_in_another_operation_charges_its_own_budget"),
     # the term stream against the exact oracle: the deepest rung below n in
     # the stream's inline rung search, the base moment's update, the
-    # up-steps kept per weight system and the dual's sibling-set norm
+    # top records kept per weight system and the dual's sibling-set norm
     (SERIES, "if j < k < n:", "if j < k:", ORACLE),
     (SERIES, "base_log += lw", "base_log = lw", ORACLE),
-    (SERIES, '("steps", ws, kernel)', '("steps", kernel)', ORACLE),
+    (SERIES, '("tops", ws, kernel)', '("tops", kernel)', ORACLE),
     (WEIGHTS, "if len(kids) == 1:", "if len(kids) <= 2:", ORACLE),
     # a miss weighs the first level it walks down from, which scaling every
     # weight must not change; a lone child's dual divides by its squared
     # weight, which the dual's dual must undo; and a one-vertex rung folds
     # its ray from the rows, not one children and log_weight call per level
-    (SERIES, "rung = [(c, log_weight(c)) for c in children(step[1]) if c != top]",
-     "rung = [(c, 0.0) for c in children(step[1]) if c != top]",
+    (SERIES, "rung = [(c, log_weight(c)) for c in children(record[1]) if c != top]",
+     "rung = [(c, 0.0) for c in children(record[1]) if c != top]",
      "tests/test_series.py::test_terms_are_invariant_under_scaling_the_weights[3.0-primal]"),
     (WEIGHTS, "logs, norm = None, math.exp(2.0 * own)", "logs, norm = None, math.exp(own)",
      "tests/test_series.py::test_the_dual_of_the_dual_has_the_primal_terms[v0]"),
@@ -172,7 +177,7 @@ MUTANTS = [
      "tests/test_cli.py::test_command_touches_are_pinned[wold-2,-2]"),
     # the stream builds generations from build_from on, the primal plugin
     # from the first one its fit reads, and the fit declines a non-finite K
-    (SERIES, "if n >= build_from:", "if n > build_from:",
+    (SERIES, "build = n >= build_from", "build = n > build_from",
      "tests/test_series.py::test_generations_before_build_from_are_skipped_not_zero"),
     (SERIES, "0 if depth else lo)", "0 if depth else lo - 1)",
      "tests/test_series.py::test_primal_plugin_builds_only_the_shells_it_fits[v0-24-40]"),
@@ -216,11 +221,14 @@ MUTANTS = [
     # main reuses the parser it built first instead of building one per call
     (CLI, "@functools.cache\ndef _build_parser", "def _build_parser",
      "tests/test_cli.py::test_main_builds_its_parser_once"),
-    # the coverage Gram's rank counts |eigenvalue| > 1e-8, and each Jacobi
-    # rotation is orthogonal
+    # the coverage Gram's rank counts |eigenvalue| > 1e-8, each Jacobi
+    # rotation is orthogonal, and a Gram off the diagonal past the stop test
+    # is rotated
     (WOLD, "abs(a[i][i]) > 1e-8", "abs(a[i][i]) >= 0.0", KNOWN_RANK.format("zero")),
     (WOLD, "a[k][p] = a[p][k] = c * akp - s * akq", "a[k][p] = a[p][k] = c * akp + s * akq",
      KNOWN_RANK.format("rank-one")),
+    (WOLD, "if 2.0 * off <= 1e-32 * frob:", "if True:",
+     "tests/test_wold.py::test_decomposition_report_rotates_an_off_diagonal_gram"),
     # the tail integral takes pi/2 - atan as one atan2 and a log near 0 as
     # log1p; the Euler–Maclaurin sum keeps its fifth correction, its full
     # remainder and its rounding term, and the plugin's block starts where
@@ -293,6 +301,10 @@ MUTANTS = [
     (CLI, "if not abs(got - want) <= (tol * want if relative else tol)]",
      "if abs(got - want) > (tol * want if relative else tol)]",
      "tests/test_cli.py::test_repro_closed_form_checks_fail_on_a_nan_weight"),
+    # repro renders each detail as strict JSON before it prints a line
+    (CLI, '_strict_json(row["detail"], field=f"checks[{i}].detail")',
+     'json.dumps(row["detail"], sort_keys=True)',
+     "tests/test_cli.py::test_repro_closed_form_checks_fail_on_overflowing_rules"),
 ]
 
 
