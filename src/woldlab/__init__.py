@@ -5,10 +5,10 @@ from .errors import (DegenerateNormError, DivergentSeriesError,
                      MalformedTreeError, MissingWeightError, PreconditionError,
                      ResourceCapError, UndecidedSeriesError, UnknownVertexError,
                      WoldlabError)
-from .tree_core import (AdjacencyKernel, BilateralPath, Budget, TkInfKernel,
-                        TqbKernel, TreeKernel, Window, ZPathKernel, child_n,
-                        descend, enum_A, load_adjacency, make_kernel,
-                        operation, par_n, shell, window_depth_classes,
+from .tree_core import (AdjacencyKernel, Budget, TkInfKernel, TqbKernel,
+                        TreeKernel, Window, ZPathKernel, child_n, descend,
+                        enum_A, load_adjacency, make_kernel, operation, par_n,
+                        path_vertex, shell, window_depth_classes,
                         window_vertices)
 from .weights import (CauchyDualWeights, ConstantWeights, CsvWeights,
                       FunctionWeights, PolyRule, Prop51Weights,

@@ -22,7 +22,7 @@ from .errors import UnknownVertexError, WoldlabError
 from .numerics import quadratic_tail_integral
 from .operator import classify, defect_diagonal
 from .series import SeriesConfig, alpha_partial, alpha_verdict, g_vector
-from .tree_core import (BilateralPath, TqbKernel, Window, load_adjacency, make_kernel,
+from .tree_core import (TqbKernel, Window, load_adjacency, make_kernel,
                         operation, window_depth_classes, window_vertices)
 from .weights import (Prop51Weights, PolyRule, WeightSystem, boundedness_estimate,
                       cauchy_dual, ex52_weights, is_balanced, is_norm_increasing,
@@ -238,13 +238,12 @@ def cmd_wold(args) -> int:
 
 def cmd_gvec(args) -> int:
     ctx = _Context(args)
-    path = BilateralPath(ctx.kernel, ctx.vertex)
-    g = g_vector(ctx.ws, ctx.kernel, path, args.m, args.N, ctx.cfg)
+    g = g_vector(ctx.ws, ctx.kernel, ctx.vertex, args.m, args.N, ctx.cfg)
     k = ctx.kernel
     if args.fmt == "json":
         obj = {
             "m": g.m, "vertex": k.format_vertex(g.vertex), "N": g.N,
-            "alpha": g.alpha_value, "tail_mass": g.tail_mass,
+            "alpha": g.verdict.value, "tail_mass": g.tail_mass,
             "vector": g.vector.to_json(k),
             "verdict": g.verdict.to_json(k),
         }
@@ -253,7 +252,7 @@ def cmd_gvec(args) -> int:
         rows = sorted(((k.format_vertex(u), c) for u, c in g.vector.items()),
                       key=lambda r: r[0])
         _emit(args, _csv_text(("vertex", "coefficient"), rows,
-                              trailer=f"m={g.m} alpha={g.alpha_value} tail_mass={g.tail_mass}"))
+                              trailer=f"m={g.m} alpha={g.verdict.value} tail_mass={g.tail_mass}"))
     return 0
 
 

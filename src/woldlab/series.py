@@ -22,8 +22,8 @@ from operator import add
 from .errors import DivergentSeriesError, ResourceCapError, UndecidedSeriesError
 from .numerics import NeumaierSum, quadratic_tail_integral, quadratic_tail_sum
 from .operator import SparseVector, apply_shift
-from .tree_core import (Budget, TqbKernel, TreeKernel, BilateralPath, bind_budget,
-                        bound_budget, descend, operation, unbind_budget)
+from .tree_core import (Budget, TqbKernel, TreeKernel, bind_budget, bound_budget,
+                        descend, operation, path_vertex, unbind_budget)
 from .weights import (ConstantWeights, Prop51Weights, WeightSystem, family_root,
                       shift_norm_sq)
 
@@ -492,7 +492,6 @@ class HyperRangeVector:
     N: int
     gen_support: list
     tail_mass: float
-    alpha_value: float | None
     verdict: SeriesVerdict
 
     @property
@@ -501,17 +500,18 @@ class HyperRangeVector:
 
 
 @operation()
-def g_vector(ws: WeightSystem, kernel: TreeKernel, path: BilateralPath, m: int,
+def g_vector(ws: WeightSystem, kernel: TreeKernel, anchor, m: int,
              N: int, config: SeriesConfig | None = None) -> HyperRangeVector:
-    """Truncated coefficients of g_m along the path, with a tail-mass bound.
+    """Truncated coefficients of g_m along the canonical path with v_0 =
+    anchor (`path_vertex`), with a tail-mass bound.
 
     When the series at v_m diverges the vector is zero by definition; an
     inconclusive verdict refuses to guess.
     """
-    v = path[m]
+    v = path_vertex(kernel, anchor, m)
     verdict = alpha_verdict(ws, kernel, v, config)
     if verdict.kind == "diverged":
-        return HyperRangeVector(m, v, SparseVector({}), N, [], 0.0, None, verdict)
+        return HyperRangeVector(m, v, SparseVector({}), N, [], 0.0, verdict)
     if verdict.kind == "inconclusive":
         raise UndecidedSeriesError(
             f"series verdict at {v!r} is inconclusive; cannot build g_{m}")
@@ -524,8 +524,7 @@ def g_vector(ws: WeightSystem, kernel: TreeKernel, path: BilateralPath, m: int,
     vector = SparseVector(entries)
     # the mass of the vector actually returned, after SparseVector's pruning
     tail_mass = max(verdict.value - vector.norm_sq(), 0.0) + verdict.tail_bound
-    return HyperRangeVector(m, v, vector, N, gen_support, tail_mass,
-                            verdict.value, verdict)
+    return HyperRangeVector(m, v, vector, N, gen_support, tail_mass, verdict)
 
 
 @dataclass

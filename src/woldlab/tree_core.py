@@ -538,11 +538,14 @@ def child_n(kernel: TreeKernel, v, n: int):
 
 
 def par_n(kernel: TreeKernel, v, n: int):
-    """par^n(v); n = 0 gives v."""
+    """par^n(v); n = 0 gives v.  Each step is charged to the current budget,
+    so a huge `n` trips at the cap."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    parent, charge = kernel.parent, Budget.current().charge
     for _ in range(n):
-        v = kernel.parent(v)
+        v = parent(v)
+        charge()
     return v
 
 
@@ -586,6 +589,8 @@ def window_depth_classes(kernel: TreeKernel, w: Window):
 
     Class d is Chi^d(T), and every member u has par^d(u) = T, so the class
     is the paper's generation set G_{u,d}, whole; no class mixes depths.
+    The up-walk to T charges its steps through `par_n`; outside any
+    operation it takes a budget of its own, as every bare walk does.
     """
     budget = Budget.current()
     levels = [[par_n(kernel, w.base, w.depth_up)]]
@@ -602,26 +607,18 @@ def window_vertices(kernel: TreeKernel, w: Window):
     return [u for cls in window_depth_classes(kernel, w) for u in cls]
 
 
-class BilateralPath:
-    """Canonical two-sided path with v_0 = anchor.
+def path_vertex(kernel: TreeKernel, anchor, m: int):
+    """v_m of the canonical two-sided path with v_0 = anchor.
 
-    Forward steps take the least child under the vertex order (a fixed,
-    reproducible stand-in for an arbitrary choice); backward steps take
-    parents.  Vertices are memoized as the path grows.
+    Forward steps (m > 0) take the least child under the vertex order (a
+    fixed, reproducible stand-in for an arbitrary choice); backward steps
+    (m < 0) take parents, by `par_n`.  Each step is charged to the current
+    budget, and nothing is memoized.
     """
-
-    def __init__(self, kernel: TreeKernel, anchor):
-        self.kernel = kernel
-        self.anchor = anchor
-        self._fwd = [anchor]
-        self._back: list = []
-
-    def __getitem__(self, m: int):
-        if m >= 0:
-            while len(self._fwd) <= m:
-                self._fwd.append(min(self.kernel.children(self._fwd[-1])))
-            return self._fwd[m]
-        while len(self._back) < -m:
-            prev = self._back[-1] if self._back else self.anchor
-            self._back.append(self.kernel.parent(prev))
-        return self._back[-m - 1]
+    if m < 0:
+        return par_n(kernel, anchor, -m)
+    children, charge = kernel.children, Budget.current().charge
+    for _ in range(m):
+        anchor = min(children(anchor))
+        charge()
+    return anchor

@@ -384,8 +384,8 @@ class CauchyDualWeights(WeightSystem):
 
 def cauchy_dual(ws: WeightSystem, kernel: TreeKernel) -> CauchyDualWeights:
     """Dual weight system, one per (ws, kernel) within an operation: its
-    callers share one log cache and one shell memo, and the operation's
-    memos hold it.  Outside any operation each call builds a fresh dual.
+    callers share one log cache and one term-stream record per top vertex,
+    and the operation's memos hold it.  Outside any operation each call builds a fresh dual.
     Applying the dual twice recomputes the original numerically; the round
     trip is a checked property, not a shortcut."""
     memos = Budget.current().memos

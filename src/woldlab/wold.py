@@ -21,7 +21,7 @@ from .numerics import worst
 from .operator import apply_adjoint, apply_shift, inner, shifted_kernel_vectors
 from .series import (SeriesConfig, SeriesVerdict, alpha_verdict, g_vector,
                      hyperrange_recurrence_check)
-from .tree_core import BilateralPath, TreeKernel, Window, operation, window_vertices
+from .tree_core import TreeKernel, Window, operation, window_vertices
 from .weights import (NORM_FLOOR, BalancedReport, WeightSystem,
                       boundedness_estimate, cauchy_dual, is_balanced,
                       shift_norm_sq)
@@ -322,9 +322,8 @@ def decomposition_report(ws: WeightSystem, kernel: TreeKernel, window: Window,
         raise PreconditionError(
             f"decomposition report needs HasWold_case_ii, got {verdict.outcome}")
     cfg = config or SeriesConfig()
-    path = BilateralPath(kernel, window.base)
     N = max(8, 2 * n_max)
-    gs = {m: g_vector(ws, kernel, path, m, N, cfg) for m in range(-n_max, n_max + 1)}
+    gs = {m: g_vector(ws, kernel, window.base, m, N, cfg) for m in range(-n_max, n_max + 1)}
     s_sup = math.sqrt(boundedness_estimate(ws, kernel, window))
 
     reduction = []
@@ -334,9 +333,9 @@ def decomposition_report(ws: WeightSystem, kernel: TreeKernel, window: Window,
                "recurrence_allowance": rec.tail_allowance,
                "recurrence_ok": rec.passed}
         g_m, g_prev = gs[m + 1], gs[m]
-        lam = ws.weight(path[m + 1])
-        c_a = shift_norm_sq(ws, kernel, path[m], 1) / lam
-        c_b = (g_m.alpha_value / g_prev.alpha_value) * lam
+        lam = ws.weight(g_m.vertex)
+        c_a = shift_norm_sq(ws, kernel, g_prev.vertex, 1) / lam
+        c_b = (g_m.verdict.value / g_prev.verdict.value) * lam
         back = apply_adjoint(ws, kernel, g_m.vector)
         keep = set()
         for gen in g_prev.gen_support[:N]:

@@ -20,9 +20,8 @@ from woldlab.operator import (SparseVector, apply_adjoint, apply_power,
                               wandering_orthogonality_check)
 from woldlab.series import alpha_partial, alpha_verdict, g_vector, generation_stream, \
     hyperrange_recurrence_check
-from woldlab.tree_core import (BilateralPath, TkInfKernel, TqbKernel, Window,
-                               ZPathKernel, child_n, enum_A, par_n,
-                               window_vertices)
+from woldlab.tree_core import (TkInfKernel, TqbKernel, Window, ZPathKernel,
+                               child_n, enum_A, par_n, window_vertices)
 from woldlab.weights import (ConstantWeights, TkinfIsometricWeights,
                              cauchy_dual, ex52_weights, shift_norm_sq)
 from woldlab.wold import wold_verdict
@@ -221,8 +220,7 @@ def test_criterion_7_isometric_ladder():
     for k in (2, 3):
         kernel = TkInfKernel(k)
         ws = TkinfIsometricWeights(k)
-        path = BilateralPath(kernel, (0, 0))
-        gs = {m: g_vector(ws, kernel, path, m, 8) for m in range(-4, 5)}
+        gs = {m: g_vector(ws, kernel, (0, 0), m, 8) for m in range(-4, 5)}
         for m in range(-3, 4):
             rec = hyperrange_recurrence_check(ws, kernel, gs[m], gs[m + 1])
             assert rec.residual <= 1e-10 + rec.tail_allowance

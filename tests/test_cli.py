@@ -379,7 +379,16 @@ def test_cap_bounds_a_whole_command(capsys, monkeypatch):
     assert "while walking generation 43 of the series term stream" in err
 
 
-# Each cap sits between the command's charge (125,297 and 142,865 vertices,
+def test_cap_bounds_a_walk_along_the_path(capsys, monkeypatch):
+    # v_{-5000} is 5000 parent steps above the anchor, each one charged
+    monkeypatch.setenv("WOLDLAB_MAX_VERTICES", "1000")
+    code, out, err = run(capsys, "gvec", "--tree", "tkinf:k=2", "--weights",
+                         "tkinf-isometric", "--m", "-5000")
+    assert code == 2 and out == ""
+    assert "enumeration touched more than 1000 vertices" in err
+
+
+# Each cap sits between the command's charge (125,314 and 142,867 vertices,
 # pinned below) and its charge without the shell ladder, ancestors first and
 # one shared dual (633,334 and 540,509 when last measured), so a lost part
 # shows as exit 2.
@@ -397,13 +406,14 @@ def test_heavy_commands_fit_under_a_reduced_cap(capsys, monkeypatch, cap, argv, 
 
 # Whole-command charges: repro decides check 8's verdict first and reads
 # its series verdicts and shell ladders in checks 6 and 7, and the window
-# diagnostics read each one-step norm once per operation.
+# diagnostics read each one-step norm once per operation.  Every window's
+# up-walk and every step along a bilateral path is charged.
 @pytest.mark.parametrize("argv, used", [
-    (("repro", "ex52"), 4281),
-    (("repro", "ex52", "--tamper"), 125297),
-    (("wold", "--tree", "tqb", "--weights", "ex52", "--vertex=0,0", "--no-plugins"), 142865),
+    (("repro", "ex52"), 4298),
+    (("repro", "ex52", "--tamper"), 125314),
+    (("wold", "--tree", "tqb", "--weights", "ex52", "--vertex=0,0", "--no-plugins"), 142867),
     (("balanced", "--tree", "tkinf:k=5", "--weights", "tkinf-isometric",
-      "--window", "5,5"), 97),
+      "--window", "5,5"), 107),
 ], ids=["repro", "repro-tamper", "wold-no-plugins", "balanced"])
 def test_command_charges_are_pinned(capsys, argv, used):
     with operation() as budget:     # main's operation joins this one

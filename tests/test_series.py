@@ -26,8 +26,8 @@ from woldlab.series import (ANALYTIC_TERMS, DELTA, TAIL_RULES, TERM_FLOOR, WINDO
                             alpha_partial, alpha_verdict, g_vector,
                             generation_stream, hyperrange_recurrence_check)
 from woldlab import series
-from woldlab.tree_core import (BilateralPath, Budget, TkInfKernel, TqbKernel, Window,
-                               ZPathKernel, descend, load_adjacency, operation, par_n, shell,
+from woldlab.tree_core import (Budget, TkInfKernel, TqbKernel, Window, ZPathKernel,
+                               descend, load_adjacency, operation, par_n, shell,
                                window_vertices)
 from woldlab.weights import (ConstantWeights, FunctionWeights, PolyRule,
                              Prop51Weights, TkinfIsometricWeights, cauchy_dual,
@@ -1244,29 +1244,26 @@ def test_verdict_json_schema():
 def test_g_vectors_on_isometric_tree():
     k = TkInfKernel(3)
     ws = TkinfIsometricWeights(3)
-    path = BilateralPath(k, (0, 0))
-    g0 = g_vector(ws, k, path, 0, 6)
+    g0 = g_vector(ws, k, (0, 0), 0, 6)
     assert g0.vector.entries == {(0, 0): 1.0}
-    assert g0.alpha_value == 1.0 and g0.tail_mass <= 1e-14
-    g1 = g_vector(ws, k, path, 1, 6)
+    assert g0.verdict.value == 1.0 and g0.tail_mass <= 1e-14
+    g1 = g_vector(ws, k, (0, 0), 1, 6)
     assert g1.vector.entries == pytest.approx(
         {(1, 1): 1.0, (1, 2): 1.0, (1, 3): 1.0})
-    assert g1.alpha_value == pytest.approx(3.0)
+    assert g1.verdict.value == pytest.approx(3.0)
     assert not g1.is_zero
 
 
 def test_g_vector_zero_on_divergence():
-    path = BilateralPath(TQB, (0, 0))
-    g = g_vector(EX52, TQB, path, 0, 5)
-    assert g.is_zero and g.alpha_value is None
+    g = g_vector(EX52, TQB, (0, 0), 0, 5)
+    assert g.is_zero and g.verdict.value is None
     assert g.verdict.kind == "diverged"
 
 
 def test_g_vector_refuses_undecided():
     ws = cauchy_dual(FunctionWeights(EX52.weight), TQB)
-    path = BilateralPath(TQB, (0, 0))
     with pytest.raises(UndecidedSeriesError):
-        g_vector(ws, TQB, path, 0, 5, SeriesConfig(n_max=350))
+        g_vector(ws, TQB, (0, 0), 0, 5, SeriesConfig(n_max=350))
 
 
 # the ray-decay coefficients 2^-n drop below SparseVector's pruning threshold
@@ -1282,9 +1279,8 @@ TAIL_MASS_CASES = {
 @pytest.mark.parametrize("case", sorted(TAIL_MASS_CASES))
 def test_g_vector_tail_mass_is_that_of_the_returned_vector(case):
     k, ws, ms, N, cfg = TAIL_MASS_CASES[case]
-    path = BilateralPath(k, (0, 0))
     for m in ms:
-        g = g_vector(ws, k, path, m, N, cfg)
+        g = g_vector(ws, k, (0, 0), m, N, cfg)
         assert g.verdict.kind == "converged"
         assert g.tail_mass == (max(g.verdict.value - g.vector.norm_sq(), 0.0)
                                + g.verdict.tail_bound)
@@ -1295,18 +1291,16 @@ def test_g_vector_tail_mass_is_that_of_the_returned_vector(case):
 def test_recurrence_on_isometric_tree():
     k = TkInfKernel(3)
     ws = TkinfIsometricWeights(3)
-    path = BilateralPath(k, (0, 0))
     for m in (-2, -1, 0, 1):
-        rep = hyperrange_recurrence_check(ws, k, g_vector(ws, k, path, m, 6),
-                                          g_vector(ws, k, path, m + 1, 6))
+        rep = hyperrange_recurrence_check(ws, k, g_vector(ws, k, (0, 0), m, 6),
+                                          g_vector(ws, k, (0, 0), m + 1, 6))
         assert rep.m == m and rep.passed and rep.residual <= 1e-12
 
 
 def test_recurrence_needs_convergence():
-    path = BilateralPath(TQB, (0, 0))
     with pytest.raises(DivergentSeriesError):
-        hyperrange_recurrence_check(EX52, TQB, g_vector(EX52, TQB, path, 0, 5),
-                                    g_vector(EX52, TQB, path, 1, 5))
+        hyperrange_recurrence_check(EX52, TQB, g_vector(EX52, TQB, (0, 0), 0, 5),
+                                    g_vector(EX52, TQB, (0, 0), 1, 5))
 
 
 def test_g_vector_is_path_independent_up_to_scale():
@@ -1315,9 +1309,7 @@ def test_g_vector_is_path_independent_up_to_scale():
                          name="tilted")
     # g_1 at (1, 1) on the least-child path, and at (1, 3) as g_0 of a path
     # anchored there
-    lo = BilateralPath(k, (0, 0))
-    hi = BilateralPath(k, (1, 3))
-    ga = g_vector(ws, k, lo, 1, 6).vector
-    gb = g_vector(ws, k, hi, 0, 6).vector
+    ga = g_vector(ws, k, (0, 0), 1, 6).vector
+    gb = g_vector(ws, k, (1, 3), 0, 6).vector
     assert ga.entries != gb.entries
     assert abs(inner(ga, gb)) == pytest.approx(ga.norm() * gb.norm(), rel=1e-12)

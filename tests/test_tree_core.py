@@ -15,10 +15,9 @@ from woldlab import tree_core
 from woldlab.errors import (MalformedTreeError, MissingWeightError,
                             ResourceCapError, UnknownVertexError)
 from woldlab.tree_core import (DEFAULT_VERTEX_CAP, Budget, RayChain, TkInfKernel, TqbKernel,
-                               TreeKernel, Window, ZPathKernel, BilateralPath, child_n,
-                               descend, enum_A, load_adjacency, make_kernel, operation, par_n,
-                               vertex_cap, window_depth_classes,
-                               window_vertices)
+                               TreeKernel, Window, ZPathKernel, child_n, descend, enum_A,
+                               load_adjacency, make_kernel, operation, par_n, path_vertex,
+                               vertex_cap, window_depth_classes, window_vertices)
 from woldlab.series import generation_stream
 from woldlab.weights import (FunctionWeights, cauchy_dual, ex52_weights,
                              load_weight_csv, shift_norm_sq)
@@ -237,19 +236,17 @@ def test_window_depth_classes_partition():
 
 
 def test_bilateral_path_tqb_spine():
-    path = BilateralPath(TQB, (0, 0))
-    assert path[-2] == (0, 2)
-    assert path[0] == (0, 0)
-    assert path[1] == (0, -1)   # least child under tuple order
-    assert path[3] == (0, -3)
+    assert path_vertex(TQB, (0, 0), -2) == (0, 2)
+    assert path_vertex(TQB, (0, 0), 0) == (0, 0)
+    assert path_vertex(TQB, (0, 0), 1) == (0, -1)   # least child under tuple order
+    assert path_vertex(TQB, (0, 0), 3) == (0, -3)
 
 
 def test_bilateral_path_choosers():
     # forward steps take the least child
-    lo = BilateralPath(TK3, (0, 0))
-    assert lo[1] == (1, 1)
-    assert lo[2] == (2, 1)
-    assert lo[-3] == (-3, 0)
+    assert path_vertex(TK3, (0, 0), 1) == (1, 1)
+    assert path_vertex(TK3, (0, 0), 2) == (2, 1)
+    assert path_vertex(TK3, (0, 0), -3) == (-3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +270,9 @@ CAP_TRIPS = {
     "shift_norm_sq": (10, lambda n: shift_norm_sq(ex52_weights(), TQB, (0, 0), n), 3),
     # the top anchor plus levels of 2, 3, ..., n + 1 vertices
     "window_vertices": (10, lambda n: window_vertices(TQB, Window((0, 0), 1, n - 1)), 3),
+    # one charge per step down the least children, or up the parents
+    "path_vertex_down": (10, lambda n: path_vertex(TQB, (0, 0), n), 10),
+    "path_vertex_up": (10, lambda n: path_vertex(TQB, (0, 0), -n), 10),
     # generation n charges n + 1: one shell vertex per level, plus the up-walk
     # step, and each spine dual miss its sibling, all to the stream's budget
     "generation_stream": (60, dual_stream_upto, 8),

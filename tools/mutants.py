@@ -29,7 +29,8 @@ the one-step norm memo kept per weight system and kernel with its NaN
 entries, the operation scope that a nested call joins without a budget of
 its own, `repro`'s third-order check reading `classify`'s entries, its
 one closed-form comparison, which a NaN fails, and its strict rendering
-of every check's detail before any output.
+of every check's detail before any output, and the charge of each step
+along the bilateral path, down its least children and up its parents.
 
     python tools/mutants.py
 
@@ -305,6 +306,12 @@ MUTANTS = [
     (CLI, '_strict_json(row["detail"], field=f"checks[{i}].detail")',
      'json.dumps(row["detail"], sort_keys=True)',
      "tests/test_cli.py::test_repro_closed_form_checks_fail_on_overflowing_rules"),
+    # each step along the bilateral path is charged, down or up
+    (TREE, "anchor = min(children(anchor))\n        charge()",
+     "anchor = min(children(anchor))",
+     "tests/test_tree_core.py::test_budget_trips[path_vertex_down]"),
+    (TREE, "v = parent(v)\n        charge()", "v = parent(v)",
+     "tests/test_tree_core.py::test_budget_trips[path_vertex_up]"),
 ]
 
 
